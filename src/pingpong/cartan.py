@@ -58,24 +58,18 @@ def _padic_det(rows) -> "PadicScalar":
 class SLMatrix:
     """Square matrix of determinant one over a supported field.
 
-    Instances are immutable; the inverse and the Cartan decomposition are
-    computed once and cached.  ``check=False`` skips determinant validation
-    for matrices that are products of validated ones.
+    Entries live in a read-only numpy array from as_field_array, for every
+    field alike.  Instances are immutable; the inverse and the Cartan
+    decomposition are computed once and cached.  ``check=False`` skips
+    determinant validation for matrices that are products of validated ones.
     """
 
     __slots__ = ("field", "entries", "_inverse", "_cartan")
 
     def __init__(self, field: FieldSpec, rows, check: bool = True):
-        if field.is_padic:
-            entries = tuple(tuple(field.scalar(x) for x in row) for row in rows)
-            n = len(entries)
-            if n < 2 or any(len(row) != n for row in entries):
-                raise DomainError("matrix must be square of size at least 2")
-        else:
-            entries = np.array([list(r) for r in rows])
-            if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 2:
-                raise DomainError("matrix must be square of size at least 2")
-            entries = as_field_array(field, entries)
+        entries = as_field_array(field, rows, 2)
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] < 2:
+            raise DomainError("matrix must be square of size at least 2")
         self.field = field
         self.entries = entries
         self._inverse = None
@@ -107,11 +101,9 @@ class SLMatrix:
         return len(self.entries)
 
     def row(self, i) -> Vector:
-        return Vector(self.field, list(self.entries[i]))
+        return Vector(self.field, self.entries[i])
 
     def column(self, j) -> Vector:
-        if self.field.is_padic:
-            return Vector(self.field, [row[j] for row in self.entries])
         return Vector(self.field, self.entries[:, j])
 
     def __matmul__(self, other: "SLMatrix") -> "SLMatrix":
@@ -119,34 +111,18 @@ class SLMatrix:
             return NotImplemented
         if self.field != other.field or self.n != other.n:
             raise DomainError("matrix product needs matching fields and sizes")
-        if self.field.is_padic:
-            n = self.n
-            rows = [[sum((self.entries[i][t] * other.entries[t][j] for t in range(n)),
-                         self.field.zero())
-                     for j in range(n)] for i in range(n)]
-        else:
-            rows = self.entries @ other.entries
-        return SLMatrix(self.field, rows, check=False)
+        return SLMatrix(self.field, self.entries @ other.entries, check=False)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product g(v)."""
         if v.field != self.field or len(v) != self.n:
             raise DomainError("vector does not match the matrix")
-        if self.field.is_padic:
-            coords = [sum((row[j] * v.coords[j] for j in range(self.n)), self.field.zero())
-                      for row in self.entries]
-            return Vector(self.field, coords)
         return Vector(self.field, self.entries @ v.coords)
 
     def apply_form(self, f: Vector) -> Vector:
         """Row-vector product f o g, the pullback of the linear form f."""
         if f.field != self.field or len(f) != self.n:
             raise DomainError("form does not match the matrix")
-        if self.field.is_padic:
-            coords = [sum((f.coords[i] * self.entries[i][j] for i in range(self.n)),
-                          self.field.zero())
-                      for j in range(self.n)]
-            return Vector(self.field, coords)
         return Vector(self.field, f.coords @ self.entries)
 
     def inverse(self) -> "SLMatrix":
@@ -162,9 +138,9 @@ class SLMatrix:
             self._inverse = inv
         return self._inverse
 
-    def cartan(self, precision_margin: int = 1) -> "CartanTriple":
+    def cartan(self) -> "CartanTriple":
         """Cached Cartan decomposition of this matrix."""
-        return cartan_decompose(self, precision_margin)
+        return cartan_decompose(self)
 
     def norm(self) -> float:
         """Operator norm ||g|| = |a_1(g)|."""
@@ -232,9 +208,7 @@ class CartanTriple:
 
     @property
     def a_abs(self) -> tuple:
-        if self.field.is_padic:
-            return tuple(x.abs() for x in self.a)
-        return tuple(float(x) for x in self.a)
+        return tuple(abs(x) for x in self.a)
 
     @property
     def ratio(self) -> float:
@@ -288,14 +262,14 @@ def _cartan_archimedean(g: SLMatrix) -> CartanTriple:
     return CartanTriple(k, tuple(float(x) for x in s), k_prime)
 
 
-def _cartan_padic(g: SLMatrix, precision_margin: int) -> CartanTriple:
+def _cartan_padic(g: SLMatrix) -> CartanTriple:
     field = g.field
     n = g.n
     worst = min(c.digits for row in g.entries for c in row)
-    if worst < n + precision_margin:
+    if worst < n + 1:
         raise PrecisionExhaustedError(
             f"matrix entries carry {worst} digits; decomposition in dimension {n} "
-            f"needs at least {n + precision_margin}")
+            f"needs at least {n + 1}")
     m = [list(row) for row in g.entries]
     k = [[field.scalar(int(i == j)) for j in range(n)] for i in range(n)]
     k2 = [[field.scalar(int(i == j)) for j in range(n)] for i in range(n)]
@@ -351,11 +325,11 @@ def _cartan_padic(g: SLMatrix, precision_margin: int) -> CartanTriple:
                         SLMatrix(field, k2, check=False))
 
 
-def cartan_decompose(g: SLMatrix, precision_margin: int = 1) -> CartanTriple:
+def cartan_decompose(g: SLMatrix) -> CartanTriple:
     """Decompose g = k * diag(a) * k' with the module's conventions."""
     if g._cartan is None:
         if g.field.is_padic:
-            g._cartan = _cartan_padic(g, precision_margin)
+            g._cartan = _cartan_padic(g)
         else:
             g._cartan = _cartan_archimedean(g)
     return g._cartan
@@ -367,12 +341,8 @@ def exterior_power(g: SLMatrix, i: int) -> SLMatrix:
     if not 1 <= i <= n - 1:
         raise DomainError(f"exterior power index must be in [1, {n - 1}], got {i}")
     subsets = list(itertools.combinations(range(n), i))
-    if g.field.is_padic:
-        rows = [[_padic_det([[g.entries[r][c] for c in T] for r in S]) for T in subsets]
-                for S in subsets]
-    else:
-        arr = np.asarray(g.entries)
-        rows = [[np.linalg.det(arr[np.ix_(S, T)]) for T in subsets] for S in subsets]
+    det = _padic_det if g.field.is_padic else np.linalg.det
+    rows = [[det(g.entries[np.ix_(S, T)]) for T in subsets] for S in subsets]
     return SLMatrix(g.field, rows, check=False)
 
 

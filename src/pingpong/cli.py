@@ -47,8 +47,6 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; results do not depend on it")
 
     p = sub.add_parser("cartan", help="KAK decomposition and singular value ratios")
     p.add_argument("--in", dest="infile", required=True, metavar="G.JSON")
@@ -133,7 +131,7 @@ def _run_cartan(args):
         "ratios": [io.tagged(a_abs[i] / a_abs[i + 1], prov)
                    for i in range(len(a_abs) - 1)],
     }
-    return payload, True, {"in": args.infile}, {"threads": args.threads}
+    return payload, True, {"in": args.infile}, {}
 
 
 def _run_contract_analyze(args):
@@ -147,7 +145,7 @@ def _run_contract_analyze(args):
     payload["empirical_pass"] = ok
     payload["samples"] = args.samples
     return (payload, ok, {"in": args.infile},
-            {"samples": args.samples, "threads": args.threads})
+            {"samples": args.samples})
 
 
 def _run_separate(args):
@@ -182,7 +180,7 @@ def _run_separate(args):
         "notes": notes,
     }
     return (payload, r_est > 0.0, {"set": args.setfile},
-            {"m": F.m, "trials": args.trials, "threads": args.threads})
+            {"m": F.m, "trials": args.trials})
 
 
 def _claimed_tuple_cert(gens, F: SeparatingSet) -> PingPongCert:
@@ -204,8 +202,7 @@ def _run_certify_free(args):
     F = io.load_separating_set(args.sep)
     gamma0 = io.load_matrix(args.gamma)
     inputs = {"gens": args.gens, "sep": args.sep, "gamma": args.gamma}
-    parameters = {"mode": "verify-only" if args.verify_only else "build",
-                  "threads": args.threads}
+    parameters = {"mode": "verify-only" if args.verify_only else "build"}
     notes = []
     if args.verify_only:
         try:
@@ -238,7 +235,7 @@ def _run_falsify(args):
         "letters": None if word is None else [[i, e] for i, e in word.letters],
     }
     return (payload, word is None, {"gens": args.gens},
-            {"max_len": args.max_len, "threads": args.threads})
+            {"max_len": args.max_len})
 
 
 def _run_dense_check(args):
@@ -251,7 +248,7 @@ def _run_dense_check(args):
         "dimension": algebra.dimension,
         "warnings": list(algebra.warnings),
     }
-    return (payload, full, {"gens": args.gens}, {"threads": args.threads})
+    return (payload, full, {"gens": args.gens}, {})
 
 
 _RUNNERS = {
@@ -273,8 +270,6 @@ def run(argv) -> int:
                 set_relative_tolerance(float(tol))
             except (ValueError, CertificationError) as exc:
                 raise InputError(f"PINGPONG_TOL={tol!r} is not a usable tolerance: {exc}")
-        if args.threads < 1:
-            raise InputError(f"--threads must be positive, got {args.threads}")
         payload, passed, inputs, parameters = _RUNNERS[args.command](args)
     except InputError as exc:
         failure = {"error": str(exc)}

@@ -133,9 +133,7 @@ def ratio_upper_bound_from_contraction(epsilon: float, field: FieldSpec) -> floa
     """If [g] is epsilon-contracting then |a_2/a_1| is at most this."""
     if epsilon < 0 or epsilon >= 0.25:
         raise DomainError(f"the converse bound needs epsilon in [0, 1/4), got {epsilon}")
-    if field.is_padic:
-        return float(field.prime) * epsilon ** 2
-    return 4.0 * epsilon ** 2
+    return field.d * epsilon ** 2
 
 
 def lipschitz_outside(g: SLMatrix, r: float) -> float:

@@ -7,6 +7,9 @@ digit count, and an operation whose nonzero result would retain less than
 one known digit raises PrecisionExhaustedError instead of returning noise.
 Exact cancellation yields an exact zero, so structural identities such as
 x - x = 0 hold on the nose.
+
+Vectors and matrices keep scalars of every field in numpy arrays, p-adic
+ones in object arrays, so one numpy expression serves R, C and Q_p.
 """
 
 import enum
@@ -259,6 +262,8 @@ class PadicScalar:
             return 0.0
         return float(self.field.prime) ** (-self.valuation)
 
+    __abs__ = abs
+
     def unit_digits(self, count: int | None = None) -> list[int]:
         """Little-endian base-p digits of the unit part, to ``count`` places."""
         if not self.value:
@@ -281,12 +286,6 @@ class PadicScalar:
 
 def abs_value(x, field: FieldSpec) -> float:
     """|x| in the given field: usual modulus, or p^(-valuation)."""
-    if field.is_padic:
-        if not isinstance(x, PadicScalar):
-            x = PadicScalar(field, x)
-        elif x.field != field:
-            raise DomainError(f"scalar belongs to {x.field}, not {field}")
-        return x.abs()
     return abs(field.scalar(x))
 
 

@@ -16,8 +16,6 @@ import hashlib
 import json
 from fractions import Fraction
 
-import numpy as np
-
 from .cartan import SLMatrix
 from .contraction import ContractionCert, ProximalCert
 from .errors import CertificationError, InputError
@@ -177,10 +175,7 @@ def decode_matrix(field: FieldSpec, obj, where: str) -> SLMatrix:
 
 
 def encode_matrix(g: SLMatrix) -> list:
-    if g.field.is_padic:
-        return [[encode_scalar(g.field, entry) for entry in row] for row in g.entries]
-    return [[encode_scalar(g.field, entry) for entry in row]
-            for row in np.asarray(g.entries).tolist()]
+    return [[encode_scalar(g.field, entry) for entry in row] for row in g.entries.tolist()]
 
 
 def load_matrix(path) -> SLMatrix:
@@ -221,10 +216,7 @@ def load_separating_set(path) -> SeparatingSet:
 
 
 def _coords(v):
-    field = v.field
-    if field.is_padic:
-        return [encode_scalar(field, c) for c in v.coords]
-    return [encode_scalar(field, c) for c in np.asarray(v.coords).tolist()]
+    return [encode_scalar(v.field, c) for c in v.coords.tolist()]
 
 
 def encode_point(P) -> dict:

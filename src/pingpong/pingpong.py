@@ -146,17 +146,14 @@ def make_proximal(g: SLMatrix, cert: ContractionCert, F: SeparatingSet) -> Proxi
     if not cert.epsilon < F.r / (2 * F.C):
         raise PreconditionError(
             f"need epsilon < r/(2C) = {F.r / (2 * F.C)}, got {cert.epsilon}")
-    for f in F.elements:
-        moved = apply_point(f, cert.attracting)
-        if dist_to_hyperplane(moved, cert.repelling) > F.r:
-            matrix = f @ g
-            forward = ContractionCert(F.C * cert.epsilon, moved, cert.repelling,
-                                      matrix.cartan().ratio)
-            return ProximalElement(matrix, ProximalCert(F.r, F.C * cert.epsilon,
-                                                        forward, None))
-    raise NoSeparatorError(
-        "no f in F moves the attracting point off the repulsive hyperplane "
-        f"by more than r = {F.r}")
+    f = _select(F, "f", (
+        ("d([f] v, H) > r for the flags of g",
+         lambda f: dist_to_hyperplane(apply_point(f, cert.attracting), cert.repelling) > F.r),
+    ))
+    matrix = f @ g
+    forward = ContractionCert(F.C * cert.epsilon, apply_point(f, cert.attracting),
+                              cert.repelling, matrix.cartan().ratio)
+    return ProximalElement(matrix, ProximalCert(F.r, F.C * cert.epsilon, forward, None))
 
 
 def _perturbed(P: ProjPoint, seed: int) -> ProjPoint:
@@ -216,22 +213,21 @@ def make_very_proximal(g: SLMatrix, forward: ContractionCert,
     if not eps < F.r / (2 * F.C ** 2):
         raise PreconditionError(
             f"need epsilon < r/(2C^2) = {F.r / (2 * F.C ** 2)}, got {eps}")
-    for f in F.elements:
-        if (dist_to_hyperplane(apply_point(f, forward.attracting), forward.repelling) > F.r
-                and dist_to_hyperplane(apply_point(f.inverse(), backward.attracting),
-                                       backward.repelling) > F.r):
-            matrix = g @ f
-            inv = matrix.inverse()
-            fwd = ContractionCert(F.C * eps, forward.attracting,
-                                  apply_hyperplane(f.inverse(), forward.repelling),
-                                  matrix.cartan().ratio)
-            bwd = ContractionCert(F.C * eps,
-                                  apply_point(f.inverse(), backward.attracting),
-                                  backward.repelling, inv.cartan().ratio)
-            return ProximalElement(matrix, ProximalCert(F.r / F.C, F.C * eps, fwd, bwd))
-    raise NoSeparatorError(
-        "no f in F moves both attracting points off the repulsive hyperplanes "
-        f"by more than r = {F.r}")
+    f = _select(F, "f", (
+        ("d([f] v, H) > r for the forward flags of g",
+         lambda f: dist_to_hyperplane(apply_point(f, forward.attracting),
+                                      forward.repelling) > F.r),
+        ("d([f^-1] v', H') > r for the backward flags of g",
+         lambda f: dist_to_hyperplane(apply_point(f.inverse(), backward.attracting),
+                                      backward.repelling) > F.r),
+    ))
+    matrix = g @ f
+    fwd = ContractionCert(F.C * eps, forward.attracting,
+                          apply_hyperplane(f.inverse(), forward.repelling),
+                          matrix.cartan().ratio)
+    bwd = ContractionCert(F.C * eps, apply_point(f.inverse(), backward.attracting),
+                          backward.repelling, matrix.inverse().cartan().ratio)
+    return ProximalElement(matrix, ProximalCert(F.r / F.C, F.C * eps, fwd, bwd))
 
 
 def tighten_very_contracting(element: VeryContractingElement) -> VeryContractingElement:
@@ -379,7 +375,8 @@ def _select(F: SeparatingSet, name: str, conditions):
             return f
     detail = "; ".join(f"{fails} candidates failed: {text}"
                        for (text, _), fails in zip(conditions, failures) if fails)
-    raise NoSeparatorError(f"selection of {name} failed ({detail})")
+    raise NoSeparatorError(f"selection of {name} failed "
+                           f"({detail or 'the candidate set is empty'})")
 
 
 def verify_pingpong(cert: PingPongCert, tolerance: float = 1e-9) -> bool:
@@ -419,17 +416,11 @@ def verify_pingpong(cert: PingPongCert, tolerance: float = 1e-9) -> bool:
 
 def _is_projective_identity(matrix: SLMatrix) -> bool:
     n = matrix.n
+    arr = matrix.entries
     if matrix.field.is_padic:
-        diag = matrix.entries[0][0]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    if matrix.entries[i][j] != diag:
-                        return False
-                elif matrix.entries[i][j]:
-                    return False
-        return True
-    arr = np.asarray(matrix.entries)
+        # exact comparison: subtracting could exhaust the known digits
+        return (not any(arr[~np.eye(n, dtype=bool)])
+                and all(x == arr[0, 0] for x in arr.diagonal()))
     lam = np.trace(arr) / n
     return float(np.max(np.abs(arr - lam * np.eye(n)))) <= 1e-7 * float(np.max(np.abs(arr)))
 

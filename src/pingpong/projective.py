@@ -12,23 +12,32 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .fields import FieldSpec, Kind, PadicScalar, relative_tolerance
+from .fields import FieldSpec, Kind, relative_tolerance
 
 # coordinates this much below the largest one are treated as zero when
 # picking the archimedean phase pivot
 _PIVOT_CUTOFF = 1e-12
 
 
-def as_field_array(field: FieldSpec, arr: np.ndarray) -> np.ndarray:
-    """Read-only numpy array of the dtype carried by an archimedean field."""
-    if field.kind is Kind.COMPLEX:
-        arr = arr.astype(np.complex128)
+def as_field_array(field: FieldSpec, values, ndim: int) -> np.ndarray:
+    """Read-only array of field scalars nested ``ndim`` deep, shape unchecked:
+    float64 over R, complex128 over C, PadicScalar objects over Q_p."""
+    if field.is_padic:
+        scalar = field.scalar
+        if ndim == 1:
+            arr = np.array([scalar(x) for x in values], dtype=object)
+        else:
+            arr = np.array([[scalar(x) for x in row] for row in values], dtype=object)
     else:
-        if np.iscomplexobj(arr):
-            if np.abs(arr.imag).max() > 0:
-                raise DomainError("real field cannot hold complex entries")
-            arr = arr.real
-        arr = arr.astype(np.float64)
+        arr = np.array(list(values) if ndim == 1 else [list(row) for row in values])
+        if field.kind is Kind.COMPLEX:
+            arr = arr.astype(np.complex128)
+        else:
+            if np.iscomplexobj(arr):
+                if np.abs(arr.imag).max() > 0:
+                    raise DomainError("real field cannot hold complex entries")
+                arr = arr.real
+            arr = arr.astype(np.float64)
     arr.setflags(write=False)
     return arr
 
@@ -36,20 +45,16 @@ def as_field_array(field: FieldSpec, arr: np.ndarray) -> np.ndarray:
 class Vector:
     """Coordinate vector over one of the supported fields.
 
-    Archimedean coordinates live in a read-only numpy array, p-adic ones in
-    a tuple of PadicScalar.  Instances are immutable.
+    Coordinates live in a read-only numpy array from as_field_array, for
+    every field alike.  Instances are immutable.
     """
 
     __slots__ = ("field", "coords")
 
     def __init__(self, field: FieldSpec, coords):
-        if field.is_padic:
-            coords = tuple(field.scalar(c) for c in coords)
-        else:
-            arr = np.array(list(coords))
-            if arr.ndim != 1:
-                raise DomainError("vector coordinates must be one-dimensional")
-            coords = as_field_array(field, arr)
+        coords = as_field_array(field, coords, 1)
+        if coords.ndim != 1:
+            raise DomainError("vector coordinates must be one-dimensional")
         if len(coords) == 0:
             raise DomainError("empty vector")
         self.field = field
@@ -106,13 +111,8 @@ def wedge_norm(v: Vector, w: Vector) -> float:
 def form_value(form: Vector, v: Vector):
     """f(v) = sum f_i v_i, with no conjugation: forms are linear."""
     _check_compatible(form, v)
-    if form.field.is_padic:
-        total = form.field.zero()
-        for a, b in zip(form.coords, v.coords):
-            total = total + a * b
-        return total
-    total = np.sum(form.coords * v.coords)
-    return complex(total) if form.field.kind is Kind.COMPLEX else float(total)
+    # item() gives a Python float or complex, or the PadicScalar itself
+    return np.sum(form.coords * v.coords, keepdims=True).item()
 
 
 def _canonical_rep(v: Vector) -> Vector:
@@ -206,9 +206,7 @@ def proj_dist(P: ProjPoint, Q: ProjPoint) -> float:
     """Standard metric; values in [0,1], an ultrametric over Q_p."""
     v, w = P.rep, Q.rep
     _check_compatible(v, w)
-    if v.field.is_padic:
-        # canonical reps have sup norm exactly 1
-        return wedge_norm(v, w)
+    # p-adic canonical reps have sup norm exactly 1.0: the power of p stays exact
     return wedge_norm(v, w) / (v.norm() * w.norm())
 
 
@@ -216,6 +214,4 @@ def dist_to_hyperplane(P: ProjPoint, H: ProjHyperplane) -> float:
     """d([v], [ker f]) = |f(v)| / (||f|| ||v||)."""
     v, f = P.rep, H.form
     _check_compatible(v, f)
-    if v.field.is_padic:
-        return form_value(f, v).abs()
     return abs(form_value(f, v)) / (v.norm() * f.norm())

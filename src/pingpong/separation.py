@@ -207,7 +207,7 @@ def sample_configuration(elements, m: int, trial: int, seed: int) -> Configurati
     shape = (2 * m, n)
     pts = rng.normal(size=shape)
     forms = rng.normal(size=shape)
-    if fld.is_archimedean and fld.kind.value == "complex":
+    if fld.kind.value == "complex":
         pts = pts + 1j * rng.normal(size=shape)
         forms = forms + 1j * rng.normal(size=shape)
     points = [ProjPoint(Vector(fld, row)) for row in pts]

@@ -41,6 +41,33 @@ def test_determinant_validation():
     SLMatrix(Q5, [[1, Fraction(1, 5)], [0, 1]])
 
 
+@pytest.mark.parametrize("field, dtype", [(REAL, np.float64), (COMPLEX, np.complex128),
+                                          (Q5, object)])
+def test_entries_and_coords_are_read_only_arrays(field, dtype):
+    g = SLMatrix(field, [[1, 2], [0, 1]])
+    v = Vector(field, [1, 1])
+    for arr in (g.entries, (g @ g).entries, g.inverse().entries, g.cartan().k.entries,
+                v.coords, g.apply(v).coords, g.apply_form(v).coords, g.column(1).coords):
+        assert isinstance(arr, np.ndarray)
+        assert arr.dtype == dtype
+        assert not arr.flags.writeable
+
+
+def test_padic_products_keep_values_and_digits():
+    g = SLMatrix(Q5, [[Fraction(1, 5), 1], [0, 5]])
+    h = SLMatrix(Q5, [[1, 5], [2, 11]])
+    prod = g @ h
+    for i in range(2):
+        for j in range(2):
+            want = g.entries[i][0] * h.entries[0][j] + g.entries[i][1] * h.entries[1][j]
+            assert prod.entries[i][j].value == want.value
+            assert prod.entries[i][j].digits == want.digits
+    # 2 * 3 + 11 * 4 = 50 gains valuation 2 and so loses two known digits
+    image = h.apply(Vector(Q5, [3, 4]))
+    assert [c.value for c in image.coords] == [23, 50]
+    assert [c.digits for c in image.coords] == [40, 38]
+
+
 def test_inverse():
     g = SLMatrix(REAL, [[2, 1], [1, 1]])
     np.testing.assert_allclose((g @ g.inverse()).entries, np.eye(2), atol=1e-12)
@@ -293,4 +320,3 @@ def test_padic_cartan_refuses_worn_entries():
     g = SLMatrix(f, [[worn, f.zero()], [f.zero(), f.one() / worn]])
     with pytest.raises(PrecisionExhaustedError):
         cartan_decompose(g)
-    assert cartan_decompose(g, precision_margin=0) is not None

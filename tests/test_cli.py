@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,11 +223,25 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     assert "PINGPONG_TOL" in report["payload"]["error"]
 
 
-def test_threads_flag_accepted_without_effect(tmp_path, capsys):
+def test_threads_flag_rejected(tmp_path):
     path = write_doc(tmp_path, "g.json", matrix_doc(identity(REAL, 2)))
-    code, report = run_json(capsys, ["cartan", "--in", path, "--threads", "4"])
-    assert code == 0
-    assert report["parameters"]["threads"] == 4
+    with pytest.raises(SystemExit) as exc:
+        run(["cartan", "--in", path, "--threads", "4"])
+    assert exc.value.code == 2
+
+
+def test_module_entry_point(tmp_path):
+    path = write_doc(tmp_path, "g.json",
+                     matrix_doc(SLMatrix(REAL, [[4.0, 0.0], [0.0, 0.25]])))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "pingpong", "cartan", "--in", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["command"] == "cartan"
+    assert report["payload"]["a_abs"][0]["value"] == pytest.approx(4.0)
 
 
 def test_padic_fixture_separates(capsys):

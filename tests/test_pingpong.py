@@ -119,6 +119,14 @@ def test_make_proximal_empty_set_exhausted():
         make_proximal(g, contraction_data(g), SeparatingSet([], 2, 0.5))
 
 
+def test_make_proximal_reports_rejecting_condition():
+    # the identity leaves the attracting point on the repulsive hyperplane
+    g = rotation(math.pi / 2) @ SLMatrix(REAL, [[100.0, 0.0], [0.0, 0.01]])
+    F = SeparatingSet([identity(REAL, 2)], 2, 0.5)
+    with pytest.raises(NoSeparatorError, match=r"1 candidates failed: d\(\[f\] v, H\)"):
+        make_proximal(g, contraction_data(g), F)
+
+
 def test_make_proximal_precondition():
     g = SLMatrix(REAL, [[100.0, 0.0], [0.0, 0.01]])
     cert = contraction_data(g)

@@ -1,0 +1,119 @@
+"""Golden reports: each CLI subcommand reproduces its recorded report.
+
+Every case runs ``pingpong.cli.run`` on documents in
+``tests/data/reports/inputs`` and compares the exit code and the whole
+report, key order included, with ``tests/data/reports/expected/<case>.json``.
+Only the timestamp, the input path strings and ``parameters.threads`` (a
+retired flag) are left out; the sha256 digests of the inputs stay in.
+
+Running this file as a script rewrites the expected reports from the code
+on the import path.  That is for a deliberate change of output only, and
+such a change belongs in CHANGES.md.
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from pingpong.cli import run
+
+DATA = Path(__file__).parent / "data" / "reports"
+INPUTS = DATA / "inputs"
+EXPECTED = DATA / "expected"
+
+CASES = {
+    "cartan-real3": ["cartan", "--in", "g_real3.json"],
+    "cartan-complex": ["cartan", "--in", "g_complex.json"],
+    "cartan-q5-3": ["cartan", "--in", "g_q5_3.json"],
+    "cartan-q5-short-digits": ["cartan", "--in", "g_q5_short_digits.json"],
+    "cartan-bad-shape": ["cartan", "--in", "g_bad_shape.json"],
+    "contract-real": ["contract-analyze", "--in", "g_real_contracting.json",
+                      "--samples", "2000", "--seed", "7"],
+    "contract-real3": ["contract-analyze", "--in", "g_real3.json",
+                       "--samples", "100", "--seed", "7"],
+    "contract-complex": ["contract-analyze", "--in", "g_complex_contracting.json",
+                         "--samples", "2000", "--seed", "7"],
+    "contract-q5": ["contract-analyze", "--in", "g_q5_contracting.json",
+                    "--samples", "400", "--seed", "7"],
+    "separate-real": ["separate", "--set", "sep_real.json", "--trials", "200",
+                      "--seed", "3"],
+    "separate-real-m1": ["separate", "--set", "sep_real.json", "--m", "1",
+                         "--trials", "40", "--seed", "3"],
+    "separate-complex": ["separate", "--set", "sep_complex.json", "--trials", "40",
+                         "--seed", "3"],
+    "separate-q5": ["separate", "--set", "sep_q5.json", "--trials", "8", "--seed", "1"],
+    "certify-build-real": ["certify-free", "--gens", "ident2_real.json",
+                           "--sep", "sep_real.json", "--gamma", "gamma_real.json",
+                           "--build", "--seed", "0"],
+    "certify-build-complex": ["certify-free", "--gens", "ident2_complex.json",
+                              "--sep", "sep_complex.json", "--gamma", "gamma_complex.json",
+                              "--build", "--seed", "0"],
+    "certify-build-q5": ["certify-free", "--gens", "ident2_q5.json",
+                         "--sep", "sep_q5.json", "--gamma", "gamma_q5.json",
+                         "--build", "--seed", "2"],
+    "certify-verify-real": ["certify-free", "--gens", "built_real.json",
+                            "--sep", "sep_real.json", "--gamma", "gamma_real.json",
+                            "--verify-only", "--seed", "0"],
+    "certify-verify-q5": ["certify-free", "--gens", "built_q5.json",
+                          "--sep", "sep_q5.json", "--gamma", "gamma_q5.json",
+                          "--verify-only", "--seed", "0"],
+    "certify-verify-rotations": ["certify-free", "--gens", "rotations_real.json",
+                                 "--sep", "sep_real.json", "--gamma", "gamma_real.json",
+                                 "--verify-only", "--seed", "0"],
+    "falsify-sanov-real": ["falsify", "--gens", "sanov_real.json", "--max-len", "7"],
+    "falsify-commuting-real": ["falsify", "--gens", "commuting_real.json",
+                               "--max-len", "4"],
+    "falsify-sanov-complex": ["falsify", "--gens", "sanov_complex.json", "--max-len", "4"],
+    "falsify-free-q5": ["falsify", "--gens", "free_q5.json", "--max-len", "4"],
+    "falsify-planted-q5": ["falsify", "--gens", "planted_q5.json", "--max-len", "3"],
+    "dense-real": ["dense-check", "--gens", "near_identity_real.json"],
+    "dense-complex": ["dense-check", "--gens", "near_identity_complex.json"],
+    "dense-diagonal-real": ["dense-check", "--gens", "diagonal_real.json"],
+    "dense-q5": ["dense-check", "--gens", "free_q5.json"],
+}
+
+
+def _run_case(name):
+    """(exit code, report) of one case, the report read back from --out."""
+    argv = [str(INPUTS / arg) if arg.endswith(".json") else arg for arg in CASES[name]]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        code = run(argv + ["--out", str(out)])
+        report = json.loads(out.read_text())
+    return code, report
+
+
+def _comparable(report) -> str:
+    report = dict(report)
+    del report["timestamp"]
+    report["inputs"] = {name: {k: v for k, v in entry.items() if k != "path"}
+                        for name, entry in report["inputs"].items()}
+    report["parameters"] = {k: v for k, v in report["parameters"].items()
+                            if k != "threads"}
+    return json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_recording(name):
+    expected = json.loads((EXPECTED / f"{name}.json").read_text())
+    code, report = _run_case(name)
+    assert code == expected["exit"]
+    assert _comparable(report) == _comparable(expected["report"])
+
+
+def test_every_recording_has_a_case():
+    assert sorted(p.stem for p in EXPECTED.glob("*.json")) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    EXPECTED.mkdir(exist_ok=True)
+    for name in sys.argv[1:] or sorted(CASES):
+        code, report = _run_case(name)
+        for entry in report["inputs"].values():
+            entry["path"] = Path(entry["path"]).name
+        text = json.dumps({"exit": code, "report": report}, indent=2)
+        (EXPECTED / f"{name}.json").write_text(text + "\n")
+        print(name, code)
