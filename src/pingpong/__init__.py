@@ -80,10 +80,12 @@ from .projective import (
 from .separation import (
     Configuration,
     NotSeparatingWarning,
+    RadiusEstimate,
     SeparatingSet,
     best_separator,
     estimate_radius,
     greedy_separating_set,
+    reduced_words,
     sample_configuration,
     verify_separating_for,
 )

@@ -20,13 +20,12 @@ from importlib import metadata
 from . import io
 from .cartan import bilip_constant
 from .contraction import ProximalCert, contraction_data, verify_contracting
-from .errors import CertificationError, ConstructionError, InputError
+from .errors import CertificationError, ConstructionError, InputError, NotContractingError
 from .fields import set_relative_tolerance
 from .liegen import generated_subalgebra, matrix_log
 from .pingpong import (PingPongCert, certify_free_generators, freeness_falsifier,
                        separation_table, verify_pingpong)
-from .separation import (NotSeparatingWarning, SeparatingSet, best_separator,
-                         estimate_radius, sample_configuration)
+from .separation import NotSeparatingWarning, SeparatingSet, estimate_radius
 
 try:
     _VERSION = metadata.version("pingpong")
@@ -159,27 +158,22 @@ def _run_separate(args):
     notes = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NotSeparatingWarning)
-        r_est = estimate_radius(F.elements, F.m, args.trials, args.seed)
+        estimate = estimate_radius(F.elements, F.m, args.trials, args.seed)
         notes.extend(str(w.message) for w in caught
                      if issubclass(w.category, NotSeparatingWarning))
-    wins = [0] * len(F.elements)
-    for t in range(args.trials):
-        cfg = sample_configuration(F.elements, F.m, t, args.seed)
-        chosen, _ = best_separator(F, cfg)
-        wins[F.elements.index(chosen)] += 1
     prov = io.measured(F.elements[0].field)
     payload = {
         "m": F.m,
         "declared_r": io.tagged(F.r, "exact"),
-        "r_estimate": io.tagged(r_est, "estimate"),
+        "r_estimate": io.tagged(estimate.r, "estimate"),
         "C": io.tagged(F.C, prov),
         "elements": [{"index": i,
                       "bilip": io.tagged(bilip_constant(g), prov),
-                      "wins": wins[i]}
+                      "wins": estimate.wins[i]}
                      for i, g in enumerate(F.elements)],
         "notes": notes,
     }
-    return (payload, r_est > 0.0, {"set": args.setfile},
+    return (payload, estimate.r > 0.0, {"set": args.setfile},
             {"m": F.m, "trials": args.trials})
 
 
@@ -207,9 +201,9 @@ def _run_certify_free(args):
     if args.verify_only:
         try:
             cert = _claimed_tuple_cert(gens, F)
-        except ConstructionError as exc:
-            # the claimed data cannot even be assembled into a certificate:
-            # that refutes the claim rather than aborting the run
+        except (ConstructionError, NotContractingError) as exc:
+            # a non-contracting generator or data that cannot be assembled
+            # into a certificate refutes the claim rather than aborting the run
             payload = {"verified": False, "reason": str(exc)}
             return payload, False, inputs, parameters
     else:

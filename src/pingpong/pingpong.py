@@ -27,7 +27,7 @@ from .contraction import (
 from .errors import ConstructionError, DomainError, NoSeparatorError, PreconditionError
 from .fields import Kind
 from .projective import ProjPoint, Vector, dist_to_hyperplane
-from .separation import SeparatingSet
+from .separation import SeparatingSet, reduced_words
 
 __all__ = [
     "PingPongCert",
@@ -426,40 +426,20 @@ def _is_projective_identity(matrix: SLMatrix) -> bool:
 
 
 def freeness_falsifier(gens, max_len: int):
-    """Breadth-first search for a reduced word acting as the projective
-    identity; None when every word up to max_len acts nontrivially.
+    """First reduced word of length at most max_len that acts as the
+    projective identity; None when every such word acts nontrivially.
 
-    Letters are ordered (0,+1) < (0,-1) < (1,+1) < ..., so the returned
-    word is the first counterexample in length-then-lexicographic order.
+    Words come from reduced_words, length by length with letters ordered
+    (0,+1) < (0,-1) < (1,+1) < ..., so the returned word is the first
+    counterexample in length-then-lexicographic order, and no product past
+    it is formed.
     """
     if max_len < 1:
         raise DomainError(f"need max_len >= 1, got {max_len}")
     gens = tuple(gens)
     if not gens:
         raise DomainError("need at least one generator")
-    letters = []
-    mats = {}
-    for idx, g in enumerate(gens):
-        letters.append((idx, 1))
-        letters.append((idx, -1))
-        mats[(idx, 1)] = g
-        mats[(idx, -1)] = g.inverse()
-    frontier = []
-    for letter in letters:
-        m = mats[letter]
-        if _is_projective_identity(m):
-            return Word((letter,))
-        frontier.append(((letter,), m))
-    for _ in range(max_len - 1):
-        grown = []
-        for word, matrix in frontier:
-            last_i, last_e = word[-1]
-            for letter in letters:
-                if letter[0] == last_i and letter[1] == -last_e:
-                    continue
-                extended = matrix @ mats[letter]
-                if _is_projective_identity(extended):
-                    return Word(word + (letter,))
-                grown.append((word + (letter,), extended))
-        frontier = grown
+    for letters, matrix in reduced_words(gens, max_len):
+        if _is_projective_identity(matrix):
+            return Word(letters)
     return None

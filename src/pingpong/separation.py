@@ -6,9 +6,11 @@ both directions, every point to distance > r from every hyperplane.  The
 exact per-configuration MaxMin oracle is best_separator; estimate_radius
 Monte-Carlo-samples configurations, alternating purely random ones with
 adversarial ones whose hyperplanes pass through orbit points, and reports
-the worst margin seen.  The global infimum r exists by compactness but is
-never computed; downstream constructions only ever query concrete
-configurations.
+in one pass the worst margin seen and how often each element was the best
+separator.  The global infimum r exists by compactness but is never
+computed; downstream constructions only ever query concrete configurations.
+reduced_words is the one word enumerator, for the falsifier and the greedy
+candidate pool.
 """
 
 import math
@@ -25,10 +27,12 @@ from .projective import ProjHyperplane, ProjPoint, Vector, dist_to_hyperplane
 __all__ = [
     "Configuration",
     "NotSeparatingWarning",
+    "RadiusEstimate",
     "SeparatingSet",
     "best_separator",
     "estimate_radius",
     "greedy_separating_set",
+    "reduced_words",
     "sample_configuration",
     "verify_separating_for",
 ]
@@ -121,13 +125,9 @@ def best_separator(F: SeparatingSet, cfg: Configuration):
         raise DomainError(
             f"configuration exceeds the 2m = {2 * F.m} size bound: "
             f"{len(cfg.points)} points, {len(cfg.hyperplanes)} hyperplanes")
-    best = None
-    best_margin = -math.inf
-    for g in F.elements:
-        margin = _margin(g, cfg)
-        if margin > best_margin:
-            best, best_margin = g, margin
-    return best, best_margin
+    margins = [_margin(g, cfg) for g in F.elements]
+    best = max(margins)
+    return F.elements[margins.index(best)], best
 
 
 def verify_separating_for(F: SeparatingSet, cfg: Configuration) -> bool:
@@ -221,13 +221,25 @@ def sample_configuration(elements, m: int, trial: int, seed: int) -> Configurati
     return Configuration(points, hyperplanes)
 
 
-def estimate_radius(elements, m: int, trials: int, seed: int) -> float:
-    """Worst best_separator margin over sampled configurations.
+@dataclass(frozen=True)
+class RadiusEstimate:
+    """Monte-Carlo separation radius r and, per element, the number of
+    trials in which it was the best separator."""
 
-    This is an upper estimate of the true separation radius, reported as
-    estimated rather than certified.  Returns 0.0 and emits
-    NotSeparatingWarning as soon as some sampled configuration defeats every
-    candidate, which is sampled evidence the set is not separating at this m.
+    r: float
+    wins: tuple
+
+
+def estimate_radius(elements, m: int, trials: int, seed: int) -> RadiusEstimate:
+    """Worst best_separator margin over sampled configurations, and the wins
+    of each element, from one pass over every trial.
+
+    r is an upper estimate of the true separation radius, reported as
+    estimated rather than certified.  Each trial credits the first element
+    with the largest margin, the tie rule of best_separator.  Every trial is
+    scanned, even after one defeats every candidate; then r is 0.0 and
+    NotSeparatingWarning is emitted once, sampled evidence that the set is
+    not separating at this m.
     """
     elements = tuple(elements)
     if not elements:
@@ -238,38 +250,48 @@ def estimate_radius(elements, m: int, trials: int, seed: int) -> float:
         raise DomainError(f"m must be positive, got {m}")
     zero_tol = 0.0 if elements[0].field.is_padic else _ZERO_MARGIN
     worst = math.inf
+    wins = [0] * len(elements)
     for t in range(trials):
         cfg = sample_configuration(elements, m, t, seed)
-        margin = max(_margin(g, cfg) for g in elements)
-        if margin <= zero_tol:
-            warnings.warn(
-                "a sampled configuration defeats every candidate; "
-                "the set is not separating for this m", NotSeparatingWarning)
-            return 0.0
-        worst = min(worst, margin)
-    return worst
+        margins = [_margin(g, cfg) for g in elements]
+        best = max(margins)
+        wins[margins.index(best)] += 1
+        worst = min(worst, best)
+    if worst <= zero_tol:
+        warnings.warn(
+            "a sampled configuration defeats every candidate; "
+            "the set is not separating for this m", NotSeparatingWarning)
+        worst = 0.0
+    return RadiusEstimate(worst, tuple(wins))
 
 
-def _reduced_words(generators, max_len):
-    """Products of reduced words over generators and inverses, length 1..max_len."""
-    gens = list(generators)
-    letters = [(i, +1) for i in range(len(gens))] + [(i, -1) for i in range(len(gens))]
-    mats = {(i, +1): g for i, g in enumerate(gens)}
-    mats.update({(i, -1): g.inverse() for i, g in enumerate(gens)})
-    out = []
-    frontier = [((letter,), mats[letter]) for letter in letters]
-    out.extend(matrix for _, matrix in frontier)
-    for _ in range(max_len - 1):
+def reduced_words(generators, max_len: int):
+    """Yield (letters, matrix) for every reduced word of length 1..max_len
+    over the generators and their inverses.
+
+    Letters are (index, +-1), ordered (0,+1) < (0,-1) < (1,+1) < ...;
+    words come by length, then lexicographically.  The matrix is the
+    product of the letters' matrices, left to right.  Only one length's
+    words are kept, and a consumer that stops early forms no further product.
+    """
+    mats = {}
+    for idx, g in enumerate(generators):
+        mats[(idx, 1)] = g
+        mats[(idx, -1)] = g.inverse()
+    # the letters that may follow each letter in a reduced word
+    follow = {a: [(b, mats[b]) for b in mats if b != (a[0], -a[1])] for a in mats}
+    frontier = [((letter,), matrix) for letter, matrix in mats.items()]
+    if max_len >= 1:
+        yield from frontier
+    for length in range(2, max_len + 1):
         grown = []
         for word, matrix in frontier:
-            last_i, last_e = word[-1]
-            for letter in letters:
-                if letter == (last_i, -last_e):
-                    continue
-                grown.append((word + (letter,), matrix @ mats[letter]))
+            for letter, step in follow[word[-1]]:
+                item = (word + (letter,), matrix @ step)
+                yield item
+                if length < max_len:
+                    grown.append(item)
         frontier = grown
-        out.extend(matrix for _, matrix in frontier)
-    return out
 
 
 def _dedupe(matrices):
@@ -294,7 +316,7 @@ def greedy_separating_set(generators, m: int, target_r: float, trials: int,
 
     The result is not certified; the declared r is the final estimate.
     """
-    pool = _dedupe(_reduced_words(generators, max_word_len))
+    pool = _dedupe(matrix for _, matrix in reduced_words(generators, max_word_len))
     if not pool:
         raise DomainError("word pool is empty; need at least one generator")
     chosen = []
@@ -305,7 +327,7 @@ def greedy_separating_set(generators, m: int, target_r: float, trials: int,
         # cycle to it, so the search must start from the best pair
         for i, a in enumerate(pool):
             for b in pool[i + 1:]:
-                value = estimate_radius([a, b], m, trials, seed)
+                value = estimate_radius([a, b], m, trials, seed).r
                 if value > current:
                     current, chosen = value, [a, b]
         while len(chosen) < max_size and current < target_r:
@@ -313,7 +335,7 @@ def greedy_separating_set(generators, m: int, target_r: float, trials: int,
             for candidate in pool:
                 if candidate in chosen:
                     continue
-                value = estimate_radius(chosen + [candidate], m, trials, seed)
+                value = estimate_radius(chosen + [candidate], m, trials, seed).r
                 if value > best_gain:
                     best_gain, best_candidate = value, candidate
             if best_candidate is None:

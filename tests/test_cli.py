@@ -8,11 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pingpong import io
+from pingpong import io, separation
 from pingpong.cartan import SLMatrix, identity
 from pingpong.cli import run
 from pingpong.fields import REAL
 from pingpong.liegen import LieElement, matrix_exp
+
+
+REPORT_INPUTS = Path(__file__).parent / "data" / "reports" / "inputs"
 
 
 def rotation(theta):
@@ -140,6 +143,23 @@ def test_separate_reports_estimate_and_stats(tmp_path, capsys):
     assert sum(e["wins"] for e in payload["elements"]) == 200
 
 
+def test_separate_scores_each_configuration_once(tmp_path, capsys, monkeypatch):
+    elements = [rotation(k * math.pi / 8) for k in range(8)]
+    path = write_doc(tmp_path, "F.json", sep_doc(elements, 2, 0.05))
+    scored = []
+    original = separation._margin
+
+    def counting(g, cfg):
+        scored.append(g)
+        return original(g, cfg)
+
+    monkeypatch.setattr(separation, "_margin", counting)
+    code, _ = run_json(capsys, ["separate", "--set", path, "--trials", "12",
+                                "--seed", "7"])
+    assert code == 0
+    assert len(scored) == 12 * len(elements)
+
+
 def test_separate_is_deterministic_modulo_timestamp(tmp_path, capsys):
     elements = [rotation(k * math.pi / 8) for k in range(8)]
     path = write_doc(tmp_path, "F.json", sep_doc(elements, 2, 0.05))
@@ -181,6 +201,35 @@ def test_certify_free_verify_only_rejects_repeated_generator(tmp_path, capsys):
     assert code == 1
     assert report["payload"]["verified"] is False
     assert report["parameters"]["mode"] == "verify-only"
+
+
+def test_certify_free_verify_only_refutes_noncontracting_generator(tmp_path, capsys):
+    gens = write_doc(tmp_path, "gens.json", gens_doc([rotation(0.4), rotation(1.1)]))
+    sep = write_doc(tmp_path, "F.json", sep_doc([identity(REAL, 2)], 2, 0.3))
+    gamma = write_doc(tmp_path, "gamma.json", matrix_doc(identity(REAL, 2)))
+    code, report = run_json(capsys, ["certify-free", "--gens", gens, "--sep", sep,
+                                     "--gamma", gamma, "--verify-only",
+                                     "--seed", "7"])
+    assert code == 1
+    assert report["payload"] == {
+        "verified": False,
+        "reason": "contraction coefficient 1.0 is not below 1/4; no certificate"}
+    assert report["parameters"]["mode"] == "verify-only"
+
+
+def test_certify_free_verify_only_precision_loss_is_exit_3(tmp_path, capsys):
+    # a generator with too few known digits is a precision failure, not a
+    # refutation of the claim
+    worn = json.loads((REPORT_INPUTS / "g_q5_short_digits.json").read_text())
+    gens = write_doc(tmp_path, "gens.json",
+                     {"field": worn["field"], "generators": [worn["matrix"]]})
+    sep = str(REPORT_INPUTS / "sep_q5.json")
+    gamma = str(REPORT_INPUTS / "gamma_q5.json")
+    code, report = run_json(capsys, ["certify-free", "--gens", gens, "--sep", sep,
+                                     "--gamma", gamma, "--verify-only",
+                                     "--seed", "7"])
+    assert code == 3
+    assert "digits" in report["payload"]["error"]
 
 
 def test_dense_check_passes_on_transverse_unipotents(tmp_path, capsys):

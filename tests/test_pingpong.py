@@ -36,7 +36,7 @@ from pingpong.pingpong import (
     tighten_very_contracting,
     verify_pingpong,
 )
-from pingpong.separation import SeparatingSet, _dedupe, _reduced_words
+from pingpong.separation import SeparatingSet, _dedupe, reduced_words
 
 
 def rotation(theta):
@@ -326,7 +326,7 @@ def test_padic_pipeline_certifies():
     Q5 = padic(5)
     S = SLMatrix(Q5, [[1, 1], [0, 1]])
     T = SLMatrix(Q5, [[1, 0], [1, 1]])
-    F = SeparatingSet(_dedupe(_reduced_words([S, T], 2)), 2, 0.04)
+    F = SeparatingSet(_dedupe(g for _, g in reduced_words([S, T], 2)), 2, 0.04)
     assert F.C == 1.0
     gamma0 = SLMatrix(Q5, [[Fraction(1, 125), 0], [0, 125]])
     with pytest.warns(UserWarning, match="bi-Lipschitz"):

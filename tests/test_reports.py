@@ -45,6 +45,8 @@ CASES = {
     "separate-complex": ["separate", "--set", "sep_complex.json", "--trials", "40",
                          "--seed", "3"],
     "separate-q5": ["separate", "--set", "sep_q5.json", "--trials", "8", "--seed", "1"],
+    "separate-defeated-real": ["separate", "--set", "sep_pm_identity_real.json",
+                               "--m", "1", "--trials", "12", "--seed", "3"],
     "certify-build-real": ["certify-free", "--gens", "ident2_real.json",
                            "--sep", "sep_real.json", "--gamma", "gamma_real.json",
                            "--build", "--seed", "0"],

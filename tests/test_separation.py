@@ -9,6 +9,7 @@ import pytest
 from pingpong.cartan import SLMatrix, apply_point, diagonal, identity
 from pingpong.errors import ConstructionError, DomainError
 from pingpong.fields import REAL, padic
+from pingpong import separation
 from pingpong.projective import ProjHyperplane, ProjPoint, Vector, dist_to_hyperplane
 from pingpong.separation import (
     Configuration,
@@ -17,6 +18,7 @@ from pingpong.separation import (
     best_separator,
     estimate_radius,
     greedy_separating_set,
+    reduced_words,
     sample_configuration,
     verify_separating_for,
 )
@@ -119,13 +121,13 @@ def test_margin_monotone_in_elements():
 
 def test_estimate_radius_identity_fails():
     with pytest.warns(NotSeparatingWarning):
-        value = estimate_radius([identity(REAL, 2)], 1, 10, 0)
+        value = estimate_radius([identity(REAL, 2)], 1, 10, 0).r
     assert value == 0.0
 
 
 def test_estimate_radius_identity_fails_padic_exactly():
     with pytest.warns(NotSeparatingWarning):
-        value = estimate_radius([identity(Q5, 2)], 1, 6, 0)
+        value = estimate_radius([identity(Q5, 2)], 1, 6, 0).r
     assert value == 0.0
 
 
@@ -134,12 +136,12 @@ def test_estimate_radius_single_trial_is_config_margin():
     cfg = sample_configuration(elements, 1, 0, 41)
     F = SeparatingSet(elements, 1, 0.01)
     _, margin = best_separator(F, cfg)
-    assert estimate_radius(elements, 1, 1, 41) == margin
+    assert estimate_radius(elements, 1, 1, 41).r == margin
 
 
 def test_estimate_radius_antitone_in_trials():
     elements = [identity(REAL, 2), rotation(math.pi / 4), rotation(math.pi / 3)]
-    values = [estimate_radius(elements, 1, trials, 17) for trials in (1, 5, 25, 125)]
+    values = [estimate_radius(elements, 1, trials, 17).r for trials in (1, 5, 25, 125)]
     for lo, hi in zip(values[1:], values):
         assert lo <= hi
 
@@ -147,19 +149,48 @@ def test_estimate_radius_antitone_in_trials():
 def test_estimate_radius_three_rotations_regression():
     # Monte-Carlo value frozen as a determinism regression
     elements = [identity(REAL, 2), rotation(math.pi / 4), rotation(math.pi / 3)]
-    value = estimate_radius(elements, 1, 100_000, 7)
+    value = estimate_radius(elements, 1, 100_000, 7).r
     assert value > 0.0
     assert value == pytest.approx(0.008164932413000758, rel=1e-9)
 
 
 def test_estimate_radius_dense_rotations_stays_positive():
     elements = [rotation(k * math.pi / 16) for k in range(16)]
-    early = estimate_radius(elements, 1, 2000, 11)
-    late = estimate_radius(elements, 1, 6000, 11)
+    early = estimate_radius(elements, 1, 2000, 11).r
+    late = estimate_radius(elements, 1, 6000, 11).r
     assert late <= early
     assert late >= 0.15
     assert early == pytest.approx(0.19537351961052193, rel=1e-9)
     assert late == pytest.approx(0.1952212169869124, rel=1e-9)
+
+
+def test_estimate_radius_wins_match_best_separator():
+    elements = (rotation(0.3), rotation(1.2), rotation(2.0))
+    F = SeparatingSet(elements, 1, 0.01)
+    wins = [0] * len(elements)
+    for trial in range(30):
+        g, _ = best_separator(F, sample_configuration(elements, 1, trial, 41))
+        wins[elements.index(g)] += 1
+    assert estimate_radius(elements, 1, 30, 41).wins == tuple(wins)
+
+
+def test_estimate_radius_defeated_set_scans_every_trial(monkeypatch):
+    # I and -I act alike, so the adversarial trial 1 pins both
+    elements = (identity(REAL, 2), SLMatrix(REAL, [[-1.0, 0.0], [0.0, -1.0]]))
+    sampled = []
+    original = separation.sample_configuration
+
+    def counting(elements, m, trial, seed):
+        sampled.append(trial)
+        return original(elements, m, trial, seed)
+
+    monkeypatch.setattr(separation, "sample_configuration", counting)
+    with pytest.warns(NotSeparatingWarning) as caught:
+        estimate = estimate_radius(elements, 1, 12, 3)
+    assert [w.category for w in caught].count(NotSeparatingWarning) == 1
+    assert sampled == list(range(12))
+    assert estimate.r == 0.0
+    assert estimate.wins == (12, 0)  # ties go to the first element
 
 
 def test_estimate_radius_validates_arguments():
@@ -195,7 +226,7 @@ def test_adversarial_configuration_padic_incidence_exact():
 def test_estimate_radius_padic_shear_words():
     S = SLMatrix(Q5, [[1, 1], [0, 1]])
     T = SLMatrix(Q5, [[1, 0], [1, 1]])
-    value = estimate_radius([S, T, S @ T], 1, 12, 3)
+    value = estimate_radius([S, T, S @ T], 1, 12, 3).r
     assert value == 0.04  # distances over Q_5 are exact powers of 5
 
 
@@ -208,4 +239,24 @@ def test_greedy_separating_set_builds_padic_candidates():
     assert F.C == 1.0  # integer words act by isometries
     assert 1 <= len(F.elements) <= 8
     # the declared radius is reproducible on fresh trials
-    assert estimate_radius(list(F.elements), 1, 20, 13) == F.r
+    assert estimate_radius(list(F.elements), 1, 20, 13).r == F.r
+
+
+def test_reduced_words_counts_order_and_products():
+    S = SLMatrix(REAL, [[1.0, 2.0], [0.0, 1.0]])
+    T = SLMatrix(REAL, [[1.0, 0.0], [2.0, 1.0]])
+    letters = [(0, 1), (0, -1), (1, 1), (1, -1)]  # the falsifier's order
+    mats = dict(zip(letters, (S, S.inverse(), T, T.inverse())))
+    words = list(reduced_words([S, T], 4))
+    lengths = [len(word) for word, _ in words]
+    for k in range(1, 5):
+        assert lengths.count(k) == 4 * 3 ** (k - 1)
+    keys = [(len(word), [letters.index(x) for x in word]) for word, _ in words]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for word, matrix in words:
+        assert all(not (i == j and e == -f)
+                   for (i, e), (j, f) in zip(word, word[1:]))
+        product = identity(REAL, 2)
+        for letter in word:
+            product = product @ mats[letter]
+        np.testing.assert_array_equal(matrix.entries, product.entries)
