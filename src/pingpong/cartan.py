@@ -212,10 +212,8 @@ class CartanTriple:
 
     @property
     def ratio(self) -> float:
-        """|a_2/a_1|, the contraction ratio."""
-        if self.field.is_padic:
-            return float(self.field.prime) ** (self.a[0].valuation - self.a[1].valuation)
-        return float(self.a[1] / self.a[0])
+        """|a_2/a_1|, the contraction ratio; an exact power of p over Q_p."""
+        return abs(self.a[1] / self.a[0])
 
     def reconstruct(self) -> SLMatrix:
         field = self.field

@@ -79,10 +79,6 @@ class FieldSpec:
         return self.kind is Kind.PADIC
 
     @property
-    def is_archimedean(self) -> bool:
-        return self.kind is not Kind.PADIC
-
-    @property
     def d(self) -> float:
         """Proximality constant: 4 archimedean, p non-archimedean."""
         return float(self.prime) if self.is_padic else 4.0

@@ -164,6 +164,12 @@ def _span_basis(field, vectors, n):
     return _devectorize(field, traceless, n), rank, warnings
 
 
+def _brackets(elements) -> list:
+    """[a, b] = ab - ba for every pair a, b of elements, in list order."""
+    mats = [np.asarray(x.entries) for x in elements]
+    return [a @ b - b @ a for i, a in enumerate(mats) for b in mats[i + 1:]]
+
+
 def generated_subalgebra(X) -> SubalgebraBasis:
     """Bracket closure of the span of X.
 
@@ -180,9 +186,7 @@ def generated_subalgebra(X) -> SubalgebraBasis:
             raise DomainError("all elements must share one field and size")
     basis, dim, warnings = _span_basis(field, _vectorize(X), n)
     while True:
-        mats = [np.asarray(b.entries) for b in basis]
-        brackets = [a @ b - b @ a for i, a in enumerate(mats)
-                    for b in mats[i + 1:]]
+        brackets = _brackets(basis)
         if not brackets:
             break
         stacked = np.vstack([_vectorize(basis), np.array([c.ravel() for c in brackets])])
@@ -214,8 +218,7 @@ def derived_series(B: SubalgebraBasis):
             break
         field = current.elements[0].field
         n = current.elements[0].n
-        mats = [np.asarray(b.entries) for b in current.elements]
-        brackets = [a @ b - b @ a for i, a in enumerate(mats) for b in mats[i + 1:]]
+        brackets = _brackets(current.elements)
         if brackets:
             vectors = np.array([c.ravel() for c in brackets])
             basis, dim, warnings = _span_basis(field, vectors, n)

@@ -5,9 +5,13 @@ of a linear form f, d([v],[ker f]) = |f(v)| / (||f|| ||v||).  Norms are the
 euclidean/hermitian 2-norm over R and C and the sup of coordinate absolute
 values over Q_p.  Representatives are canonically normalized so equal lines
 yield coordinate-identical representatives.
+
+hyperplane_distances and point_distances, the array form of the metric, are
+written once for every field; the norm and the p-adic pivot are the only
+splits.  proj_dist and dist_to_hyperplane are their scalar reference.
 """
 
-import math
+import functools
 
 import numpy as np
 
@@ -115,15 +119,42 @@ def form_value(form: Vector, v: Vector):
     return np.sum(form.coords * v.coords, keepdims=True).item()
 
 
+def _norms(field: FieldSpec, rows) -> np.ndarray:
+    """Norm of each row (..., n): the 2-norm over R and C, the sup norm over Q_p."""
+    if field.is_padic:
+        return np.abs(rows).astype(float).max(axis=-1, initial=0.0)
+    return np.sqrt(np.einsum("...i,...i->...", rows, rows.conj()).real)
+
+
+def _pivots(rows: np.ndarray) -> np.ndarray:
+    """First coordinate of least valuation in each p-adic row; zero for a zero row."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    pivots = np.array([min(row, key=lambda c: c.valuation) for row in flat], dtype=object)
+    return pivots.reshape(rows.shape[:-1])
+
+
+def _pivoted(field: FieldSpec, rows: np.ndarray) -> tuple:
+    """(rows, norms) for the kernels.  p-adic rows divided by their pivots have
+    sup norm exactly 1.0, so every p-adic distance is an exact power of p."""
+    if field.is_padic:
+        return rows / _pivots(rows)[..., None], np.ones(rows.shape[:-1])
+    return rows, _norms(field, rows)
+
+
+@functools.lru_cache
+def _pairs(n: int):
+    # the coordinate pairs (i, j), i < j, of the wedge basis e_i ^ e_j; cached,
+    # since np.triu_indices costs as much as the rest of a small kernel call
+    return np.triu_indices(n, 1)
+
+
 def _canonical_rep(v: Vector) -> Vector:
     """Scale v so that equal lines give coordinate-identical vectors."""
     if v.field.is_padic:
-        vals = [c.valuation for c in v.coords]
-        lead = min(vals)
-        if lead == math.inf:
+        pivot = _pivots(v.coords)[()]
+        if not pivot:
             raise DomainError("projective representative must be nonzero")
-        pivot = v.coords[vals.index(lead)]
-        return Vector(v.field, [c / pivot for c in v.coords])
+        return Vector(v.field, v.coords / pivot)
     arr = v.coords
     biggest = float(np.max(np.abs(arr)))
     if biggest == 0.0:
@@ -215,3 +246,21 @@ def dist_to_hyperplane(P: ProjPoint, H: ProjHyperplane) -> float:
     v, f = P.rep, H.form
     _check_compatible(v, f)
     return abs(form_value(f, v)) / (v.norm() * f.norm())
+
+
+def hyperplane_distances(field: FieldSpec, points, forms) -> np.ndarray:
+    """d([v], [ker f]) for every row v of points (..., P, n) and every row f
+    of forms (H, n), as a float array (..., P, H)."""
+    points, point_norms = _pivoted(field, points)
+    forms, form_norms = _pivoted(field, forms)
+    # np.abs gives floats for every field; over Q_p in an object array
+    values = np.abs(points @ forms.T).astype(float, copy=False)
+    return values / (point_norms[..., None] * form_norms)
+
+
+def point_distances(field: FieldSpec, points, w) -> np.ndarray:
+    """d([v], [w]) for every row v of points (..., n), as a float array (...)."""
+    v, v_norms = _pivoted(field, points)
+    w, w_norm = _pivoted(field, w)
+    i, j = _pairs(len(w))
+    return _norms(field, v[..., i] * w[j] - v[..., j] * w[i]) / (v_norms * w_norm)

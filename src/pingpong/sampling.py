@@ -19,10 +19,8 @@ def archimedean_unit_chunks(field: FieldSpec, n: int, count: int, seed: int):
     """Yield (m, n) arrays of unit vectors, gaussian-uniform on the sphere."""
     if field.is_padic:
         raise DomainError("archimedean sampling asked for a p-adic field")
-    produced = 0
-    index = 0
-    while produced < count:
-        take = min(CHUNK_SIZE, count - produced)
+    for index, start in enumerate(range(0, count, CHUNK_SIZE)):
+        take = min(CHUNK_SIZE, count - start)
         rng = np.random.default_rng(seed + index)
         x = rng.normal(size=(take, n))
         if field.kind is Kind.COMPLEX:
@@ -34,8 +32,6 @@ def archimedean_unit_chunks(field: FieldSpec, n: int, count: int, seed: int):
             x[bad] = rng.normal(size=(int(bad.sum()), n))
             norms = np.linalg.norm(x, axis=1)
         yield x / norms[:, None]
-        produced += take
-        index += 1
 
 
 def padic_point_chunks(field: FieldSpec, n: int, count: int, seed: int):
@@ -47,18 +43,16 @@ def padic_point_chunks(field: FieldSpec, n: int, count: int, seed: int):
     """
     if not field.is_padic:
         raise DomainError("p-adic sampling asked for an archimedean field")
+    for index, start in enumerate(range(0, count, CHUNK_SIZE)):
+        rng = random.Random(seed + index)
+        yield [padic_unit_coords(rng, field, n) for _ in range(min(CHUNK_SIZE, count - start))]
+
+
+def padic_unit_coords(rng: random.Random, field: FieldSpec, n: int) -> tuple:
+    """n integers uniform mod p^precision, drawn again until one is a unit."""
     p = field.prime
     bound = p ** field.precision
-    produced = 0
-    index = 0
-    while produced < count:
-        take = min(CHUNK_SIZE, count - produced)
-        rng = random.Random(seed + index)
-        chunk = []
-        while len(chunk) < take:
-            coords = tuple(rng.randrange(bound) for _ in range(n))
-            if any(c % p for c in coords):
-                chunk.append(coords)
-        yield chunk
-        produced += take
-        index += 1
+    while True:
+        coords = tuple(rng.randrange(bound) for _ in range(n))
+        if any(c % p for c in coords):
+            return coords

@@ -3,14 +3,15 @@
 A finite set F of projective transformations is (m, r)-separating when for
 any choice of at most 2m points and 2m hyperplanes some gamma in F moves, in
 both directions, every point to distance > r from every hyperplane.  The
-exact per-configuration MaxMin oracle is best_separator; estimate_radius
-Monte-Carlo-samples configurations, alternating purely random ones with
-adversarial ones whose hyperplanes pass through orbit points, and reports
-in one pass the worst margin seen and how often each element was the best
-separator.  The global infimum r exists by compactness but is never
-computed; downstream constructions only ever query concrete configurations.
-reduced_words is the one word enumerator, for the falsifier and the greedy
-candidate pool.
+exact per-configuration MaxMin oracle is best_separator, whose margins come
+from one projective.hyperplane_distances call per element for every field;
+estimate_radius Monte-Carlo-samples configurations, alternating purely
+random ones with adversarial ones whose hyperplanes pass through orbit
+points, and reports in one pass the worst margin seen and how often each
+element was the best separator.  The global infimum r exists by compactness
+but is never computed; downstream constructions only ever query concrete
+configurations.  reduced_words is the one word enumerator, for the
+falsifier and the greedy candidate pool.
 """
 
 import math
@@ -22,7 +23,8 @@ import numpy as np
 
 from .cartan import SLMatrix, apply_point, bilip_constant
 from .errors import ConstructionError, DomainError
-from .projective import ProjHyperplane, ProjPoint, Vector, dist_to_hyperplane
+from .projective import ProjHyperplane, ProjPoint, Vector, hyperplane_distances
+from .sampling import padic_unit_coords
 
 __all__ = [
     "Configuration",
@@ -80,36 +82,12 @@ class Configuration:
 
 
 def _margin(g: SLMatrix, cfg: Configuration) -> float:
-    """min over configuration pairs of d(g v, H) and d(g^-1 v, H)."""
-    worst = math.inf
-    if g.field.is_archimedean:
-        # distances are representative-independent, so skip canonicalization:
-        # stored reps and forms are unit vectors, d = |f(img)| / ||img||
-        n = g.n
-        rng_n = range(n)
-        mats = (np.asarray(g.entries).tolist(), np.asarray(g.inverse().entries).tolist())
-        forms = [H.form.coords.tolist() for H in cfg.hyperplanes]
-        for v in cfg.points:
-            vc = v.rep.coords.tolist()
-            for mat in mats:
-                img = [sum(mat[i][j] * vc[j] for j in rng_n) for i in rng_n]
-                nrm = math.sqrt(sum(abs(x) ** 2 for x in img))
-                for f in forms:
-                    d = abs(sum(f[k] * img[k] for k in rng_n)) / nrm
-                    if d < worst:
-                        worst = d
-                        if worst == 0.0:
-                            return 0.0
-        return worst
-    ginv = g.inverse()
-    for v in cfg.points:
-        images = (apply_point(g, v), apply_point(ginv, v))
-        for H in cfg.hyperplanes:
-            for img in images:
-                worst = min(worst, dist_to_hyperplane(img, H))
-                if worst == 0.0:
-                    return 0.0
-    return worst
+    """min over configuration pairs of d(g v, H) and d(g^-1 v, H); +inf for
+    an empty configuration."""
+    points = np.array([P.rep.coords for P in cfg.points]).reshape(-1, g.n)
+    forms = np.array([H.form.coords for H in cfg.hyperplanes]).reshape(-1, g.n)
+    images = np.stack([points @ g.entries.T, points @ g.inverse().entries.T])
+    return float(hyperplane_distances(g.field, images, forms).min(initial=math.inf))
 
 
 def best_separator(F: SeparatingSet, cfg: Configuration):
@@ -165,14 +143,6 @@ def _deflate_form_padic(field, u, w):
     return f
 
 
-def _random_padic_coords(rng, field, n):
-    bound = field.prime ** field.precision
-    while True:
-        coords = [rng.randrange(bound) for _ in range(n)]
-        if any(c % field.prime for c in coords):
-            return coords
-
-
 def sample_configuration(elements, m: int, trial: int, seed: int) -> Configuration:
     """Deterministic configuration for one Monte-Carlo trial.
 
@@ -191,9 +161,9 @@ def sample_configuration(elements, m: int, trial: int, seed: int) -> Configurati
         adversary = elements[(trial // 2) % len(elements)]
     if fld.is_padic:
         rng = random_.Random(seed + trial)
-        points = [ProjPoint(Vector(fld, _random_padic_coords(rng, fld, n)))
+        points = [ProjPoint(Vector(fld, padic_unit_coords(rng, fld, n)))
                   for _ in range(2 * m)]
-        raw_forms = [[fld.scalar(x) for x in _random_padic_coords(rng, fld, n)]
+        raw_forms = [[fld.scalar(x) for x in padic_unit_coords(rng, fld, n)]
                      for _ in range(2 * m)]
         if adversary is None:
             hyperplanes = [ProjHyperplane(Vector(fld, w)) for w in raw_forms]

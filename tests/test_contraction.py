@@ -71,6 +71,14 @@ def test_contraction_coefficient_odd_gap():
     assert contraction_coefficient(g) == pytest.approx(5.0 ** -0.5, rel=1e-12)
 
 
+def test_padic_ratio_and_coefficient_are_exact_powers():
+    for k in range(1, 9):
+        g = diagonal(Q5, [Fraction(1, 5 ** k), Fraction(5 ** k)])
+        assert g.cartan().ratio == 5.0 ** (-2 * k)
+        assert contraction_coefficient(g) == 5.0 ** -k
+    assert contraction_coefficient(diagonal(Q5, [1, 1])) == 1.0
+
+
 def test_contraction_data_diagonal():
     cert = contraction_data(diagonal(REAL, [100.0, 0.01]))
     assert cert.epsilon == pytest.approx(0.01, rel=1e-12)
@@ -110,11 +118,16 @@ def test_verify_contracting_accepts_true_certificate():
     assert verify_contracting(cert, g, samples=10_000, seed=1)
 
 
-def test_verify_contracting_rejects_overstated_epsilon():
+@pytest.mark.parametrize("g", [
+    diagonal(REAL, [100.0, 0.01]),
+    SLMatrix(COMPLEX, random_unitary(np.random.default_rng(11), 2) @ np.diag([100.0, 0.01])),
+    diagonal(REAL, [100.0, 1.0, 0.01]),
+], ids=["real", "complex", "real3"])
+def test_verify_contracting_rejects_overstated_epsilon(g):
     # epsilon below sqrt(ratio) overstates the contraction; sampling finds
     # a point outside the epsilon-neighborhood whose image misses the ball
-    g = diagonal(REAL, [100.0, 0.01])
     base = contraction_data(g)
+    assert verify_contracting(base, g, samples=10_000, seed=1)
     forged = ContractionCert(base.ratio ** 0.6, base.attracting, base.repelling, base.ratio)
     assert not verify_contracting(forged, g, samples=10_000, seed=1)
 

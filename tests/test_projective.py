@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pingpong.errors import DomainError
 from pingpong.fields import COMPLEX, REAL, padic
@@ -11,9 +12,12 @@ from pingpong.projective import (
     ProjHyperplane,
     ProjPoint,
     Vector,
+    as_field_array,
     dist_to_hyperplane,
     form_value,
+    hyperplane_distances,
     norm,
+    point_distances,
     proj_dist,
     wedge_coefficients,
     wedge_norm,
@@ -198,3 +202,59 @@ def test_form_value_is_linear_not_conjugated():
     f = Vector(COMPLEX, [1j, 0])
     v = Vector(COMPLEX, [1j, 0])
     assert form_value(f, v) == pytest.approx(-1 + 0j)
+
+
+_REALS = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+# p-adic coordinates of valuation -3 .. 3 and above, zero included
+_RATIONALS = st.builds(lambda k, e: Fraction(k) * Fraction(5) ** e,
+                       st.integers(-10 ** 6, 10 ** 6), st.integers(-3, 3))
+_COORDS = {
+    "R": (REAL, _REALS),
+    "C": (COMPLEX, st.builds(complex, _REALS, _REALS)),
+    "Q5": (Q5, _RATIONALS),
+}
+
+
+@st.composite
+def _kernel_case(draw, name):
+    """(field, points (P, n), forms (H, n), w (n,)), every row nonzero."""
+    field, scalars = _COORDS[name]
+    n = draw(st.sampled_from([2, 3]))
+    row = st.lists(scalars, min_size=n, max_size=n).filter(
+        lambda r: max(abs(complex(x)) for x in r) > 1e-3)
+    points = draw(st.lists(row, min_size=1, max_size=4))
+    forms = draw(st.lists(row, min_size=1, max_size=3))
+    return (field, as_field_array(field, points, 2), as_field_array(field, forms, 2),
+            as_field_array(field, draw(row), 1))
+
+
+@pytest.mark.parametrize("name", sorted(_COORDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernels_match_scalar_reference(name, data):
+    # exact over Q_5, where every distance is a power of 5; within 1e-15 over
+    # R and C, where distances lie in [0, 1]
+    field, points, forms, w = data.draw(_kernel_case(name))
+    tol = 0.0 if field.is_padic else 1e-15
+    to_hyperplane = hyperplane_distances(field, points, forms)
+    to_point = point_distances(field, points, w)
+    assert to_hyperplane.shape == (len(points), len(forms))
+    assert to_point.shape == (len(points),)
+    W = ProjPoint(Vector(field, w))
+    for a, v in enumerate(points):
+        P = ProjPoint(Vector(field, v))
+        assert abs(to_point[a] - proj_dist(P, W)) <= tol
+        for b, f in enumerate(forms):
+            assert abs(to_hyperplane[a, b] - dist_to_hyperplane(P, ProjHyperplane(Vector(field, f)))) <= tol
+
+
+def test_kernels_take_batch_axes_and_empty_inputs():
+    points = as_field_array(Q5, [[1, 5], [25, 3], [Fraction(1, 5), 2]], 2)
+    forms = as_field_array(Q5, [[5, 1], [1, 1]], 2)
+    batch = np.stack([points, points[::-1]])
+    assert hyperplane_distances(Q5, batch, forms).shape == (2, 3, 2)
+    assert hyperplane_distances(Q5, batch, forms)[1, 0].tolist() == [0.2, 1.0]
+    assert point_distances(Q5, batch, as_field_array(Q5, [1, 0], 1)).tolist() == [
+        [0.2, 1.0, 0.2], [0.2, 1.0, 0.2]]
+    assert hyperplane_distances(REAL, np.empty((2, 0, 2)), np.ones((3, 2))).shape == (2, 0, 3)
+    assert point_distances(Q5, np.empty((0, 2), dtype=object), forms[0]).shape == (0,)

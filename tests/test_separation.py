@@ -93,6 +93,12 @@ def test_best_separator_rejects_empty_and_oversized():
         best_separator(F, too_big)
 
 
+@pytest.mark.parametrize("field", [REAL, Q5], ids=str)
+def test_best_separator_empty_configuration_is_vacuous(field):
+    F = SeparatingSet((identity(field, 2), diagonal(field, [5, Fraction(1, 5)])), 1, 0.5)
+    assert best_separator(F, Configuration((), ())) == (F.elements[0], math.inf)
+
+
 def test_best_separator_tie_prefers_list_order():
     # both rotations give the same margin on this symmetric configuration
     F = SeparatingSet((rotation(math.pi / 4), rotation(-math.pi / 4)), 1, 0.5)
