@@ -74,6 +74,7 @@ from .projective import (
     ProjHyperplane,
     ProjPoint,
     Vector,
+    canonical_rows,
     dist_to_hyperplane,
     proj_dist,
 )

@@ -142,10 +142,6 @@ class SLMatrix:
         """Cached Cartan decomposition of this matrix."""
         return cartan_decompose(self)
 
-    def norm(self) -> float:
-        """Operator norm ||g|| = |a_1(g)|."""
-        return self.cartan().a_abs[0]
-
     def __repr__(self):
         rows = [list(r) for r in self.entries]
         return f"SLMatrix({self.field}, {rows!r})"

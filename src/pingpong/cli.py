@@ -21,7 +21,7 @@ from . import io
 from .cartan import bilip_constant
 from .contraction import ProximalCert, contraction_data, verify_contracting
 from .errors import CertificationError, ConstructionError, InputError, NotContractingError
-from .fields import set_relative_tolerance
+from .fields import relative_tolerance, set_relative_tolerance
 from .liegen import generated_subalgebra, matrix_log
 from .pingpong import (PingPongCert, certify_free_generators, freeness_falsifier,
                        separation_table, verify_pingpong)
@@ -258,6 +258,9 @@ _RUNNERS = {
 def run(argv) -> int:
     args = _parser().parse_args(argv)
     tol = os.environ.get("PINGPONG_TOL")
+    # PINGPONG_TOL holds for this run only: the next run in this process
+    # starts from the tolerance that held before
+    before = relative_tolerance()
     try:
         if tol is not None:
             try:
@@ -274,6 +277,8 @@ def run(argv) -> int:
     except CertificationError as exc:
         _emit(args, _report(args, {}, {}, {"error": str(exc)}, False))
         return EXIT_PRECONDITION
+    finally:
+        set_relative_tolerance(before)
     _emit(args, _report(args, inputs, parameters, payload, passed))
     return EXIT_TRUE if passed else EXIT_FALSE
 

@@ -402,16 +402,7 @@ def verify_pingpong(cert: PingPongCert, tolerance: float = 1e-9) -> bool:
             return False
         if pc.backward.flag_distance() < threshold:
             return False
-    for i, ci in enumerate(cert.certificates):
-        for j, cj in enumerate(cert.certificates):
-            if i == j:
-                continue
-            for attr_side in (ci.forward, ci.backward):
-                for rep_side in (cj.forward, cj.backward):
-                    if dist_to_hyperplane(attr_side.attracting,
-                                          rep_side.repelling) < threshold:
-                        return False
-    return True
+    return not any(d < threshold for _, _, d in separation_table(cert.certificates))
 
 
 def _is_projective_identity(matrix: SLMatrix) -> bool:

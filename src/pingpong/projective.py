@@ -3,12 +3,14 @@
 Distances are d([v],[w]) = ||v ^ w|| / (||v|| ||w||) and, against the kernel
 of a linear form f, d([v],[ker f]) = |f(v)| / (||f|| ||v||).  Norms are the
 euclidean/hermitian 2-norm over R and C and the sup of coordinate absolute
-values over Q_p.  Representatives are canonically normalized so equal lines
-yield coordinate-identical representatives.
+values over Q_p.  canonical_rows normalizes the rows of an array so equal
+lines yield coordinate-identical representatives; ProjPoint and
+ProjHyperplane hold one such row each.
 
 hyperplane_distances and point_distances, the array form of the metric, are
-written once for every field; the norm and the p-adic pivot are the only
-splits.  proj_dist and dist_to_hyperplane are their scalar reference.
+written once for every field; the norm and the p-adic canonical rows are
+the only splits.  proj_dist and dist_to_hyperplane are their scalar
+reference.
 """
 
 import functools
@@ -126,18 +128,11 @@ def _norms(field: FieldSpec, rows) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", rows, rows.conj()).real)
 
 
-def _pivots(rows: np.ndarray) -> np.ndarray:
-    """First coordinate of least valuation in each p-adic row; zero for a zero row."""
-    flat = rows.reshape(-1, rows.shape[-1])
-    pivots = np.array([min(row, key=lambda c: c.valuation) for row in flat], dtype=object)
-    return pivots.reshape(rows.shape[:-1])
-
-
 def _pivoted(field: FieldSpec, rows: np.ndarray) -> tuple:
-    """(rows, norms) for the kernels.  p-adic rows divided by their pivots have
-    sup norm exactly 1.0, so every p-adic distance is an exact power of p."""
+    """(rows, norms) for the kernels.  p-adic rows made canonical have sup
+    norm exactly 1.0, so every p-adic distance is an exact power of p."""
     if field.is_padic:
-        return rows / _pivots(rows)[..., None], np.ones(rows.shape[:-1])
+        return canonical_rows(field, rows), np.ones(rows.shape[:-1])
     return rows, _norms(field, rows)
 
 
@@ -148,24 +143,42 @@ def _pairs(n: int):
     return np.triu_indices(n, 1)
 
 
-def _canonical_rep(v: Vector) -> Vector:
-    """Scale v so that equal lines give coordinate-identical vectors."""
-    if v.field.is_padic:
-        pivot = _pivots(v.coords)[()]
-        if not pivot:
+def _dot(x, y) -> np.ndarray:
+    # row-by-row dot products of (k, n) arrays, summed as np.linalg.norm sums
+    # one vector (einsum rounds differently)
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def canonical_rows(field: FieldSpec, rows) -> np.ndarray:
+    """Canonical representative of each row (..., n) of a field array, so
+    that equal lines give coordinate-identical rows; a zero row raises
+    DomainError.
+
+    Over Q_p a row is divided by its first coordinate of least valuation.
+    Over R and C it is scaled to unit norm with its first coordinate above
+    _PIVOT_CUTOFF times the largest one real and positive.
+    """
+    flat = rows.reshape(-1, rows.shape[-1])
+    if field.is_padic:
+        pivots = np.array([min(row, key=lambda c: c.valuation) for row in flat], dtype=object)
+        if not all(pivots):
             raise DomainError("projective representative must be nonzero")
-        return Vector(v.field, v.coords / pivot)
-    arr = v.coords
-    biggest = float(np.max(np.abs(arr)))
-    if biggest == 0.0:
+        return rows / pivots.reshape(rows.shape[:-1] + (1,))
+    mags = np.abs(flat)
+    biggest = mags.max(-1, keepdims=True)
+    if not biggest.all():
         raise DomainError("projective representative must be nonzero")
-    pivot_at = int(np.argmax(np.abs(arr) > _PIVOT_CUTOFF * biggest))
-    pivot = arr[pivot_at]
-    if v.field.kind is Kind.COMPLEX:
-        phase = pivot / abs(pivot)
+    pivot = flat[np.arange(len(flat)), (mags > _PIVOT_CUTOFF * biggest).argmax(-1)][:, None]
+    scaled = flat / biggest
+    if field.kind is Kind.COMPLEX:
+        # libm hypot, as the scalar abs() takes it; the array np.abs of a
+        # complex can differ in the last bit
+        phase = pivot / np.hypot(pivot.real, pivot.imag)
+        squares = _dot(scaled.real, scaled.real) + _dot(scaled.imag, scaled.imag)
     else:
-        phase = 1.0 if pivot > 0 else -1.0
-    return Vector(v.field, arr / (phase * float(np.linalg.norm(arr / biggest)) * biggest))
+        phase = np.sign(pivot)
+        squares = _dot(scaled, scaled)
+    return (flat / (phase * np.sqrt(squares)[:, None] * biggest)).reshape(rows.shape)
 
 
 class ProjPoint:
@@ -179,7 +192,7 @@ class ProjPoint:
     __slots__ = ("rep",)
 
     def __init__(self, v: Vector):
-        self.rep = _canonical_rep(v)
+        self.rep = Vector(v.field, canonical_rows(v.field, v.coords))
 
     @property
     def field(self) -> FieldSpec:
@@ -207,7 +220,7 @@ class ProjHyperplane:
     __slots__ = ("form",)
 
     def __init__(self, form: Vector):
-        self.form = _canonical_rep(form)
+        self.form = Vector(form.field, canonical_rows(form.field, form.coords))
 
     @property
     def field(self) -> FieldSpec:

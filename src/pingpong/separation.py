@@ -2,14 +2,16 @@
 
 A finite set F of projective transformations is (m, r)-separating when for
 any choice of at most 2m points and 2m hyperplanes some gamma in F moves, in
-both directions, every point to distance > r from every hyperplane.  The
-exact per-configuration MaxMin oracle is best_separator, whose margins come
-from one projective.hyperplane_distances call per element for every field;
-estimate_radius Monte-Carlo-samples configurations, alternating purely
-random ones with adversarial ones whose hyperplanes pass through orbit
-points, and reports in one pass the worst margin seen and how often each
-element was the best separator.  The global infimum r exists by compactness
-but is never computed; downstream constructions only ever query concrete
+both directions, every point to distance > r from every hyperplane.  A
+Configuration holds its points and the forms of its hyperplanes as field
+arrays of canonical rows.  The exact per-configuration MaxMin oracle is
+best_separator: one projective.hyperplane_distances call scores every
+element and its inverse at once, for every field.  estimate_radius
+Monte-Carlo-samples configurations, alternating purely random ones with
+adversarial ones whose hyperplanes pass through orbit points, and reports
+in one pass the worst margin seen and how often each element was the best
+separator.  The global infimum r exists by compactness but is never
+computed; downstream constructions only ever query concrete
 configurations.  reduced_words is the one word enumerator, for the
 falsifier and the greedy candidate pool.
 """
@@ -21,9 +23,10 @@ from dataclasses import dataclass, field as derived_field
 
 import numpy as np
 
-from .cartan import SLMatrix, apply_point, bilip_constant
+from .cartan import SLMatrix, bilip_constant
 from .errors import ConstructionError, DomainError
-from .projective import ProjHyperplane, ProjPoint, Vector, hyperplane_distances
+from .fields import Kind
+from .projective import _norms, as_field_array, canonical_rows, hyperplane_distances
 from .sampling import padic_unit_coords
 
 __all__ = [
@@ -73,21 +76,29 @@ class SeparatingSet:
 
 @dataclass(frozen=True)
 class Configuration:
-    points: tuple
-    hyperplanes: tuple
+    """Points and hyperplanes of P^(n-1) as field arrays: points (P, n) holds
+    canonical representatives (projective.canonical_rows), forms (H, n) the
+    canonical forms whose kernels are the hyperplanes."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "hyperplanes", tuple(self.hyperplanes))
+    points: np.ndarray
+    forms: np.ndarray
 
 
-def _margin(g: SLMatrix, cfg: Configuration) -> float:
-    """min over configuration pairs of d(g v, H) and d(g^-1 v, H); +inf for
-    an empty configuration."""
-    points = np.array([P.rep.coords for P in cfg.points]).reshape(-1, g.n)
-    forms = np.array([H.form.coords for H in cfg.hyperplanes]).reshape(-1, g.n)
-    images = np.stack([points @ g.entries.T, points @ g.inverse().entries.T])
-    return float(hyperplane_distances(g.field, images, forms).min(initial=math.inf))
+def _inverse_pairs(elements: tuple[SLMatrix, ...]) -> np.ndarray:
+    """(E, 2, n, n) stack of the entries of each element and of its inverse."""
+    return np.array([(g.entries, g.inverse().entries) for g in elements])
+
+
+def _best(field, pairs, cfg: Configuration) -> tuple:
+    """(index, margin) of the first element of the stack with the largest
+    margin: the min over points v and forms f of d(g v, ker f) and
+    d(g^-1 v, ker f), +inf for an empty configuration."""
+    # points @ g^T for every g at once, rounded as for one g alone
+    images = cfg.points @ pairs.swapaxes(-1, -2)
+    distances = hyperplane_distances(field, images, cfg.forms)
+    margins = distances.min(axis=(1, 2, 3), initial=math.inf)
+    best = int(np.argmax(margins))
+    return best, float(margins[best])
 
 
 def best_separator(F: SeparatingSet, cfg: Configuration):
@@ -99,13 +110,12 @@ def best_separator(F: SeparatingSet, cfg: Configuration):
     """
     if not F.elements:
         raise DomainError("cannot separate with an empty candidate set")
-    if len(cfg.points) > 2 * F.m or len(cfg.hyperplanes) > 2 * F.m:
+    if len(cfg.points) > 2 * F.m or len(cfg.forms) > 2 * F.m:
         raise DomainError(
             f"configuration exceeds the 2m = {2 * F.m} size bound: "
-            f"{len(cfg.points)} points, {len(cfg.hyperplanes)} hyperplanes")
-    margins = [_margin(g, cfg) for g in F.elements]
-    best = max(margins)
-    return F.elements[margins.index(best)], best
+            f"{len(cfg.points)} points, {len(cfg.forms)} hyperplanes")
+    best, margin = _best(F.elements[0].field, _inverse_pairs(F.elements), cfg)
+    return F.elements[best], margin
 
 
 def verify_separating_for(F: SeparatingSet, cfg: Configuration) -> bool:
@@ -117,27 +127,16 @@ def verify_separating_for(F: SeparatingSet, cfg: Configuration) -> bool:
     return margin > F.r
 
 
-def _deflate_form_arch(u, w):
-    # subtract the pivot component so the form vanishes on u exactly
+def _deflate(field, u, w, vanishing: float):
+    """The form w with its pivot coordinate corrected so that it vanishes on
+    u exactly; if at most `vanishing` of w's norm is left, the form
+    e_k1 - (u_k1 / u_k0) e_k0 instead."""
     k0 = int(np.argmax(np.abs(u)))
-    f = np.array(w, copy=True)
+    f = w.copy()
     f[k0] -= (w @ u) / u[k0]
-    if np.linalg.norm(f) <= 1e-9 * np.linalg.norm(w):
-        f = np.zeros_like(u)
+    if _norms(field, f) <= vanishing * _norms(field, w):
         k1 = (k0 + 1) % len(u)
-        f[k1] = 1.0
-        f[k0] = -u[k1] / u[k0]
-    return f
-
-
-def _deflate_form_padic(field, u, w):
-    k0 = next(i for i, c in enumerate(u) if c.valuation == 0)
-    f = list(w)
-    total = sum((w[i] * u[i] for i in range(len(u))), field.zero())
-    f[k0] = f[k0] - total / u[k0]
-    if not any(f):
-        f = [field.zero()] * len(u)
-        k1 = (k0 + 1) % len(u)
+        f = np.full_like(w, field.zero())
         f[k1] = field.one()
         f[k0] = -u[k1] / u[k0]
     return f
@@ -156,39 +155,24 @@ def sample_configuration(elements, m: int, trial: int, seed: int) -> Configurati
         raise DomainError("configuration sampling needs at least one candidate element")
     fld = elements[0].field
     n = elements[0].n
-    adversary = None
-    if trial % 2 == 1:
-        adversary = elements[(trial // 2) % len(elements)]
     if fld.is_padic:
         rng = random_.Random(seed + trial)
-        points = [ProjPoint(Vector(fld, padic_unit_coords(rng, fld, n)))
-                  for _ in range(2 * m)]
-        raw_forms = [[fld.scalar(x) for x in padic_unit_coords(rng, fld, n)]
-                     for _ in range(2 * m)]
-        if adversary is None:
-            hyperplanes = [ProjHyperplane(Vector(fld, w)) for w in raw_forms]
-        else:
-            hyperplanes = []
-            for j, w in enumerate(raw_forms):
-                u = apply_point(adversary, points[j]).rep.coords
-                hyperplanes.append(ProjHyperplane(Vector(fld, _deflate_form_padic(fld, u, w))))
-        return Configuration(points, hyperplanes)
-    rng = np.random.default_rng(seed + trial)
-    shape = (2 * m, n)
-    pts = rng.normal(size=shape)
-    forms = rng.normal(size=shape)
-    if fld.kind.value == "complex":
-        pts = pts + 1j * rng.normal(size=shape)
-        forms = forms + 1j * rng.normal(size=shape)
-    points = [ProjPoint(Vector(fld, row)) for row in pts]
-    if adversary is None:
-        hyperplanes = [ProjHyperplane(Vector(fld, row)) for row in forms]
+        rows = as_field_array(fld, [padic_unit_coords(rng, fld, n) for _ in range(4 * m)], 2)
+        rows = rows.reshape(2, 2 * m, n)
+        vanishing = 0.0  # exact arithmetic: only a zero form is degenerate
     else:
-        hyperplanes = []
-        for j in range(2 * m):
-            u = apply_point(adversary, points[j]).rep.coords
-            hyperplanes.append(ProjHyperplane(Vector(fld, _deflate_form_arch(u, forms[j]))))
-    return Configuration(points, hyperplanes)
+        rng = np.random.default_rng(seed + trial)
+        rows = rng.normal(size=(2, 2 * m, n))
+        if fld.kind is Kind.COMPLEX:
+            rows = rows + 1j * rng.normal(size=rows.shape)
+        vanishing = 1e-9
+    points, forms = canonical_rows(fld, rows[0]), rows[1]
+    if trial % 2 == 1:
+        adversary = elements[(trial // 2) % len(elements)]
+        # stacked matrix-vector products: the bits of apply_point
+        images = canonical_rows(fld, (adversary.entries @ points[..., None])[..., 0])
+        forms = np.array([_deflate(fld, u, w, vanishing) for u, w in zip(images, forms)])
+    return Configuration(points, canonical_rows(fld, forms))
 
 
 @dataclass(frozen=True)
@@ -218,15 +202,15 @@ def estimate_radius(elements, m: int, trials: int, seed: int) -> RadiusEstimate:
         raise DomainError(f"need at least one trial, got {trials}")
     if m < 1:
         raise DomainError(f"m must be positive, got {m}")
-    zero_tol = 0.0 if elements[0].field.is_padic else _ZERO_MARGIN
+    fld = elements[0].field
+    zero_tol = 0.0 if fld.is_padic else _ZERO_MARGIN
+    pairs = _inverse_pairs(elements)
     worst = math.inf
     wins = [0] * len(elements)
     for t in range(trials):
-        cfg = sample_configuration(elements, m, t, seed)
-        margins = [_margin(g, cfg) for g in elements]
-        best = max(margins)
-        wins[margins.index(best)] += 1
-        worst = min(worst, best)
+        best, margin = _best(fld, pairs, sample_configuration(elements, m, t, seed))
+        wins[best] += 1
+        worst = min(worst, margin)
     if worst <= zero_tol:
         warnings.warn(
             "a sampled configuration defeats every candidate; "

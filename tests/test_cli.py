@@ -11,7 +11,7 @@ import pytest
 from pingpong import io, separation
 from pingpong.cartan import SLMatrix, identity
 from pingpong.cli import run
-from pingpong.fields import REAL
+from pingpong.fields import REAL, relative_tolerance
 from pingpong.liegen import LieElement, matrix_exp
 
 
@@ -147,17 +147,18 @@ def test_separate_scores_each_configuration_once(tmp_path, capsys, monkeypatch):
     elements = [rotation(k * math.pi / 8) for k in range(8)]
     path = write_doc(tmp_path, "F.json", sep_doc(elements, 2, 0.05))
     scored = []
-    original = separation._margin
+    original = separation.hyperplane_distances
 
-    def counting(g, cfg):
-        scored.append(g)
-        return original(g, cfg)
+    def counting(field, points, forms):
+        scored.append(points.shape[0])
+        return original(field, points, forms)
 
-    monkeypatch.setattr(separation, "_margin", counting)
+    # one kernel call per trial scores every element and its inverse
+    monkeypatch.setattr(separation, "hyperplane_distances", counting)
     code, _ = run_json(capsys, ["separate", "--set", path, "--trials", "12",
                                 "--seed", "7"])
     assert code == 0
-    assert len(scored) == 12 * len(elements)
+    assert scored == [len(elements)] * 12
 
 
 def test_separate_is_deterministic_modulo_timestamp(tmp_path, capsys):
@@ -270,6 +271,22 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     code, report = run_json(capsys, ["cartan", "--in", path])
     assert code == 2
     assert "PINGPONG_TOL" in report["payload"]["error"]
+
+
+def test_tolerance_env_holds_for_one_run(tmp_path, capsys, monkeypatch):
+    # det 1.2 is refused at the default tolerance and accepted at 0.5
+    skewed = SLMatrix(REAL, [[1.2, 0.0], [0.0, 1.0]], check=False)
+    path = write_doc(tmp_path, "g.json", matrix_doc(skewed))
+    argv = ["cartan", "--in", path]
+    code, recorded = run_json(capsys, argv)
+    assert code == 2
+    monkeypatch.setenv("PINGPONG_TOL", "0.5")
+    assert run_json(capsys, argv)[0] == 0
+    monkeypatch.delenv("PINGPONG_TOL")
+    _, again = run_json(capsys, argv)
+    assert relative_tolerance() == 1e-9
+    recorded.pop("timestamp"), again.pop("timestamp")
+    assert again == recorded
 
 
 def test_threads_flag_rejected(tmp_path):

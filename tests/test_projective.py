@@ -12,7 +12,9 @@ from pingpong.projective import (
     ProjHyperplane,
     ProjPoint,
     Vector,
+    _PIVOT_CUTOFF,
     as_field_array,
+    canonical_rows,
     dist_to_hyperplane,
     form_value,
     hyperplane_distances,
@@ -70,6 +72,43 @@ def test_dist_to_hyperplane_examples():
     h = ProjHyperplane(Vector(Q5, [1, 5]))
     assert dist_to_hyperplane(ProjPoint(Vector(Q5, [1, 0])), h) == 1.0
     assert h.contains(ProjPoint(Vector(Q5, [-5, 1])))
+
+
+def _scalar_canonical(row):
+    # one vector at a time: scalar abs() for the phase, np.linalg.norm for the norm
+    biggest = float(np.max(np.abs(row)))
+    pivot = row[int(np.argmax(np.abs(row) > _PIVOT_CUTOFF * biggest))]
+    if np.iscomplexobj(row):
+        phase = pivot / abs(pivot)
+    else:
+        phase = 1.0 if pivot > 0 else -1.0
+    return row / (phase * float(np.linalg.norm(row / biggest)) * biggest)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX, Q5], ids=str)
+def test_canonical_rows_match_projpoint_bits(field):
+    rng = np.random.default_rng(8)
+    if field is Q5:
+        rows = [[rng.integers(-50, 50) * Fraction(5) ** int(rng.integers(-2, 3))
+                 for _ in range(3)] for _ in range(12)]
+        rows[0][0] = Fraction(0)
+    else:
+        rows = rng.normal(size=(12, 3)) * 10.0 ** rng.integers(-4, 5, size=(12, 1))
+        if field is COMPLEX:
+            rows = rows + 1j * rng.normal(size=(12, 3))
+        # a leading coordinate below the cutoff is passed over as the pivot
+        rows[0, 0] = rows[0, 1] * _PIVOT_CUTOFF / 10
+    rows = as_field_array(field, rows, 2)
+    stack = canonical_rows(field, rows.reshape(2, 6, 3))
+    for row, canonical in zip(rows, stack.reshape(12, 3)):
+        rep = ProjPoint(Vector(field, row)).rep.coords
+        if field is Q5:
+            assert [(x.value, x.digits) for x in canonical] == [(y.value, y.digits) for y in rep]
+        else:
+            assert canonical.tobytes() == rep.tobytes() == _scalar_canonical(row).tobytes()
+    zero = as_field_array(field, [[1, 2, 3], [0, 0, 0]], 2)
+    with pytest.raises(DomainError):
+        canonical_rows(field, zero)
 
 
 def test_canonical_reps_are_scale_invariant():

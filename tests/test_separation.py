@@ -8,9 +8,17 @@ import pytest
 
 from pingpong.cartan import SLMatrix, apply_point, diagonal, identity
 from pingpong.errors import ConstructionError, DomainError
-from pingpong.fields import REAL, padic
+from pingpong.fields import COMPLEX, REAL, padic
 from pingpong import separation
-from pingpong.projective import ProjHyperplane, ProjPoint, Vector, dist_to_hyperplane
+from pingpong.projective import (
+    ProjHyperplane,
+    ProjPoint,
+    Vector,
+    as_field_array,
+    canonical_rows,
+    dist_to_hyperplane,
+)
+from helpers import random_sl_arch
 from pingpong.separation import (
     Configuration,
     NotSeparatingWarning,
@@ -31,18 +39,17 @@ def rotation(theta):
     return SLMatrix(REAL, [[c, -s], [s, c]])
 
 
-def point(field, coords):
-    return ProjPoint(Vector(field, coords))
-
-
-def plane(field, coords):
-    return ProjHyperplane(Vector(field, coords))
+def config(field, points, forms):
+    """Configuration of the canonical rows of 2-coordinate points and forms."""
+    def rows(coords):
+        return canonical_rows(field, as_field_array(field, coords, 2).reshape(-1, 2))
+    return Configuration(rows(points), rows(forms))
 
 
 # [e1] against the hyperplane through e2: distance 1
-CFG_FAR = Configuration((point(REAL, [1.0, 0.0]),), (plane(REAL, [1.0, 0.0]),))
+CFG_FAR = config(REAL, [[1.0, 0.0]], [[1.0, 0.0]])
 # [e1] lying on the hyperplane through e1: distance 0
-CFG_ON = Configuration((point(REAL, [1.0, 0.0]),), (plane(REAL, [0.0, 1.0]),))
+CFG_ON = config(REAL, [[1.0, 0.0]], [[0.0, 1.0]])
 
 
 def test_separating_set_validation():
@@ -87,8 +94,8 @@ def test_best_separator_rejects_empty_and_oversized():
     with pytest.raises(DomainError):
         best_separator(empty, CFG_FAR)
     F = SeparatingSet((identity(REAL, 2),), 1, 0.5)
-    too_big = Configuration(tuple(point(REAL, [1.0, float(k)]) for k in range(3)),
-                            CFG_FAR.hyperplanes)
+    too_big = Configuration(config(REAL, [[1.0, float(k)] for k in range(3)], []).points,
+                            CFG_FAR.forms)
     with pytest.raises(DomainError):
         best_separator(F, too_big)
 
@@ -96,7 +103,7 @@ def test_best_separator_rejects_empty_and_oversized():
 @pytest.mark.parametrize("field", [REAL, Q5], ids=str)
 def test_best_separator_empty_configuration_is_vacuous(field):
     F = SeparatingSet((identity(field, 2), diagonal(field, [5, Fraction(1, 5)])), 1, 0.5)
-    assert best_separator(F, Configuration((), ())) == (F.elements[0], math.inf)
+    assert best_separator(F, config(field, [], [])) == (F.elements[0], math.inf)
 
 
 def test_best_separator_tie_prefers_list_order():
@@ -123,6 +130,34 @@ def test_margin_monotone_in_elements():
         _, small = best_separator(SeparatingSet(base, 2, 0.1), cfg)
         _, large = best_separator(SeparatingSet(bigger, 2, 0.1), cfg)
         assert large >= small
+
+
+def _scalar_margin(g, cfg):
+    field = g.field
+    return min(dist_to_hyperplane(apply_point(x, ProjPoint(Vector(field, v))),
+                                  ProjHyperplane(Vector(field, f)))
+               for x in (g, g.inverse()) for v in cfg.points for f in cfg.forms)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX, Q5], ids=str)
+def test_best_separator_matches_scalar_reference(field):
+    # one kernel call for all of F equals the scalar metric element by element
+    if field is Q5:
+        sets = [(SLMatrix(Q5, [[1, 1], [0, 1]]), SLMatrix(Q5, [[1, 0], [1, 1]]),
+                 diagonal(Q5, [5, Fraction(1, 5)]), SLMatrix(Q5, [[2, 1], [1, 1]]))]
+    else:
+        rng = np.random.default_rng(3)
+        sets = [tuple(random_sl_arch(rng, field, n) for _ in range(4)) for n in (2, 3)]
+    for elements in sets:
+        F = SeparatingSet(elements, 2, 0.01)
+        for trial in range(8):
+            cfg = sample_configuration(elements, 2, trial, 19)
+            _, margin = best_separator(F, cfg)
+            reference = max(_scalar_margin(g, cfg) for g in elements)
+            if field is Q5:
+                assert margin == reference
+            else:
+                assert margin == pytest.approx(reference, abs=1e-15, rel=0)
 
 
 def test_estimate_radius_identity_fails():
@@ -213,9 +248,9 @@ def test_adversarial_configuration_pins_the_cycled_element():
     # odd trials build hyperplanes through the images under one candidate
     cfg = sample_configuration(elements, 1, 1, 5)
     adversary = elements[0]
-    for j, H in enumerate(cfg.hyperplanes):
-        img = apply_point(adversary, cfg.points[j])
-        assert dist_to_hyperplane(img, H) <= 1e-12
+    for v, f in zip(cfg.points, cfg.forms):
+        img = apply_point(adversary, ProjPoint(Vector(REAL, v)))
+        assert dist_to_hyperplane(img, ProjHyperplane(Vector(REAL, f))) <= 1e-12
 
 
 def test_adversarial_configuration_padic_incidence_exact():
@@ -223,8 +258,9 @@ def test_adversarial_configuration_padic_incidence_exact():
     T = SLMatrix(Q5, [[1, 0], [1, 1]])
     cfg = sample_configuration((S, T), 1, 3, 9)
     adversary = T  # trial 3 cycles to index (3 // 2) % 2 = 1
-    for j, H in enumerate(cfg.hyperplanes):
-        img = apply_point(adversary, cfg.points[j])
+    for v, f in zip(cfg.points, cfg.forms):
+        img = apply_point(adversary, ProjPoint(Vector(Q5, v)))
+        H = ProjHyperplane(Vector(Q5, f))
         assert dist_to_hyperplane(img, H) == 0.0
         assert H.contains(img)
 
