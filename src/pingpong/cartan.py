@@ -93,7 +93,7 @@ class SLMatrix:
             n = len(self.entries)
             scale = float(np.max(np.abs(self.entries)))
             drift = max(1.0, scale) ** n * n * 8 * np.finfo(float).eps
-            if abs(det - 1) > max(relative_tolerance(), drift):
+            if not abs(det - 1) <= max(relative_tolerance(), drift):
                 raise DomainError(f"determinant is {det:.12g}, not 1")
 
     @property

@@ -85,14 +85,19 @@ def contraction_coefficient(g: SLMatrix) -> float:
     return math.sqrt(ratio)
 
 
+def cartan_cert(g: SLMatrix, epsilon: float) -> ContractionCert:
+    """Certificate at epsilon with g's own Cartan flag v = [k e_1], H = ker(row 1 of k')."""
+    t = g.cartan()
+    return ContractionCert(epsilon, t.attracting_point(), t.repulsive_hyperplane(), t.ratio)
+
+
 def contraction_data(g: SLMatrix) -> ContractionCert:
-    """Certificate from g's own Cartan flag: v = [k e_1], H = ker(row 1 of k')."""
+    """cartan_cert at g's own contraction coefficient, which must be below 1/4."""
     eps = contraction_coefficient(g)
     if eps >= 0.25:
         raise NotContractingError(
             f"contraction coefficient {eps} is not below 1/4; no certificate")
-    t = g.cartan()
-    return ContractionCert(eps, t.attracting_point(), t.repulsive_hyperplane(), t.ratio)
+    return cartan_cert(g, eps)
 
 
 def verify_contracting(cert: ContractionCert, g: SLMatrix,

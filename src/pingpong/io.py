@@ -14,6 +14,7 @@ estimates without consulting the code that produced them.
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 from .cartan import SLMatrix
@@ -109,20 +110,21 @@ def parse_field(doc: dict) -> FieldSpec:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # finite only: json reads NaN, Infinity and 1e400 as non-finite floats
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def decode_scalar(field: FieldSpec, obj, where: str):
     if field.kind is Kind.REAL:
         if not _is_number(obj):
-            raise InputError(f"expected a real number, got {obj!r}", path=where)
+            raise InputError(f"expected a finite real number, got {obj!r}", path=where)
         return float(obj)
     if field.kind is Kind.COMPLEX:
         if _is_number(obj):
             return complex(obj)
         if (isinstance(obj, list) and len(obj) == 2 and all(map(_is_number, obj))):
             return complex(obj[0], obj[1])
-        raise InputError(f"expected a number or [re, im], got {obj!r}", path=where)
+        raise InputError(f"expected a finite number or [re, im], got {obj!r}", path=where)
     # Q_p: exact encodings only, a float would smuggle in base-2 roundoff
     if isinstance(obj, int) and not isinstance(obj, bool):
         return field.scalar(obj)

@@ -5,9 +5,11 @@ separating set F into proximal, very contracting, and very proximal
 elements, with certificate parameters given by exact formulas in (r, C,
 epsilon).  build_pingpong_tuple runs the inductive construction x_1 =
 gamma a_1 h_1, x_i = g_i gamma a_i h_i, selecting h_i, g_i in F by explicit
-distance conditions against the previously built transformations.  A valid
-certificate implies the x_i freely generate F_m; freeness_falsifier is the
-independent brute-force check of that conclusion.
+distance conditions against the previously built transformations.  A
+condition is data, (text, side, points, hyperplanes), met by f when every
+d([f^side v], H) > r; _first scores it with one hyperplane_distances call.
+A valid certificate implies the x_i freely generate F_m; freeness_falsifier
+is the independent brute-force check of that conclusion.
 """
 
 import math
@@ -21,12 +23,13 @@ from .cartan import SLMatrix, apply_hyperplane, apply_point, bilip_constant
 from .contraction import (
     ContractionCert,
     ProximalCert,
+    cartan_cert,
     contraction_coefficient,
     contraction_data,
 )
 from .errors import ConstructionError, DomainError, NoSeparatorError, PreconditionError
 from .fields import Kind
-from .projective import ProjPoint, Vector, dist_to_hyperplane
+from .projective import ProjPoint, Vector, dist_to_hyperplane, hyperplane_distances
 from .separation import SeparatingSet, reduced_words
 
 __all__ = [
@@ -128,12 +131,6 @@ class PingPongCert:
         return len(self.generators)
 
 
-def _own_cert(matrix: SLMatrix, epsilon: float) -> ContractionCert:
-    triple = matrix.cartan()
-    return ContractionCert(epsilon, triple.attracting_point(),
-                           triple.repulsive_hyperplane(), triple.ratio)
-
-
 def _check_field(g: SLMatrix, F: SeparatingSet):
     if F.elements and (g.field != F.elements[0].field or g.n != F.elements[0].n):
         raise DomainError("element and separating set live over different spaces")
@@ -146,10 +143,8 @@ def make_proximal(g: SLMatrix, cert: ContractionCert, F: SeparatingSet) -> Proxi
     if not cert.epsilon < F.r / (2 * F.C):
         raise PreconditionError(
             f"need epsilon < r/(2C) = {F.r / (2 * F.C)}, got {cert.epsilon}")
-    f = _select(F, "f", (
-        ("d([f] v, H) > r for the flags of g",
-         lambda f: dist_to_hyperplane(apply_point(f, cert.attracting), cert.repelling) > F.r),
-    ))
+    f = _select(F, "f", [("d([f] v, H) > r for the flags of g", 1, [cert.attracting],
+                          [cert.repelling])])
     matrix = f @ g
     forward = ContractionCert(F.C * cert.epsilon, apply_point(f, cert.attracting),
                               cert.repelling, matrix.cartan().ratio)
@@ -157,18 +152,17 @@ def make_proximal(g: SLMatrix, cert: ContractionCert, F: SeparatingSet) -> Proxi
 
 
 def _perturbed(P: ProjPoint, seed: int) -> ProjPoint:
-    fld = P.rep.field
-    n = len(P.rep)
+    fld = P.field
+    n = len(P)
     if fld.is_padic:
         rng = random_.Random(seed)
-        p = fld.prime
-        span = p ** max(fld.precision - 2, 1)
-        coords = [c + fld.scalar(p * p * rng.randrange(span)) for c in P.rep.coords]
-        return ProjPoint(Vector(fld, coords))
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(size=n) * 1e-2
-    if fld.kind is Kind.COMPLEX:
-        noise = noise + 1j * rng.normal(size=n) * 1e-2
+        span = fld.prime ** max(fld.precision - 2, 1)
+        noise = [fld.scalar(fld.prime ** 2 * rng.randrange(span)) for _ in range(n)]
+    else:
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(size=n) * 1e-2
+        if fld.kind is Kind.COMPLEX:
+            noise = noise + 1j * rng.normal(size=n) * 1e-2
     return ProjPoint(Vector(fld, P.rep.coords + noise))
 
 
@@ -190,16 +184,14 @@ def make_very_contracting(g: SLMatrix, cert: ContractionCert, F: SeparatingSet,
     eps_out = math.sqrt(2 * F.C * d_const) * cert.epsilon / F.r
     ginv = g.inverse()
     anchor = ginv.cartan().attracting_point()
-    H = cert.repelling
     for attempt in range(_PROBE_ATTEMPTS):
-        u = _perturbed(anchor, seed + attempt)
-        pulled = apply_point(ginv, u)
-        for f in F.elements:
-            if (dist_to_hyperplane(apply_point(f, pulled), H) > F.r
-                    and dist_to_hyperplane(apply_point(f.inverse(), pulled), H) > F.r):
-                matrix = g @ f @ ginv
-                return VeryContractingElement(matrix, _own_cert(matrix, eps_out),
-                                              _own_cert(matrix.inverse(), eps_out))
+        pulled = [apply_point(ginv, _perturbed(anchor, seed + attempt))]
+        f, _ = _first(F, (("d([f] u, H) > r", 1, pulled, [cert.repelling]),
+                          ("d([f^-1] u, H) > r", -1, pulled, [cert.repelling])))
+        if f is not None:
+            matrix = g @ f @ ginv
+            return VeryContractingElement(matrix, cartan_cert(matrix, eps_out),
+                                          cartan_cert(matrix.inverse(), eps_out))
     raise NoSeparatorError(
         f"no f in F cleared both probe conditions after {_PROBE_ATTEMPTS} probes")
 
@@ -215,11 +207,9 @@ def make_very_proximal(g: SLMatrix, forward: ContractionCert,
             f"need epsilon < r/(2C^2) = {F.r / (2 * F.C ** 2)}, got {eps}")
     f = _select(F, "f", (
         ("d([f] v, H) > r for the forward flags of g",
-         lambda f: dist_to_hyperplane(apply_point(f, forward.attracting),
-                                      forward.repelling) > F.r),
+         1, [forward.attracting], [forward.repelling]),
         ("d([f^-1] v', H') > r for the backward flags of g",
-         lambda f: dist_to_hyperplane(apply_point(f.inverse(), backward.attracting),
-                                      backward.repelling) > F.r),
+         -1, [backward.attracting], [backward.repelling]),
     ))
     matrix = g @ f
     fwd = ContractionCert(F.C * eps, forward.attracting,
@@ -242,8 +232,8 @@ def tighten_very_contracting(element: VeryContractingElement) -> VeryContracting
               contraction_coefficient(element.matrix.inverse()))
     if own >= min(0.25, element.epsilon):
         return element
-    return VeryContractingElement(element.matrix, _own_cert(element.matrix, own),
-                                  _own_cert(element.matrix.inverse(), own))
+    return VeryContractingElement(element.matrix, cartan_cert(element.matrix, own),
+                                  cartan_cert(element.matrix.inverse(), own))
 
 
 def separation_table(certificates) -> tuple:
@@ -283,8 +273,7 @@ def build_pingpong_tuple(a, F: SeparatingSet, gamma: VeryContractingElement) -> 
             "the very contracting element's bi-Lipschitz constant "
             f"{bilip_constant(gamma.matrix)} exceeds c = {c}; the constant c "
             "only ranges over the base elements and F", UserWarning)
-    r = F.r
-    r_bar = r / c
+    r_bar = F.r / c
     eps_bar = c ** 3 * eps
 
     generators = []
@@ -310,10 +299,9 @@ def build_pingpong_tuple(a, F: SeparatingSet, gamma: VeryContractingElement) -> 
 
         if i == 0:
             h = _select(F, "h_1", (
-                ("d([h] v, H) > r for the attracting data of gamma a_1",
-                 lambda f: dist_to_hyperplane(apply_point(f, v_b), H_b) > r),
+                ("d([h] v, H) > r for the attracting data of gamma a_1", 1, [v_b], [H_b]),
                 ("d([h^-1] v', H') > r for the attracting data of (gamma a_1)^-1",
-                 lambda f: dist_to_hyperplane(apply_point(f.inverse(), v_binv), H_binv) > r),
+                 -1, [v_binv], [H_binv]),
             ))
             record(b @ h, v_b, apply_hyperplane(h.inverse(), H_b),
                    apply_point(h.inverse(), v_binv), H_binv)
@@ -321,29 +309,20 @@ def build_pingpong_tuple(a, F: SeparatingSet, gamma: VeryContractingElement) -> 
 
         h = _select(F, f"h_{i + 1}", (
             ("h^-1 maps the attracting point of (gamma a_i)^-1 at distance > r "
-             "from the repulsive hyperplanes of the previous x_j",
-             lambda f: all(dist_to_hyperplane(apply_point(f.inverse(), v_binv), rep) > r
-                           for rep in prev_reps)),
+             "from the repulsive hyperplanes of the previous x_j", -1, [v_binv], prev_reps),
             ("h maps the previous attracting points at distance > r from the "
-             "repulsive hyperplane of gamma a_i",
-             lambda f: all(dist_to_hyperplane(apply_point(f, attr), H_b) > r
-                           for attr in prev_attrs)),
+             "repulsive hyperplane of gamma a_i", 1, prev_attrs, [H_b]),
         ))
         bh = b @ h
         H_bh = apply_hyperplane(h.inverse(), H_b)
         v_bhinv = apply_point(h.inverse(), v_binv)
         g_i = _select(F, f"g_{i + 1}", (
             ("g maps the attracting point of gamma a_i h_i at distance > r from "
-             "the previous repulsive hyperplanes and from its own",
-             lambda f: all(dist_to_hyperplane(apply_point(f, v_b), rep) > r
-                           for rep in prev_reps + [H_bh])),
+             "the previous repulsive hyperplanes and from its own", 1, [v_b], prev_reps + [H_bh]),
             ("g^-1 maps the previous attracting points at distance > r from the "
-             "repulsive hyperplane of (gamma a_i h_i)^-1",
-             lambda f: all(dist_to_hyperplane(apply_point(f.inverse(), attr), H_binv) > r
-                           for attr in prev_attrs)),
+             "repulsive hyperplane of (gamma a_i h_i)^-1", -1, prev_attrs, [H_binv]),
             ("g^-1 maps the attracting point of (gamma a_i h_i)^-1 at distance "
-             "> r from the repulsive hyperplane of (gamma a_i h_i)^-1",
-             lambda f: dist_to_hyperplane(apply_point(f.inverse(), v_bhinv), H_binv) > r),
+             "> r from the repulsive hyperplane of (gamma a_i h_i)^-1", -1, [v_bhinv], [H_binv]),
         ))
         record(g_i @ bh, apply_point(g_i, v_b), H_bh,
                v_bhinv, apply_hyperplane(g_i, H_binv))
@@ -362,19 +341,32 @@ def certify_free_generators(a, F: SeparatingSet, gamma0: SLMatrix,
     return build_pingpong_tuple(a, F, vc)
 
 
-def _select(F: SeparatingSet, name: str, conditions):
-    """First f in F satisfying every condition; on failure, report which
-    condition eliminated how many candidates."""
+def _first(F: SeparatingSet, conditions) -> tuple:
+    """The first f in F meeting every condition at r = F.r, or None, and per
+    condition the number of rejected candidates that failed it first.  The scan stops
+    at the first success: over Q_p, scoring all of F at once is slower."""
+    rows = [(side, np.stack([P.rep.coords for P in points]),
+             np.stack([H.form.coords for H in hyperplanes]))
+            for _, side, points, hyperplanes in conditions]
     failures = [0] * len(conditions)
     for f in F.elements:
-        for idx, (_, test) in enumerate(conditions):
-            if not test(f):
+        for idx, (side, points, forms) in enumerate(rows):
+            g = f if side == 1 else f.inverse()
+            if not (hyperplane_distances(f.field, points @ g.entries.T, forms) > F.r).all():
                 failures[idx] += 1
                 break
         else:
-            return f
-    detail = "; ".join(f"{fails} candidates failed: {text}"
-                       for (text, _), fails in zip(conditions, failures) if fails)
+            return f, failures
+    return None, failures
+
+
+def _select(F: SeparatingSet, name: str, conditions):
+    """_first's f, or NoSeparatorError saying which condition eliminated how many."""
+    f, failures = _first(F, conditions)
+    if f is not None:
+        return f
+    detail = "; ".join(f"{fails} candidates failed: {condition[0]}"
+                       for condition, fails in zip(conditions, failures) if fails)
     raise NoSeparatorError(f"selection of {name} failed "
                            f"({detail or 'the candidate set is empty'})")
 

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from pingpong.cartan import SLMatrix
+from pingpong.cartan import SLMatrix, apply_point
 from pingpong.fields import Kind, valuation
+from pingpong.projective import dist_to_hyperplane
 
 
 def random_sl_arch(rng, field, n, spread=1.0):
@@ -111,3 +112,26 @@ def batch_proj_dist(u, v):
     vv = np.einsum("ij,ij->i", v.conj(), v).real
     uv = np.abs(np.einsum("ij,ij->i", u.conj(), v)) ** 2
     return np.sqrt(np.clip(1.0 - uv / (uu * vv), 0.0, 1.0))
+
+
+def condition_distances(f, condition):
+    """d([f^side v], H) for every point v and hyperplane H of a selection
+    condition (text, side, points, hyperplanes), one scalar call each."""
+    _, side, points, hyperplanes = condition
+    g = f if side == 1 else f.inverse()
+    return [dist_to_hyperplane(apply_point(g, P), H) for P in points for H in hyperplanes]
+
+
+def first_by_scalar_reference(F, conditions):
+    """The scan of pingpong._first on the scalar metric: the first f in F
+    meeting every condition, or None, and per condition the number of
+    rejected candidates it was the first to fail."""
+    failures = [0] * len(conditions)
+    for f in F.elements:
+        for idx, condition in enumerate(conditions):
+            if not all(d > F.r for d in condition_distances(f, condition)):
+                failures[idx] += 1
+                break
+        else:
+            return f, failures
+    return None, failures

@@ -37,6 +37,8 @@ def test_determinant_validation():
         SLMatrix(REAL, [[1, 0], [0, 2]])
     with pytest.raises(DomainError):
         SLMatrix(Q5, [[1, 1], [0, 2]])
+    with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+        SLMatrix(REAL, [[math.nan, 0], [0, 1]])
     SLMatrix(REAL, [[1, 1], [0, 1]])
     SLMatrix(Q5, [[1, Fraction(1, 5)], [0, 1]])
 

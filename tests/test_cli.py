@@ -109,6 +109,15 @@ def test_schema_violation_points_at_path(tmp_path, capsys):
     assert report["payload"]["path"] == "matrix[1]"
 
 
+def test_non_finite_generator_is_exit_2_with_path(tmp_path, capsys):
+    path = tmp_path / "gens.json"
+    path.write_text('{"field": {"kind": "real"}, '
+                    '"generators": [[[NaN, 0.0], [0.0, 1.0]], [[1.0, Infinity], [0.0, 1.0]]]}')
+    code, report = run_json(capsys, ["dense-check", "--gens", str(path)])
+    assert code == 2
+    assert report["payload"]["path"] == "generators[0][0][0]"
+
+
 def test_noncontracting_input_is_exit_3(tmp_path, capsys):
     path = write_doc(tmp_path, "g.json", matrix_doc(rotation(0.7)))
     code, report = run_json(capsys,

@@ -58,6 +58,19 @@ def test_real_rejects_complex_pair(tmp_path):
     assert err.value.path == "matrix[0][0]"
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_entry_points_at_entry(tmp_path, kind, text):
+    # json reads all four as non-finite floats
+    entry = text if kind == "real" else f"[0.5, {text}]"
+    path = tmp_path / "g.json"
+    path.write_text(f'{{"field": {{"kind": "{kind}"}}, '
+                    f'"matrix": [[1.0, 0.0], [{entry}, 1.0]]}}')
+    with pytest.raises(InputError) as err:
+        io.load_matrix(path)
+    assert err.value.path == "matrix[1][0]"
+
+
 def test_ragged_matrix_points_at_row(tmp_path):
     doc = {"field": {"kind": "real"}, "matrix": [[1.0, 0.0], [0.0]]}
     with pytest.raises(InputError) as err:

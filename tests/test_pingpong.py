@@ -1,11 +1,14 @@
 """Manufacturing steps, tuple construction, verification, falsifier."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from helpers import (condition_distances, first_by_scalar_reference, random_sl_arch,
+                     random_sl_padic)
 from pingpong.cartan import SLMatrix, bilip_constant, identity
 from pingpong.contraction import (
     ContractionCert,
@@ -21,11 +24,12 @@ from pingpong.errors import (
     NoSeparatorError,
     PreconditionError,
 )
-from pingpong.fields import REAL, padic
+from pingpong.fields import COMPLEX, REAL, padic
 from pingpong.pingpong import (
     PingPongCert,
     VeryContractingElement,
     Word,
+    _first,
     build_pingpong_tuple,
     certify_free_generators,
     freeness_falsifier,
@@ -36,6 +40,7 @@ from pingpong.pingpong import (
     tighten_very_contracting,
     verify_pingpong,
 )
+from pingpong.projective import ProjHyperplane, ProjPoint, Vector
 from pingpong.separation import SeparatingSet, _dedupe, reduced_words
 
 
@@ -157,6 +162,15 @@ def test_make_very_contracting_precondition():
         make_very_contracting(g, contraction_data(g), rotation_set(0.001))
 
 
+def test_make_very_contracting_no_probe_clears():
+    # the identity leaves every probe where it was, at distance ~0 from H
+    g = SLMatrix(REAL, [[100.0, 0.0], [0.0, 0.01]])
+    F = SeparatingSet([identity(REAL, 2)], 2, 0.5)
+    with pytest.raises(NoSeparatorError) as err:
+        make_very_contracting(g, contraction_data(g), F)
+    assert str(err.value) == "no f in F cleared both probe conditions after 32 probes"
+
+
 def test_tighten_very_contracting():
     g = SLMatrix(REAL, [[1e3, 0.0], [0.0, 1e-3]])
     F = rotation_set(0.05)
@@ -194,6 +208,62 @@ def test_make_very_proximal_precondition():
     bwd = own_cert(g.inverse(), 0.1)
     with pytest.raises(PreconditionError):
         make_very_proximal(g, fwd, bwd, F)
+
+
+def test_make_very_proximal_reports_each_rejecting_condition():
+    # the lower shear sends v = [e1] to [1 : 2], at 1/sqrt(5) < r from
+    # H = ker x1; the upper shear's inverse sends v' = [e2] to [-2 : 1], as
+    # close to H' = ker x2, so each shear fails one condition
+    g = SLMatrix(REAL, [[1e4, 0.0], [0.0, 1e-4]])
+    F = SeparatingSet([SLMatrix(REAL, [[1.0, 0.0], [2.0, 1.0]]),
+                       SLMatrix(REAL, [[1.0, 2.0], [0.0, 1.0]])], 2, 0.5)
+    with pytest.raises(NoSeparatorError) as err:
+        make_very_proximal(g, contraction_data(g), contraction_data(g.inverse()), F)
+    assert str(err.value) == (
+        "selection of f failed ("
+        "1 candidates failed: d([f] v, H) > r for the forward flags of g; "
+        "1 candidates failed: d([f^-1] v', H') > r for the backward flags of g)")
+
+
+# the selection scan
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("field", [REAL, COMPLEX, padic(5)], ids=["R", "C", "Q_5"])
+def test_first_matches_scalar_reference(field, n):
+    rng = np.random.default_rng(61 + n)
+    prng = random.Random(67 + n)
+
+    def coords():
+        if field.is_padic:
+            return [Fraction(prng.randint(1, 60)) * Fraction(5) ** prng.randint(-1, 2)
+                    for _ in range(n)]
+        z = rng.normal(size=n)
+        return z + 1j * rng.normal(size=n) if field is COMPLEX else z
+
+    def flags(kind):
+        return [kind(Vector(field, coords())) for _ in range(prng.randint(1, 3))]
+
+    compared = 0
+    for _ in range(30):
+        if field.is_padic:
+            elements = [random_sl_padic(prng, field, n) for _ in range(6)]
+            r = prng.choice([0.04, 0.1, 0.2, 0.5, 1.0])
+        else:
+            elements = [random_sl_arch(rng, field, n) for _ in range(6)]
+            r = float(rng.uniform(0.02, 0.5))
+        F = SeparatingSet(elements, 2, r)
+        conditions = [("condition", prng.choice([1, -1]), flags(ProjPoint),
+                       flags(ProjHyperplane)) for _ in range(prng.randint(1, 3))]
+        if not field.is_padic and any(abs(d - r) <= 1e-12 for f in elements
+                                      for c in conditions for d in condition_distances(f, c)):
+            continue  # an ulp may break a tie either way
+        f, failures = _first(F, conditions)
+        want, want_failures = first_by_scalar_reference(F, conditions)
+        assert f is want
+        assert failures == want_failures
+        compared += 1
+    assert compared >= 25
 
 
 # build_pingpong_tuple
