@@ -73,7 +73,6 @@ from .pingpong import (
 from .projective import (
     ProjHyperplane,
     ProjPoint,
-    Vector,
     canonical_rows,
     dist_to_hyperplane,
     proj_dist,

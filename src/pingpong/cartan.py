@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DecompositionError, DomainError, PrecisionExhaustedError
 from .fields import FieldSpec, Kind, PadicScalar, relative_tolerance, valuation
-from .projective import ProjHyperplane, ProjPoint, Vector, as_field_array
+from .projective import ProjHyperplane, ProjPoint, as_field_array
 
 
 def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
@@ -100,30 +100,12 @@ class SLMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def row(self, i) -> Vector:
-        return Vector(self.field, self.entries[i])
-
-    def column(self, j) -> Vector:
-        return Vector(self.field, self.entries[:, j])
-
     def __matmul__(self, other: "SLMatrix") -> "SLMatrix":
         if not isinstance(other, SLMatrix):
             return NotImplemented
         if self.field != other.field or self.n != other.n:
             raise DomainError("matrix product needs matching fields and sizes")
         return SLMatrix(self.field, self.entries @ other.entries, check=False)
-
-    def apply(self, v: Vector) -> Vector:
-        """Matrix-vector product g(v)."""
-        if v.field != self.field or len(v) != self.n:
-            raise DomainError("vector does not match the matrix")
-        return Vector(self.field, self.entries @ v.coords)
-
-    def apply_form(self, f: Vector) -> Vector:
-        """Row-vector product f o g, the pullback of the linear form f."""
-        if f.field != self.field or len(f) != self.n:
-            raise DomainError("form does not match the matrix")
-        return Vector(self.field, f.coords @ self.entries)
 
     def inverse(self) -> "SLMatrix":
         if self._inverse is None:
@@ -220,11 +202,11 @@ class CartanTriple:
 
     def attracting_point(self) -> ProjPoint:
         """[k(e_1)], the image of the top singular direction."""
-        return ProjPoint(self.k.column(0))
+        return ProjPoint(self.field, self.k.entries[:, 0])
 
     def repulsive_hyperplane(self) -> ProjHyperplane:
         """[span of k'^(-1)(e_i), i >= 2], i.e. the kernel of the first row of k'."""
-        return ProjHyperplane(self.k_prime.row(0))
+        return ProjHyperplane(self.field, self.k_prime.entries[0])
 
 
 def _cartan_archimedean(g: SLMatrix) -> CartanTriple:
@@ -358,10 +340,18 @@ def wedge_operator_norm(g: SLMatrix) -> float:
     return a[0] * a[1]
 
 
+def _check_space(g: SLMatrix, X):
+    if X.field != g.field or len(X) != g.n:
+        raise DomainError(f"{type(X).__name__} does not match the matrix")
+
+
 def apply_point(g: SLMatrix, P: ProjPoint) -> ProjPoint:
-    return ProjPoint(g.apply(P.rep))
+    """[g(v)]."""
+    _check_space(g, P)
+    return ProjPoint(g.field, g.entries @ P.rep)
 
 
 def apply_hyperplane(g: SLMatrix, H: ProjHyperplane) -> ProjHyperplane:
     """[g(ker f)] = [ker f o g^(-1)]."""
-    return ProjHyperplane(g.inverse().apply_form(H.form))
+    _check_space(g, H)
+    return ProjHyperplane(g.field, H.form @ g.inverse().entries)

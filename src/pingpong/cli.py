@@ -195,6 +195,16 @@ def _run_certify_free(args):
     gens = io.load_generators(args.gens)
     F = io.load_separating_set(args.sep)
     gamma0 = io.load_matrix(args.gamma)
+    # a mix of fields or sizes is bad input (exit 2, with a path), not a failed precondition
+    g = gens[0]
+    for flag, other, where in (("--sep", F.elements[0], "elements[0]"),
+                               ("--gamma", gamma0, "matrix")):
+        if other.field != g.field:
+            raise InputError(f"--gens is over {g.field} but {flag} is over {other.field}",
+                             path="field")
+        if other.n != g.n:
+            raise InputError(f"--gens holds {g.n}x{g.n} matrices but {flag} holds "
+                             f"{other.n}x{other.n}", path=where)
     inputs = {"gens": args.gens, "sep": args.sep, "gamma": args.gamma}
     parameters = {"mode": "verify-only" if args.verify_only else "build"}
     notes = []

@@ -115,8 +115,8 @@ def verify_contracting(cert: ContractionCert, g: SLMatrix,
     else:
         chunks = archimedean_unit_chunks(field, g.n, samples, seed)
     for points in chunks:
-        to_plane = hyperplane_distances(field, points, cert.repelling.form.coords[None])[:, 0]
-        to_point = point_distances(field, points @ g.entries.T, cert.attracting.rep.coords)
+        to_plane = hyperplane_distances(field, points, cert.repelling.form[None])[:, 0]
+        to_point = point_distances(field, points @ g.entries.T, cert.attracting.rep)
         if ((to_plane >= cert.epsilon) & (to_point > cert.epsilon)).any():
             return False
     return True

@@ -8,8 +8,8 @@ one known digit raises PrecisionExhaustedError instead of returning noise.
 Exact cancellation yields an exact zero, so structural identities such as
 x - x = 0 hold on the nose.
 
-Vectors and matrices keep scalars of every field in numpy arrays, p-adic
-ones in object arrays, so one numpy expression serves R, C and Q_p.
+Matrices and projective rows keep scalars of every field in numpy arrays,
+p-adic ones in object arrays, so one numpy expression serves R, C and Q_p.
 """
 
 import enum
@@ -157,7 +157,10 @@ class PadicScalar:
             raise DomainError("PadicScalar needs a p-adic field")
         if isinstance(value, float):
             raise DomainError("floats cannot be read as p-adic scalars; use ints or Fractions")
-        value = Fraction(value)
+        try:
+            value = Fraction(value)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"cannot read {value!r} as a p-adic scalar") from exc
         if digits is None or not value:
             digits = field.precision
         if digits < 1:

@@ -188,6 +188,18 @@ def load_matrix(path) -> SLMatrix:
     return decode_matrix(field, doc["matrix"], "matrix")
 
 
+def _decode_matrices(field: FieldSpec, obj: list, where: str) -> list:
+    """The matrices of a document's list; each must have the size of entry 0."""
+    out = []
+    for i, entry in enumerate(obj):
+        g = decode_matrix(field, entry, f"{where}[{i}]")
+        if out and g.n != out[0].n:
+            raise InputError(f"a {g.n}x{g.n} matrix, but {where}[0] is {out[0].n}x{out[0].n}",
+                             path=f"{where}[{i}]")
+        out.append(g)
+    return out
+
+
 def load_generators(path):
     doc = load_document(path)
     field = parse_field(doc)
@@ -195,7 +207,7 @@ def load_generators(path):
     if not isinstance(gens, list) or not gens:
         raise InputError('document needs a nonempty "generators" array',
                          path="generators")
-    return [decode_matrix(field, g, f"generators[{i}]") for i, g in enumerate(gens)]
+    return _decode_matrices(field, gens, "generators")
 
 
 def load_separating_set(path) -> SeparatingSet:
@@ -204,8 +216,7 @@ def load_separating_set(path) -> SeparatingSet:
     elements = doc.get("elements")
     if not isinstance(elements, list) or not elements:
         raise InputError('document needs a nonempty "elements" array', path="elements")
-    decoded = [decode_matrix(field, g, f"elements[{i}]")
-               for i, g in enumerate(elements)]
+    decoded = _decode_matrices(field, elements, "elements")
     m, r = doc.get("m"), doc.get("r")
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputError('document needs an integer "m"', path="m")
@@ -217,20 +228,20 @@ def load_separating_set(path) -> SeparatingSet:
         raise InputError(str(exc), path="")
 
 
-def _coords(v):
-    return [encode_scalar(v.field, c) for c in v.coords.tolist()]
+def _row(field: FieldSpec, row) -> list:
+    return [encode_scalar(field, c) for c in row.tolist()]
 
 
 def encode_point(P) -> dict:
-    return {"point": _coords(P.rep)}
+    return {"point": _row(P.field, P.rep)}
 
 
 def encode_form(H) -> dict:
-    return {"form": _coords(H.form)}
+    return {"form": _row(H.field, H.form)}
 
 
 def encode_contraction_cert(cert: ContractionCert) -> dict:
-    prov = measured(cert.attracting.rep.field)
+    prov = measured(cert.attracting.field)
     return {
         "epsilon": tagged(cert.epsilon, prov),
         "ratio": tagged(cert.ratio, prov),
@@ -240,7 +251,7 @@ def encode_contraction_cert(cert: ContractionCert) -> dict:
 
 
 def encode_proximal_cert(cert: ProximalCert) -> dict:
-    prov = measured(cert.forward.attracting.rep.field)
+    prov = measured(cert.forward.attracting.field)
     out = {
         "r": tagged(cert.r, prov),
         "epsilon": tagged(cert.epsilon, prov),

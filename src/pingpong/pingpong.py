@@ -29,7 +29,7 @@ from .contraction import (
 )
 from .errors import ConstructionError, DomainError, NoSeparatorError, PreconditionError
 from .fields import Kind
-from .projective import ProjPoint, Vector, dist_to_hyperplane, hyperplane_distances
+from .projective import ProjPoint, dist_to_hyperplane, hyperplane_distances
 from .separation import SeparatingSet, reduced_words
 
 __all__ = [
@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _PROBE_ATTEMPTS = 32
+# margin by which an archimedean distance must clear r in verify_pingpong
+_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ def _perturbed(P: ProjPoint, seed: int) -> ProjPoint:
         noise = rng.normal(size=n) * 1e-2
         if fld.kind is Kind.COMPLEX:
             noise = noise + 1j * rng.normal(size=n) * 1e-2
-    return ProjPoint(Vector(fld, P.rep.coords + noise))
+    return ProjPoint(fld, P.rep + noise)
 
 
 def make_very_contracting(g: SLMatrix, cert: ContractionCert, F: SeparatingSet,
@@ -345,8 +347,7 @@ def _first(F: SeparatingSet, conditions) -> tuple:
     """The first f in F meeting every condition at r = F.r, or None, and per
     condition the number of rejected candidates that failed it first.  The scan stops
     at the first success: over Q_p, scoring all of F at once is slower."""
-    rows = [(side, np.stack([P.rep.coords for P in points]),
-             np.stack([H.form.coords for H in hyperplanes]))
+    rows = [(side, np.stack([P.rep for P in points]), np.stack([H.form for H in hyperplanes]))
             for _, side, points, hyperplanes in conditions]
     failures = [0] * len(conditions)
     for f in F.elements:
@@ -371,11 +372,11 @@ def _select(F: SeparatingSet, name: str, conditions):
                            f"({detail or 'the candidate set is empty'})")
 
 
-def verify_pingpong(cert: PingPongCert, tolerance: float = 1e-9) -> bool:
+def verify_pingpong(cert: PingPongCert) -> bool:
     """Recompute all flag and cross-separation distances from the stored
     certificate data.
 
-    Archimedean inequalities must clear r by the tolerance; distances over a
+    Archimedean inequalities must clear r by _TOLERANCE = 1e-9; distances over a
     p-adic field are exact powers of p and are compared against r with only
     a 1e-12 relative allowance for the float arithmetic that produced r.
     """
@@ -385,7 +386,7 @@ def verify_pingpong(cert: PingPongCert, tolerance: float = 1e-9) -> bool:
     if fld.is_padic:
         threshold = cert.r * (1 - 1e-12)
     else:
-        threshold = cert.r + tolerance
+        threshold = cert.r + _TOLERANCE
 
     for pc in cert.certificates:
         if pc.backward is None:

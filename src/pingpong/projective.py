@@ -4,13 +4,14 @@ Distances are d([v],[w]) = ||v ^ w|| / (||v|| ||w||) and, against the kernel
 of a linear form f, d([v],[ker f]) = |f(v)| / (||f|| ||v||).  Norms are the
 euclidean/hermitian 2-norm over R and C and the sup of coordinate absolute
 values over Q_p.  canonical_rows normalizes the rows of an array so equal
-lines yield coordinate-identical representatives; ProjPoint and
-ProjHyperplane hold one such row each.
+lines yield coordinate-identical representatives.  ProjPoint and
+ProjHyperplane are a field and one such row, read-only (P.rep, H.form),
+and callers read the row itself.
 
 hyperplane_distances and point_distances, the array form of the metric, are
 written once for every field; the norm and the p-adic canonical rows are
 the only splits.  proj_dist and dist_to_hyperplane are their scalar
-reference.
+reference, one pair of rows at a time.
 """
 
 import functools
@@ -46,79 +47,6 @@ def as_field_array(field: FieldSpec, values, ndim: int) -> np.ndarray:
             arr = arr.astype(np.float64)
     arr.setflags(write=False)
     return arr
-
-
-class Vector:
-    """Coordinate vector over one of the supported fields.
-
-    Coordinates live in a read-only numpy array from as_field_array, for
-    every field alike.  Instances are immutable.
-    """
-
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field: FieldSpec, coords):
-        coords = as_field_array(field, coords, 1)
-        if coords.ndim != 1:
-            raise DomainError("vector coordinates must be one-dimensional")
-        if len(coords) == 0:
-            raise DomainError("empty vector")
-        self.field = field
-        self.coords = coords
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def norm(self) -> float:
-        if self.field.is_padic:
-            return max(c.abs() for c in self.coords)
-        return float(np.linalg.norm(self.coords))
-
-    def scaled(self, s) -> "Vector":
-        s = self.field.scalar(s)
-        return Vector(self.field, [c * s for c in self.coords])
-
-    def __repr__(self):
-        return f"Vector({self.field}, {list(self.coords)!r})"
-
-
-def _check_compatible(v: Vector, w: Vector):
-    if v.field != w.field:
-        raise DomainError(f"mixed fields: {v.field} and {w.field}")
-    if len(v) != len(w):
-        raise DomainError(f"mixed dimensions: {len(v)} and {len(w)}")
-
-
-def norm(v: Vector) -> float:
-    return v.norm()
-
-
-def wedge_coefficients(v: Vector, w: Vector) -> Vector:
-    """v ^ w in the basis e_i ^ e_j, pairs (i,j) with i < j in lex order."""
-    _check_compatible(v, w)
-    n = len(v)
-    coeffs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs.append(v[i] * w[j] - v[j] * w[i])
-    return Vector(v.field, coeffs)
-
-
-def wedge_norm(v: Vector, w: Vector) -> float:
-    return wedge_coefficients(v, w).norm()
-
-
-def form_value(form: Vector, v: Vector):
-    """f(v) = sum f_i v_i, with no conjugation: forms are linear."""
-    _check_compatible(form, v)
-    # item() gives a Python float or complex, or the PadicScalar itself
-    return np.sum(form.coords * v.coords, keepdims=True).item()
 
 
 def _norms(field: FieldSpec, rows) -> np.ndarray:
@@ -181,22 +109,26 @@ def canonical_rows(field: FieldSpec, rows) -> np.ndarray:
     return (flat / (phase * np.sqrt(squares)[:, None] * biggest)).reshape(rows.shape)
 
 
-class ProjPoint:
-    """Point of projective space, held by its canonical representative.
+def _canonical_row(field: FieldSpec, coords) -> np.ndarray:
+    row = as_field_array(field, coords, 1)
+    if row.ndim != 1 or not len(row):
+        raise DomainError("projective coordinates must be one nonempty row")
+    row = canonical_rows(field, row)
+    row.setflags(write=False)
+    return row
 
-    Over R and C the representative has unit norm and a positive (real)
-    first nonzero coordinate; over Q_p all coordinates lie in Z_p and the
-    first unit coordinate is 1.
+
+class ProjPoint:
+    """Point [v] of projective space, held as the read-only canonical row
+    ``rep``: over R and C of unit norm with a positive (real) pivot
+    coordinate; over Q_p in Z_p^n with its first unit coordinate 1.
     """
 
-    __slots__ = ("rep",)
+    __slots__ = ("field", "rep")
 
-    def __init__(self, v: Vector):
-        self.rep = Vector(v.field, canonical_rows(v.field, v.coords))
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.rep.field
+    def __init__(self, field: FieldSpec, coords):
+        self.field = field
+        self.rep = _canonical_row(field, coords)
 
     def __len__(self):
         return len(self.rep)
@@ -204,27 +136,21 @@ class ProjPoint:
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        if self.field != other.field or len(self) != len(other):
-            return False
-        if self.field.is_padic:
-            return all(a == b for a, b in zip(self.rep.coords, other.rep.coords))
-        return proj_dist(self, other) <= relative_tolerance()
+        return _same_line(self, other, self.rep, other.rep)
 
     def __repr__(self):
-        return f"ProjPoint({self.rep!r})"
+        return f"ProjPoint({self.field}, {self.rep.tolist()!r})"
 
 
 class ProjHyperplane:
-    """Projective hyperplane ker f, held by the canonical rep of the form f."""
+    """Projective hyperplane ker f, held as the read-only canonical row
+    ``form`` of the linear form f."""
 
-    __slots__ = ("form",)
+    __slots__ = ("field", "form")
 
-    def __init__(self, form: Vector):
-        self.form = Vector(form.field, canonical_rows(form.field, form.coords))
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.form.field
+    def __init__(self, field: FieldSpec, coords):
+        self.field = field
+        self.form = _canonical_row(field, coords)
 
     def __len__(self):
         return len(self.form)
@@ -236,29 +162,61 @@ class ProjHyperplane:
     def __eq__(self, other):
         if not isinstance(other, ProjHyperplane):
             return NotImplemented
-        if self.field != other.field or len(self) != len(other):
-            return False
-        if self.field.is_padic:
-            return all(a == b for a, b in zip(self.form.coords, other.form.coords))
-        return wedge_norm(self.form, other.form) <= relative_tolerance()
+        return _same_line(self, other, self.form, other.form)
 
     def __repr__(self):
-        return f"ProjHyperplane({self.form!r})"
+        return f"ProjHyperplane({self.field}, {self.form.tolist()!r})"
+
+
+def _same_line(X, Y, v, w) -> bool:
+    # canonical rows v, w of X and Y: equal over Q_p, within the tolerance over R and C
+    if X.field != Y.field or len(v) != len(w):
+        return False
+    if X.field.is_padic:
+        return all(a == b for a, b in zip(v, w))
+    return _sine(X.field, v, w) <= relative_tolerance()
+
+
+def _check_compatible(X, Y):
+    if X.field != Y.field:
+        raise DomainError(f"mixed fields: {X.field} and {Y.field}")
+    if len(X) != len(Y):
+        raise DomainError(f"mixed dimensions: {len(X)} and {len(Y)}")
+
+
+def _norm(field: FieldSpec, v) -> float:
+    # the scalar reference's norm of one row: np.linalg.norm over R and C
+    # (the kernels' _norms sums differently), the sup norm over Q_p
+    if field.is_padic:
+        return max((c.abs() for c in v), default=0.0)
+    return float(np.linalg.norm(v))
+
+
+def _wedge(v, w) -> np.ndarray:
+    """v ^ w in the basis e_i ^ e_j, pairs (i, j) with i < j in lex order."""
+    # scalar products: numpy's array loops round a complex product differently
+    n = len(v)
+    return np.array([v[i] * w[j] - v[j] * w[i] for i in range(n) for j in range(i + 1, n)])
+
+
+def _sine(field: FieldSpec, v, w) -> float:
+    # p-adic canonical reps have sup norm exactly 1.0: the power of p stays exact
+    return _norm(field, _wedge(v, w)) / (_norm(field, v) * _norm(field, w))
 
 
 def proj_dist(P: ProjPoint, Q: ProjPoint) -> float:
     """Standard metric; values in [0,1], an ultrametric over Q_p."""
-    v, w = P.rep, Q.rep
-    _check_compatible(v, w)
-    # p-adic canonical reps have sup norm exactly 1.0: the power of p stays exact
-    return wedge_norm(v, w) / (v.norm() * w.norm())
+    _check_compatible(P, Q)
+    return _sine(P.field, P.rep, Q.rep)
 
 
 def dist_to_hyperplane(P: ProjPoint, H: ProjHyperplane) -> float:
-    """d([v], [ker f]) = |f(v)| / (||f|| ||v||)."""
+    """d([v], [ker f]) = |f(v)| / (||f|| ||v||), f(v) = sum f_i v_i with no
+    conjugation: forms are linear."""
+    _check_compatible(P, H)
     v, f = P.rep, H.form
-    _check_compatible(v, f)
-    return abs(form_value(f, v)) / (v.norm() * f.norm())
+    # item() gives a Python float or complex, or the PadicScalar itself
+    return abs(np.sum(f * v, keepdims=True).item()) / (_norm(P.field, v) * _norm(P.field, f))
 
 
 def hyperplane_distances(field: FieldSpec, points, forms) -> np.ndarray:

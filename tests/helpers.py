@@ -106,6 +106,12 @@ def power_iteration_norm(m, iters=400):
     return float(math.sqrt(np.linalg.norm(m.conj().T @ (m @ x))))
 
 
+def wedge_coordinates(v, w):
+    """v ^ w in the basis e_i ^ e_j, pairs (i, j) with i < j in lex order."""
+    n = len(v)
+    return [v[i] * w[j] - v[j] * w[i] for i in range(n) for j in range(i + 1, n)]
+
+
 def batch_proj_dist(u, v):
     """Rowwise projective distances between two stacks of vectors."""
     uu = np.einsum("ij,ij->i", u.conj(), u).real

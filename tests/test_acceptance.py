@@ -28,7 +28,7 @@ from pingpong.pingpong import (build_pingpong_tuple, certify_free_generators,
                                freeness_falsifier, make_proximal,
                                make_very_contracting, make_very_proximal,
                                tighten_very_contracting, verify_pingpong)
-from pingpong.projective import ProjPoint, Vector, dist_to_hyperplane, proj_dist
+from pingpong.projective import ProjPoint, dist_to_hyperplane, proj_dist
 from pingpong.sampling import padic_point_chunks
 from pingpong.separation import SeparatingSet
 from pingpong import io
@@ -133,8 +133,8 @@ def test_criterion_04_contraction_converse():
              @ diagonal(REAL, [t, 1.0 / t])
              @ rotation(float(rng.uniform(0, math.pi))))
         triple = g.cartan()
-        f = np.asarray(triple.repulsive_hyperplane().form.coords)
-        v = np.asarray(triple.attracting_point().rep.coords)
+        f = np.asarray(triple.repulsive_hyperplane().form)
+        v = np.asarray(triple.attracting_point().rep)
         dist_h = np.abs(grid @ f)
         img = grid @ np.asarray(g.entries).T
         nn = np.einsum("ij,ij->i", img, img)
@@ -155,7 +155,7 @@ def test_criterion_04_contraction_converse():
         dh, dv = [], []
         for coords in ([(1, x) for x in range(5 ** 5)]
                        + [(5 * y, 1) for y in range(5 ** 4)]):
-            P = ProjPoint(Vector(Q5, coords))
+            P = ProjPoint(Q5, coords)
             dh.append(dist_to_hyperplane(P, H))
             dv.append(proj_dist(apply_point(g, P), v))
         dh, dv = np.array(dh), np.array(dv)
@@ -171,7 +171,7 @@ def test_criterion_04_contraction_converse():
              @ diagonal(REAL, [t, 1.0 / t])
              @ rotation(float(rng.uniform(0, math.pi))))
         triple = g.cartan()
-        f = np.asarray(triple.repulsive_hyperplane().form.coords)
+        f = np.asarray(triple.repulsive_hyperplane().form)
         theta0 = next(th for th in rng.uniform(0.0, math.pi, size=4000)
                       if 0.45 <= abs(math.cos(th) * f[0] + math.sin(th) * f[1]) <= 0.55)
         ths = theta0 + rng.uniform(-0.02, 0.02, size=2000)
@@ -193,7 +193,7 @@ def test_criterion_05_ultrametric_exactness():
     coords = []
     for chunk in padic_point_chunks(Q5, 3, 3 * triples, seed=307):
         coords.extend(chunk)
-    points = [ProjPoint(Vector(Q5, c)) for c in coords]
+    points = [ProjPoint(Q5, c) for c in coords]
     for i in range(triples):
         x, y, z = points[3 * i], points[3 * i + 1], points[3 * i + 2]
         assert proj_dist(x, z) <= max(proj_dist(x, y), proj_dist(y, z))

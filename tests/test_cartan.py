@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     batch_proj_dist,
+    wedge_coordinates,
     fraction_det,
     power_iteration_norm,
     random_sl_arch,
@@ -27,7 +28,7 @@ from pingpong.cartan import (
 )
 from pingpong.errors import DomainError, PrecisionExhaustedError
 from pingpong.fields import COMPLEX, REAL, padic, valuation
-from pingpong.projective import ProjPoint, Vector, proj_dist, wedge_coefficients
+from pingpong.projective import ProjHyperplane, ProjPoint, as_field_array, proj_dist
 
 Q5 = padic(5)
 
@@ -47,9 +48,11 @@ def test_determinant_validation():
                                           (Q5, object)])
 def test_entries_and_coords_are_read_only_arrays(field, dtype):
     g = SLMatrix(field, [[1, 2], [0, 1]])
-    v = Vector(field, [1, 1])
-    for arr in (g.entries, (g @ g).entries, g.inverse().entries, g.cartan().k.entries,
-                v.coords, g.apply(v).coords, g.apply_form(v).coords, g.column(1).coords):
+    P, H = ProjPoint(field, [1, 1]), ProjHyperplane(field, [1, 1])
+    t = g.cartan()
+    for arr in (g.entries, (g @ g).entries, g.inverse().entries, t.k.entries,
+                P.rep, H.form, apply_point(g, P).rep, apply_hyperplane(g, H).form,
+                t.attracting_point().rep, t.repulsive_hyperplane().form):
         assert isinstance(arr, np.ndarray)
         assert arr.dtype == dtype
         assert not arr.flags.writeable
@@ -65,9 +68,21 @@ def test_padic_products_keep_values_and_digits():
             assert prod.entries[i][j].value == want.value
             assert prod.entries[i][j].digits == want.digits
     # 2 * 3 + 11 * 4 = 50 gains valuation 2 and so loses two known digits
-    image = h.apply(Vector(Q5, [3, 4]))
-    assert [c.value for c in image.coords] == [23, 50]
-    assert [c.digits for c in image.coords] == [40, 38]
+    image = h.entries @ as_field_array(Q5, [3, 4], 1)
+    assert [c.value for c in image] == [23, 50]
+    assert [c.digits for c in image] == [40, 38]
+
+
+@pytest.mark.parametrize("field, other, n", [
+    (REAL, COMPLEX, 2), (Q5, REAL, 2), (Q5, padic(7), 2), (REAL, REAL, 3), (Q5, Q5, 3)])
+def test_flag_action_checks_field_and_size(field, other, n):
+    # a 2x2 matrix acting on a flag over another field or in another dimension
+    g = identity(field, 2)
+    coords = [1] + [0] * (n - 1)
+    with pytest.raises(DomainError):
+        apply_point(g, ProjPoint(other, coords))
+    with pytest.raises(DomainError):
+        apply_hyperplane(g, ProjHyperplane(other, coords))
 
 
 def test_inverse():
@@ -219,7 +234,7 @@ def _random_q5_point(rng, n=3):
     while True:
         coords = [rng.randrange(5 ** 6) for _ in range(n)]
         if any(c % 5 for c in coords):
-            return ProjPoint(Vector(Q5, coords))
+            return ProjPoint(Q5, coords)
 
 
 def test_projective_maps_respect_bilip_bound_padic():
@@ -280,39 +295,37 @@ def test_exterior_power_functoriality():
 def test_exterior_power_matches_wedge_coordinates():
     rng = np.random.default_rng(79)
     g = random_sl_arch(rng, REAL, 4)
-    v = Vector(REAL, rng.normal(size=4))
-    w = Vector(REAL, rng.normal(size=4))
-    lhs = exterior_power(g, 2).apply(wedge_coefficients(v, w))
-    rhs = wedge_coefficients(g.apply(v), g.apply(w))
-    np.testing.assert_allclose(lhs.coords, rhs.coords, atol=1e-9)
+    v = rng.normal(size=4)
+    w = rng.normal(size=4)
+    lhs = exterior_power(g, 2).entries @ wedge_coordinates(v, w)
+    rhs = wedge_coordinates(g.entries @ v, g.entries @ w)
+    np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     rng2 = random.Random(83)
     h = random_sl_padic(rng2, Q5, 3)
-    v5 = Vector(Q5, [3, 10, Fraction(1, 5)])
-    w5 = Vector(Q5, [1, 2, 7])
-    lhs5 = exterior_power(h, 2).apply(wedge_coefficients(v5, w5))
-    rhs5 = wedge_coefficients(h.apply(v5), h.apply(w5))
-    assert all(x.value == y.value for x, y in zip(lhs5.coords, rhs5.coords))
+    v5 = as_field_array(Q5, [3, 10, Fraction(1, 5)], 1)
+    w5 = as_field_array(Q5, [1, 2, 7], 1)
+    lhs5 = exterior_power(h, 2).entries @ wedge_coordinates(v5, w5)
+    rhs5 = wedge_coordinates(h.entries @ v5, h.entries @ w5)
+    assert all(x.value == y.value for x, y in zip(lhs5, rhs5))
 
 
 def test_incidence_is_preserved():
     rng = random.Random(89)
     g = random_sl_padic(rng, Q5, 3)
-    h = ProjPoint(Vector(Q5, [-(2 * 4 + 3 * 1), 4, 1]))
+    h = ProjPoint(Q5, [-(2 * 4 + 3 * 1), 4, 1])
     plane = apply_hyperplane(g, _hyperplane123())
     assert plane.contains(apply_point(g, h))
 
     rng2 = np.random.default_rng(97)
     ga = random_sl_arch(rng2, REAL, 3)
-    pa = ProjPoint(Vector(REAL, [-(2 * 0.3 + 3 * 0.8), 0.3, 0.8]))
-    from pingpong.projective import ProjHyperplane
-    ha = ProjHyperplane(Vector(REAL, [1, 2, 3]))
+    pa = ProjPoint(REAL, [-(2 * 0.3 + 3 * 0.8), 0.3, 0.8])
+    ha = ProjHyperplane(REAL, [1, 2, 3])
     assert apply_hyperplane(ga, ha).contains(apply_point(ga, pa))
 
 
 def _hyperplane123():
-    from pingpong.projective import ProjHyperplane
-    return ProjHyperplane(Vector(Q5, [1, 2, 3]))
+    return ProjHyperplane(Q5, [1, 2, 3])
 
 
 def test_padic_cartan_refuses_worn_entries():

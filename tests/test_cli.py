@@ -11,7 +11,7 @@ import pytest
 from pingpong import io, separation
 from pingpong.cartan import SLMatrix, identity
 from pingpong.cli import run
-from pingpong.fields import REAL, relative_tolerance
+from pingpong.fields import REAL, padic, relative_tolerance
 from pingpong.liegen import LieElement, matrix_exp
 
 
@@ -116,6 +116,21 @@ def test_non_finite_generator_is_exit_2_with_path(tmp_path, capsys):
     code, report = run_json(capsys, ["dense-check", "--gens", str(path)])
     assert code == 2
     assert report["payload"]["path"] == "generators[0][0][0]"
+
+
+@pytest.mark.parametrize("mode", ["--build", "--verify-only"])
+def test_certify_free_mixed_documents_are_exit_2_with_path(tmp_path, capsys, mode):
+    gens = write_doc(tmp_path, "gens.json", gens_doc([rotation(0.3), rotation(0.5)]))
+    sep = write_doc(tmp_path, "sep.json", sep_doc([identity(REAL, 2)], 2, 0.05))
+    sep3 = write_doc(tmp_path, "sep3.json", sep_doc([identity(REAL, 3)], 2, 0.05))
+    gamma5 = write_doc(tmp_path, "gamma.json", matrix_doc(identity(padic(5), 2)))
+    for sep_path, gamma_path, where, flag in ((sep3, gamma5, "elements[0]", "--sep"),
+                                              (sep, gamma5, "field", "--gamma")):
+        code, report = run_json(capsys, ["certify-free", "--gens", gens, "--sep", sep_path,
+                                         "--gamma", gamma_path, mode, "--seed", "0"])
+        assert code == 2
+        assert report["payload"]["path"] == where
+        assert "--gens" in report["payload"]["error"] and flag in report["payload"]["error"]
 
 
 def test_noncontracting_input_is_exit_3(tmp_path, capsys):

@@ -25,7 +25,6 @@ from pingpong.fields import COMPLEX, REAL, padic
 from pingpong.projective import (
     ProjHyperplane,
     ProjPoint,
-    Vector,
     dist_to_hyperplane,
     proj_dist,
 )
@@ -83,25 +82,25 @@ def test_contraction_data_diagonal():
     cert = contraction_data(diagonal(REAL, [100.0, 0.01]))
     assert cert.epsilon == pytest.approx(0.01, rel=1e-12)
     assert cert.ratio == pytest.approx(1e-4, rel=1e-12)
-    assert proj_dist(cert.attracting, ProjPoint(Vector(REAL, [1.0, 0.0]))) <= 1e-12
+    assert proj_dist(cert.attracting, ProjPoint(REAL, [1.0, 0.0])) <= 1e-12
     # H = ker(x1) is the e2-line
-    assert cert.repelling.contains(ProjPoint(Vector(REAL, [0.0, 1.0])))
+    assert cert.repelling.contains(ProjPoint(REAL, [0.0, 1.0]))
     assert cert.flag_distance() == pytest.approx(1.0)
 
 
 def test_contraction_data_rotated():
     g = ROT90 @ diagonal(REAL, [100.0, 0.01])
     cert = contraction_data(g)
-    assert proj_dist(cert.attracting, ProjPoint(Vector(REAL, [0.0, 1.0]))) <= 1e-9
-    assert cert.repelling.contains(ProjPoint(Vector(REAL, [0.0, 1.0])))
-    assert dist_to_hyperplane(ProjPoint(Vector(REAL, [1.0, 0.0])), cert.repelling) == pytest.approx(1.0)
+    assert proj_dist(cert.attracting, ProjPoint(REAL, [0.0, 1.0])) <= 1e-9
+    assert cert.repelling.contains(ProjPoint(REAL, [0.0, 1.0]))
+    assert dist_to_hyperplane(ProjPoint(REAL, [1.0, 0.0]), cert.repelling) == pytest.approx(1.0)
 
 
 def test_contraction_data_padic():
     cert = contraction_data(diagonal(Q5, [Fraction(1, 125), Fraction(125)]))
     assert cert.epsilon == pytest.approx(0.008, rel=1e-12)
-    assert cert.attracting == ProjPoint(Vector(Q5, [1, 0]))
-    assert cert.repelling.contains(ProjPoint(Vector(Q5, [0, 1])))
+    assert cert.attracting == ProjPoint(Q5, [1, 0])
+    assert cert.repelling.contains(ProjPoint(Q5, [0, 1]))
     assert cert.flag_distance() == 1.0
 
 
@@ -194,8 +193,8 @@ def test_converse_bound_on_p1_grid_real():
     for t, alpha, beta in ((5.0, 0.3, 1.1), (8.0, 1.9, 0.4), (12.0, 2.4, 2.0)):
         g = rotation(alpha) @ diagonal(REAL, [t, 1.0 / t]) @ rotation(beta)
         triple = cartan_decompose(g)
-        f = triple.repulsive_hyperplane().form.coords
-        v = triple.attracting_point().rep.coords
+        f = triple.repulsive_hyperplane().form
+        v = triple.attracting_point().rep
         dist_h = np.abs(points @ f)
         img = points @ np.asarray(g.entries).T
         nn = np.einsum("ij,ij->i", img, img)
@@ -216,7 +215,7 @@ def test_converse_bound_on_p1_grid_padic():
     v = triple.attracting_point()
     dist_h, dist_v = [], []
     for coords in [(1, x) for x in range(5 ** 5)] + [(5 * y, 1) for y in range(5 ** 4)]:
-        P = ProjPoint(Vector(Q5, coords))
+        P = ProjPoint(Q5, coords)
         dist_h.append(dist_to_hyperplane(P, H))
         dist_v.append(proj_dist(apply_point(g, P), v))
     eps = smallest_feasible_epsilon(np.array(dist_h), np.array(dist_v))
@@ -250,7 +249,7 @@ def test_lipschitz_outside_sampled_pairs():
     for t, alpha, beta, r in ((30.0, 0.8, 0.2, 0.3), (12.0, 2.1, 1.4, 0.5)):
         g = rotation(alpha) @ diagonal(REAL, [t, 1.0 / t]) @ rotation(beta)
         bound = lipschitz_outside(g, r)
-        f = cartan_decompose(g).repulsive_hyperplane().form.coords
+        f = cartan_decompose(g).repulsive_hyperplane().form
         thetas = rng.uniform(0.0, math.pi, size=20_000)
         pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         pts = pts[np.abs(pts @ f) >= r]
@@ -287,7 +286,7 @@ def test_lipschitz_converse_on_sampled_ball_real():
     for t, alpha, beta in ((6.0, 0.9, 0.1), (9.0, 2.6, 1.7)):
         g = rotation(alpha) @ diagonal(REAL, [t, 1.0 / t]) @ rotation(beta)
         triple = cartan_decompose(g)
-        f = triple.repulsive_hyperplane().form.coords
+        f = triple.repulsive_hyperplane().form
         theta0 = next(th for th in rng.uniform(0.0, math.pi, size=4000)
                       if 0.45 <= abs(math.cos(th) * f[0] + math.sin(th) * f[1]) <= 0.55)
         thetas = theta0 + rng.uniform(-0.02, 0.02, size=2000)
@@ -316,7 +315,7 @@ def test_lipschitz_converse_on_sampled_ball_padic():
     H = triple.repulsive_hyperplane()
     samples = []
     while len(samples) < 40:
-        P = ProjPoint(Vector(Q5, [rng.randrange(5 ** 12), rng.randrange(5 ** 12)]))
+        P = ProjPoint(Q5, [rng.randrange(5 ** 12), rng.randrange(5 ** 12)])
         if dist_to_hyperplane(P, H) == 1.0:
             samples.append(P)
     emp = 0.0

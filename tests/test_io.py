@@ -121,6 +121,16 @@ def test_generators_document(tmp_path):
     assert len(gens) == 2
 
 
+@pytest.mark.parametrize("key, load", [("generators", io.load_generators),
+                                       ("elements", io.load_separating_set)])
+def test_matrix_lists_share_one_size(tmp_path, key, load):
+    doc = {"field": {"kind": "real"}, "m": 2, "r": 0.05,
+           key: [io.encode_matrix(identity(REAL, 2))] * 2 + [io.encode_matrix(identity(REAL, 3))]}
+    with pytest.raises(InputError) as err:
+        load(write(tmp_path, "doc.json", doc))
+    assert err.value.path == f"{key}[2]"
+
+
 def test_tagged_rejects_unknown_provenance():
     with pytest.raises(CertificationError):
         io.tagged(1.0, "measured")

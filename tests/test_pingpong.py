@@ -40,7 +40,7 @@ from pingpong.pingpong import (
     tighten_very_contracting,
     verify_pingpong,
 )
-from pingpong.projective import ProjHyperplane, ProjPoint, Vector
+from pingpong.projective import ProjHyperplane, ProjPoint
 from pingpong.separation import SeparatingSet, _dedupe, reduced_words
 
 
@@ -242,7 +242,7 @@ def test_first_matches_scalar_reference(field, n):
         return z + 1j * rng.normal(size=n) if field is COMPLEX else z
 
     def flags(kind):
-        return [kind(Vector(field, coords())) for _ in range(prng.randint(1, 3))]
+        return [kind(field, coords()) for _ in range(prng.randint(1, 3))]
 
     compared = 0
     for _ in range(30):

@@ -6,72 +6,81 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import wedge_coordinates
 from pingpong.errors import DomainError
 from pingpong.fields import COMPLEX, REAL, padic
 from pingpong.projective import (
     ProjHyperplane,
     ProjPoint,
-    Vector,
     _PIVOT_CUTOFF,
+    _norms,
+    _wedge,
     as_field_array,
     canonical_rows,
     dist_to_hyperplane,
-    form_value,
     hyperplane_distances,
-    norm,
     point_distances,
     proj_dist,
-    wedge_coefficients,
-    wedge_norm,
 )
 
 Q5 = padic(5)
 
 
+def _norm(field, coords):
+    return _norms(field, as_field_array(field, coords, 1))
+
+
+def _wedge_norm(field, v, w):
+    return _norm(field, wedge_coordinates(v, w))
+
+
 def test_norms():
-    assert norm(Vector(REAL, [3, 4])) == 5
-    assert norm(Vector(Q5, [1, 5])) == 1
-    assert norm(Vector(REAL, [0, 0])) == 0
-    assert norm(Vector(Q5, [0, 0])) == 0
+    assert _norm(REAL, [3, 4]) == 5
+    assert _norm(Q5, [1, 5]) == 1
+    assert _norm(REAL, [0, 0]) == 0
+    assert _norm(Q5, [0, 0]) == 0
 
 
 def test_wedge_norms():
-    e1 = Vector(REAL, [1, 0])
-    e2 = Vector(REAL, [0, 1])
-    assert wedge_norm(e1, e2) == 1
-    assert wedge_norm(e1, e1) == 0
-    f1 = Vector(Q5, [1, 0])
-    assert wedge_norm(f1, f1) == 0
-    assert wedge_norm(f1, Vector(Q5, [1, 5])) == 0.2
+    assert _wedge_norm(REAL, [1, 0], [0, 1]) == 1
+    assert _wedge_norm(REAL, [1, 0], [1, 0]) == 0
+    assert _wedge_norm(Q5, [1, 0], [1, 0]) == 0
+    assert _wedge_norm(Q5, [1, 0], [1, 5]) == 0.2
+    # on unit rows the metric is the wedge norm
+    e1, e2, f1 = ProjPoint(REAL, [1, 0]), ProjPoint(REAL, [0, 1]), ProjPoint(Q5, [1, 0])
+    assert proj_dist(e1, e2) == 1
+    assert proj_dist(e1, e1) == 0
+    assert proj_dist(f1, f1) == 0
+    assert proj_dist(f1, ProjPoint(Q5, [1, 5])) == 0.2
 
 
 def test_wedge_basis_order():
-    v = Vector(REAL, [1, 2, 3])
-    w = Vector(REAL, [4, 5, 6])
+    v, w = [1, 2, 3], [4, 5, 6]
     # pairs (0,1), (0,2), (1,2)
-    got = wedge_coefficients(v, w)
-    assert list(got.coords) == [1 * 5 - 2 * 4, 1 * 6 - 3 * 4, 2 * 6 - 3 * 5]
+    want = [1 * 5 - 2 * 4, 1 * 6 - 3 * 4, 2 * 6 - 3 * 5]
+    assert wedge_coordinates(v, w) == want
+    assert _wedge(as_field_array(REAL, v, 1), as_field_array(REAL, w, 1)).tolist() == want
 
 
 def test_proj_dist_examples():
-    e1 = ProjPoint(Vector(REAL, [1, 0]))
-    e2 = ProjPoint(Vector(REAL, [0, 1]))
+    e1 = ProjPoint(REAL, [1, 0])
+    e2 = ProjPoint(REAL, [0, 1])
     assert proj_dist(e1, e2) == pytest.approx(1.0)
-    diag = ProjPoint(Vector(REAL, [1, 1]))
+    diag = ProjPoint(REAL, [1, 1])
     assert proj_dist(e1, diag) == pytest.approx(1 / math.sqrt(2))
-    p = ProjPoint(Vector(Q5, [1, 0]))
-    q = ProjPoint(Vector(Q5, [1, 5]))
+    p = ProjPoint(Q5, [1, 0])
+    q = ProjPoint(Q5, [1, 5])
     assert proj_dist(p, q) == 0.2
     assert proj_dist(p, p) == 0.0
 
 
 def test_dist_to_hyperplane_examples():
-    ker_x1 = ProjHyperplane(Vector(REAL, [1, 0]))
-    assert dist_to_hyperplane(ProjPoint(Vector(REAL, [1, 0])), ker_x1) == pytest.approx(1.0)
-    assert dist_to_hyperplane(ProjPoint(Vector(REAL, [1, 1])), ker_x1) == pytest.approx(1 / math.sqrt(2))
-    h = ProjHyperplane(Vector(Q5, [1, 5]))
-    assert dist_to_hyperplane(ProjPoint(Vector(Q5, [1, 0])), h) == 1.0
-    assert h.contains(ProjPoint(Vector(Q5, [-5, 1])))
+    ker_x1 = ProjHyperplane(REAL, [1, 0])
+    assert dist_to_hyperplane(ProjPoint(REAL, [1, 0]), ker_x1) == pytest.approx(1.0)
+    assert dist_to_hyperplane(ProjPoint(REAL, [1, 1]), ker_x1) == pytest.approx(1 / math.sqrt(2))
+    h = ProjHyperplane(Q5, [1, 5])
+    assert dist_to_hyperplane(ProjPoint(Q5, [1, 0]), h) == 1.0
+    assert h.contains(ProjPoint(Q5, [-5, 1]))
 
 
 def _scalar_canonical(row):
@@ -101,7 +110,7 @@ def test_canonical_rows_match_projpoint_bits(field):
     rows = as_field_array(field, rows, 2)
     stack = canonical_rows(field, rows.reshape(2, 6, 3))
     for row, canonical in zip(rows, stack.reshape(12, 3)):
-        rep = ProjPoint(Vector(field, row)).rep.coords
+        rep = ProjPoint(field, row).rep
         if field is Q5:
             assert [(x.value, x.digits) for x in canonical] == [(y.value, y.digits) for y in rep]
         else:
@@ -112,30 +121,38 @@ def test_canonical_rows_match_projpoint_bits(field):
 
 
 def test_canonical_reps_are_scale_invariant():
-    v = Vector(REAL, [0.3, -1.2, 0.7])
-    a = ProjPoint(v)
-    b = ProjPoint(v.scaled(-2.7))
-    np.testing.assert_allclose(a.rep.coords, b.rep.coords, atol=1e-12)
-    assert a.rep.coords[0] > 0
-    assert norm(a.rep) == pytest.approx(1.0, abs=1e-12)
+    v = [0.3, -1.2, 0.7]
+    a = ProjPoint(REAL, v)
+    b = ProjPoint(REAL, [c * -2.7 for c in v])
+    np.testing.assert_allclose(a.rep, b.rep, atol=1e-12)
+    assert a.rep[0] > 0
+    assert _norms(REAL, a.rep) == pytest.approx(1.0, abs=1e-12)
 
-    w = Vector(COMPLEX, [1j, 2 - 1j])
-    c = ProjPoint(w)
-    d = ProjPoint(w.scaled(0.4 + 2.1j))
-    np.testing.assert_allclose(c.rep.coords, d.rep.coords, atol=1e-12)
-    assert abs(c.rep.coords[0].imag) < 1e-12 and c.rep.coords[0].real > 0
+    w = [1j, 2 - 1j]
+    c = ProjPoint(COMPLEX, w)
+    d = ProjPoint(COMPLEX, [x * (0.4 + 2.1j) for x in w])
+    np.testing.assert_allclose(c.rep, d.rep, atol=1e-12)
+    assert abs(c.rep[0].imag) < 1e-12 and c.rep[0].real > 0
 
-    u = Vector(Q5, [Fraction(10), Fraction(3), Fraction(50)])
-    p = ProjPoint(u)
-    q = ProjPoint(u.scaled(Fraction(-7, 5)))
-    assert all(x == y for x, y in zip(p.rep.coords, q.rep.coords))
+    u = [Fraction(10), Fraction(3), Fraction(50)]
+    p = ProjPoint(Q5, u)
+    q = ProjPoint(Q5, [x * Fraction(-7, 5) for x in u])
+    assert all(x == y for x, y in zip(p.rep, q.rep))
     # coordinates integral, first unit coordinate is 1
-    assert all(x.valuation >= 0 for x in p.rep.coords)
-    assert p.rep.coords[1] == 1
+    assert all(x.valuation >= 0 for x in p.rep)
+    assert p.rep[1] == 1
     assert p == q
 
     with pytest.raises(DomainError):
-        ProjPoint(Vector(REAL, [0, 0]))
+        ProjPoint(REAL, [0, 0])
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX, Q5], ids=str)
+@pytest.mark.parametrize("kind", [ProjPoint, ProjHyperplane])
+@pytest.mark.parametrize("coords", [[], [[1, 2], [3, 4]]], ids=["empty", "2d"])
+def test_flags_take_one_nonempty_row(field, kind, coords):
+    with pytest.raises(DomainError):
+        kind(field, coords)
 
 
 def _random_padic_point(rng, n):
@@ -143,13 +160,13 @@ def _random_padic_point(rng, n):
         coords = [Fraction(rng.randint(-20, 20)) * Fraction(5) ** rng.randint(-1, 1)
                   for _ in range(n)]
         if any(coords):
-            return ProjPoint(Vector(Q5, coords))
+            return ProjPoint(Q5, coords)
 
 
 def test_metric_axioms():
     rng = np.random.default_rng(11)
     for _ in range(10_000):
-        p, q, r = (ProjPoint(Vector(REAL, rng.normal(size=3))) for _ in range(3))
+        p, q, r = (ProjPoint(REAL, rng.normal(size=3)) for _ in range(3))
         dpq = proj_dist(p, q)
         assert 0.0 <= dpq <= 1.0 + 1e-12
         assert dpq == pytest.approx(proj_dist(q, p), abs=1e-12)
@@ -174,10 +191,10 @@ def test_isometric_action():
             if field is COMPLEX:
                 g = g + 1j * rng.normal(size=(3, 3))
             k, _ = np.linalg.qr(g)
-            p = ProjPoint(Vector(field, rng.normal(size=3) + (1j * rng.normal(size=3) if field is COMPLEX else 0)))
-            q = ProjPoint(Vector(field, rng.normal(size=3) + (1j * rng.normal(size=3) if field is COMPLEX else 0)))
-            kp = ProjPoint(Vector(field, k @ p.rep.coords))
-            kq = ProjPoint(Vector(field, k @ q.rep.coords))
+            p = ProjPoint(field, rng.normal(size=3) + (1j * rng.normal(size=3) if field is COMPLEX else 0))
+            q = ProjPoint(field, rng.normal(size=3) + (1j * rng.normal(size=3) if field is COMPLEX else 0))
+            kp = ProjPoint(field, k @ p.rep)
+            kq = ProjPoint(field, k @ q.rep)
             assert proj_dist(kp, kq) == pytest.approx(proj_dist(p, q), abs=1e-9)
 
 
@@ -199,9 +216,9 @@ def test_isometric_action_padic():
         q = _random_padic_point(rng, 3)
 
         def act(pt):
-            coords = [sum((row[c] * pt.rep.coords[c] for c in range(3)), Q5.zero())
+            coords = [sum((row[c] * pt.rep[c] for c in range(3)), Q5.zero())
                       for row in k]
-            return ProjPoint(Vector(Q5, coords))
+            return ProjPoint(Q5, coords)
 
         assert proj_dist(act(p), act(q)) == proj_dist(p, q)
 
@@ -210,21 +227,21 @@ def test_hyperplane_distance_is_infimum_over_the_hyperplane():
     rng = np.random.default_rng(23)
     for n, samples, slack in ((3, 4000, 0.01), (4, 20000, 0.08)):
         form = rng.normal(size=n)
-        point = ProjPoint(Vector(REAL, rng.normal(size=n)))
-        h = ProjHyperplane(Vector(REAL, form))
+        point = ProjPoint(REAL, rng.normal(size=n))
+        h = ProjHyperplane(REAL, form)
         d = dist_to_hyperplane(point, h)
         # orthonormal kernel basis of the form
-        _, _, vt = np.linalg.svd(h.form.coords.reshape(1, -1))
+        _, _, vt = np.linalg.svd(h.form.reshape(1, -1))
         kernel = vt[1:]
         combos = rng.normal(size=(samples, n - 1)) @ kernel
-        best = min(proj_dist(point, ProjPoint(Vector(REAL, c))) for c in combos)
+        best = min(proj_dist(point, ProjPoint(REAL, c)) for c in combos)
         assert best >= d - 1e-9
         assert best - d <= slack
 
 
 def test_hyperplane_distance_is_attained_padically():
-    h = ProjHyperplane(Vector(Q5, [1, 2, 3]))
-    point = ProjPoint(Vector(Q5, [1, 2, 0]))
+    h = ProjHyperplane(Q5, [1, 2, 3])
+    point = ProjPoint(Q5, [1, 2, 0])
     d = dist_to_hyperplane(point, h)
     assert d == 0.2
     best = 1.0
@@ -233,14 +250,17 @@ def test_hyperplane_distance_is_attained_padically():
             coords = [Fraction(-(2 * x2 + 3 * x3)), Fraction(x2), Fraction(x3)]
             if not any(coords):
                 continue
-            best = min(best, proj_dist(point, ProjPoint(Vector(Q5, coords))))
+            best = min(best, proj_dist(point, ProjPoint(Q5, coords)))
     assert best == d
 
 
 def test_form_value_is_linear_not_conjugated():
-    f = Vector(COMPLEX, [1j, 0])
-    v = Vector(COMPLEX, [1j, 0])
-    assert form_value(f, v) == pytest.approx(-1 + 0j)
+    # f = v = (1, i): the linear pairing f(v) = 1 + i^2 is 0, a conjugated
+    # one would be 2 and put [v] at distance 1 from ker f
+    f = v = [1, 1j]
+    assert dist_to_hyperplane(ProjPoint(COMPLEX, v), ProjHyperplane(COMPLEX, f)) < 1e-15
+    rows = as_field_array(COMPLEX, [v], 2)
+    assert hyperplane_distances(COMPLEX, rows, as_field_array(COMPLEX, [f], 2)) < 1e-15
 
 
 _REALS = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
@@ -279,12 +299,12 @@ def test_kernels_match_scalar_reference(name, data):
     to_point = point_distances(field, points, w)
     assert to_hyperplane.shape == (len(points), len(forms))
     assert to_point.shape == (len(points),)
-    W = ProjPoint(Vector(field, w))
+    W = ProjPoint(field, w)
     for a, v in enumerate(points):
-        P = ProjPoint(Vector(field, v))
+        P = ProjPoint(field, v)
         assert abs(to_point[a] - proj_dist(P, W)) <= tol
         for b, f in enumerate(forms):
-            assert abs(to_hyperplane[a, b] - dist_to_hyperplane(P, ProjHyperplane(Vector(field, f)))) <= tol
+            assert abs(to_hyperplane[a, b] - dist_to_hyperplane(P, ProjHyperplane(field, f))) <= tol
 
 
 def test_kernels_take_batch_axes_and_empty_inputs():

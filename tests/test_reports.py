@@ -75,6 +75,19 @@ CASES = {
     "dense-complex": ["dense-check", "--gens", "near_identity_complex.json"],
     "dense-diagonal-real": ["dense-check", "--gens", "diagonal_real.json"],
     "dense-q5": ["dense-check", "--gens", "free_q5.json"],
+    "falsify-mixed-sizes": ["falsify", "--gens", "mixed_sizes_real.json", "--max-len", "3"],
+    "dense-mixed-sizes": ["dense-check", "--gens", "mixed_sizes_real.json"],
+    "separate-mixed-sizes": ["separate", "--set", "sep_mixed_sizes_real.json",
+                             "--trials", "8", "--seed", "1"],
+    "certify-mixed-sep-field": ["certify-free", "--gens", "ident2_real.json",
+                                "--sep", "sep_q5.json", "--gamma", "gamma_real.json",
+                                "--build", "--seed", "0"],
+    "certify-mixed-gamma-field": ["certify-free", "--gens", "ident2_real.json",
+                                  "--sep", "sep_real.json", "--gamma", "gamma_q5.json",
+                                  "--build", "--seed", "0"],
+    "certify-mixed-gamma-size": ["certify-free", "--gens", "ident2_real.json",
+                                 "--sep", "sep_real.json", "--gamma", "g_real3.json",
+                                 "--verify-only", "--seed", "0"],
 }
 
 

@@ -13,7 +13,6 @@ from pingpong import separation
 from pingpong.projective import (
     ProjHyperplane,
     ProjPoint,
-    Vector,
     as_field_array,
     canonical_rows,
     dist_to_hyperplane,
@@ -134,8 +133,8 @@ def test_margin_monotone_in_elements():
 
 def _scalar_margin(g, cfg):
     field = g.field
-    return min(dist_to_hyperplane(apply_point(x, ProjPoint(Vector(field, v))),
-                                  ProjHyperplane(Vector(field, f)))
+    return min(dist_to_hyperplane(apply_point(x, ProjPoint(field, v)),
+                                  ProjHyperplane(field, f))
                for x in (g, g.inverse()) for v in cfg.points for f in cfg.forms)
 
 
@@ -249,8 +248,8 @@ def test_adversarial_configuration_pins_the_cycled_element():
     cfg = sample_configuration(elements, 1, 1, 5)
     adversary = elements[0]
     for v, f in zip(cfg.points, cfg.forms):
-        img = apply_point(adversary, ProjPoint(Vector(REAL, v)))
-        assert dist_to_hyperplane(img, ProjHyperplane(Vector(REAL, f))) <= 1e-12
+        img = apply_point(adversary, ProjPoint(REAL, v))
+        assert dist_to_hyperplane(img, ProjHyperplane(REAL, f)) <= 1e-12
 
 
 def test_adversarial_configuration_padic_incidence_exact():
@@ -259,8 +258,8 @@ def test_adversarial_configuration_padic_incidence_exact():
     cfg = sample_configuration((S, T), 1, 3, 9)
     adversary = T  # trial 3 cycles to index (3 // 2) % 2 = 1
     for v, f in zip(cfg.points, cfg.forms):
-        img = apply_point(adversary, ProjPoint(Vector(Q5, v)))
-        H = ProjHyperplane(Vector(Q5, f))
+        img = apply_point(adversary, ProjPoint(Q5, v))
+        H = ProjHyperplane(Q5, f)
         assert dist_to_hyperplane(img, H) == 0.0
         assert H.contains(img)
 
