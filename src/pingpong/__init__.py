@@ -32,6 +32,7 @@ from .errors import (
     NotContractingError,
     PrecisionExhaustedError,
     PreconditionError,
+    UndecidedError,
 )
 from .fields import (
     COMPLEX,

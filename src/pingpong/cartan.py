@@ -92,7 +92,10 @@ class SLMatrix:
             # scale; it still catches every actually-unnormalized input
             n = len(self.entries)
             scale = float(np.max(np.abs(self.entries)))
-            drift = max(1.0, scale) ** n * n * 8 * np.finfo(float).eps
+            try:
+                drift = max(1.0, scale) ** n * n * 8 * np.finfo(float).eps
+            except OverflowError:  # s^n beyond the float range: any det is in the gate
+                drift = math.inf
             if not abs(det - 1) <= max(relative_tolerance(), drift):
                 raise DomainError(f"determinant is {det:.12g}, not 1")
 

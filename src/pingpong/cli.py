@@ -6,7 +6,8 @@ parameters, seed, result payload and a pass flag.  Reports are
 deterministic for fixed inputs, flags and seed, except the timestamp.
 
 Exit codes: 0 certified or true, 1 refuted or false, 2 malformed input,
-3 precondition or precision failure.
+3 precondition or precision failure, or a falsifier that cannot decide
+past its reported decided_len.
 """
 
 import argparse
@@ -20,7 +21,8 @@ from importlib import metadata
 from . import io
 from .cartan import bilip_constant
 from .contraction import ProximalCert, contraction_data, verify_contracting
-from .errors import CertificationError, ConstructionError, InputError, NotContractingError
+from .errors import (CertificationError, ConstructionError, InputError, NotContractingError,
+                     UndecidedError)
 from .fields import relative_tolerance, set_relative_tolerance
 from .liegen import generated_subalgebra, matrix_log
 from .pingpong import (PingPongCert, certify_free_generators, freeness_falsifier,
@@ -237,6 +239,7 @@ def _run_falsify(args):
         "max_len": args.max_len,
         "word": None if word is None else str(word),
         "letters": None if word is None else [[i, e] for i, e in word.letters],
+        "decided_len": args.max_len if word is None else len(word) - 1,
     }
     return (payload, word is None, {"gens": args.gens},
             {"max_len": args.max_len})
@@ -285,7 +288,11 @@ def run(argv) -> int:
         _emit(args, _report(args, {}, {}, failure, False))
         return EXIT_INPUT
     except CertificationError as exc:
-        _emit(args, _report(args, {}, {}, {"error": str(exc)}, False))
+        failure = {"error": str(exc)}
+        if isinstance(exc, UndecidedError):
+            failure["decided_len"] = exc.decided_len
+            failure["word"] = None if exc.word is None else str(exc.word)
+        _emit(args, _report(args, {}, {}, failure, False))
         return EXIT_PRECONDITION
     finally:
         set_relative_tolerance(before)

@@ -35,6 +35,18 @@ class NotContractingError(PreconditionError):
     """The matrix does not certify as contracting (coefficient >= 1/4)."""
 
 
+class UndecidedError(PreconditionError):
+    """The falsifier cannot decide past ``decided_len``: every reduced word of
+    at most that length acts nontrivially, and ``word`` (a letter tuple, or
+    None when the word budget stopped the search) is the first longer word
+    it could not decide."""
+
+    def __init__(self, message: str, decided_len: int, word=None):
+        self.decided_len = decided_len
+        self.word = word
+        super().__init__(message)
+
+
 class NoSeparatorError(CertificationError):
     """No element of the separating set passes the requested margin."""
 

@@ -220,12 +220,13 @@ def load_separating_set(path) -> SeparatingSet:
     m, r = doc.get("m"), doc.get("r")
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputError('document needs an integer "m"', path="m")
+    if m < 1:
+        raise InputError(f"m must be a positive integer, got {m}", path="m")
     if not _is_number(r):
         raise InputError('document needs a numeric separation radius "r"', path="r")
-    try:
-        return SeparatingSet(decoded, m, float(r))
-    except CertificationError as exc:
-        raise InputError(str(exc), path="")
+    if not r > 0:
+        raise InputError(f"separation radius must be positive, got {r}", path="r")
+    return SeparatingSet(decoded, m, float(r))
 
 
 def _row(field: FieldSpec, row) -> list:

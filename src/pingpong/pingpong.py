@@ -9,17 +9,25 @@ distance conditions against the previously built transformations.  A
 condition is data, (text, side, points, hyperplanes), met by f when every
 d([f^side v], H) > r; _first scores it with one hyperplane_distances call.
 A valid certificate implies the x_i freely generate F_m; freeness_falsifier
-is the independent brute-force check of that conclusion.
+is the independent brute-force check of that conclusion.  It decides one
+word length at a time on the stacks of separation.word_layers: exactly over
+Q_p, and over R and C by a rigorous componentwise bound on the rounding of
+each product, with an exact dyadic recheck of the first word the bound
+leaves open.  When that word is not exactly scalar, UndecidedError says how
+far the search was decided.
 """
 
+import functools
 import math
+import operator
 import random as random_
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .cartan import SLMatrix, apply_hyperplane, apply_point, bilip_constant
+from .cartan import SLMatrix, _fraction_det, apply_hyperplane, apply_point, bilip_constant
 from .contraction import (
     ContractionCert,
     ProximalCert,
@@ -27,10 +35,11 @@ from .contraction import (
     contraction_coefficient,
     contraction_data,
 )
-from .errors import ConstructionError, DomainError, NoSeparatorError, PreconditionError
+from .errors import (ConstructionError, DomainError, NoSeparatorError, PreconditionError,
+                     UndecidedError)
 from .fields import Kind
 from .projective import ProjPoint, dist_to_hyperplane, hyperplane_distances
-from .separation import SeparatingSet, reduced_words
+from .separation import SeparatingSet, letter_stack, word_layers
 
 __all__ = [
     "PingPongCert",
@@ -398,32 +407,152 @@ def verify_pingpong(cert: PingPongCert) -> bool:
     return not any(d < threshold for _, _, d in separation_table(cert.certificates))
 
 
-def _is_projective_identity(matrix: SLMatrix) -> bool:
-    n = matrix.n
-    arr = matrix.entries
-    if matrix.field.is_padic:
-        # exact comparison: subtracting could exhaust the known digits
-        return (not any(arr[~np.eye(n, dtype=bool)])
-                and all(x == arr[0, 0] for x in arr.diagonal()))
-    lam = np.trace(arr) / n
-    return float(np.max(np.abs(arr - lam * np.eye(n)))) <= 1e-7 * float(np.max(np.abs(arr)))
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * _U / (1 - k * _U)
+
+
+def _up(q: Fraction) -> float:
+    """The least float >= q."""
+    x = float(q)
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+
+
+def _exact(entries: np.ndarray) -> np.ndarray:
+    """Fraction object array of a float matrix, which holds dyadic rationals;
+    of a complex one its 2n x 2n real form, a + bi as the block [[a, -b], [b, a]]."""
+    if np.iscomplexobj(entries):
+        n = len(entries)
+        re, im = entries.real, entries.imag
+        entries = np.array([[re, -im], [im, re]]).transpose(2, 0, 3, 1).reshape(2 * n, 2 * n)
+    return np.array([[Fraction(x) for x in row] for row in entries.tolist()], dtype=object)
+
+
+def _exact_adjugate(a: np.ndarray) -> np.ndarray:
+    """adj(a) = det(a) a^-1 by cofactors, exactly; a projective inverse of a.
+    Over C, of the real form: |det|^2 a^-1, still a real form."""
+    n = len(a)
+    return np.array([[(-1) ** (i + j) * _fraction_det(np.delete(np.delete(a, j, 0), i, 1).tolist())
+                      for j in range(n)] for i in range(n)], dtype=object)
+
+
+def _scalar_words(stack: np.ndarray, block: int) -> np.ndarray:
+    """Mask of the exactly scalar matrices of an object stack (N, s, s):
+    zero off-diagonal blocks and equal diagonal blocks, blocks block x block."""
+    n = stack.shape[1] // block
+    blocks = stack.reshape(len(stack), n, block, n, block).transpose(0, 1, 3, 2, 4)
+    off = ~np.eye(n, dtype=bool)
+    diagonal = blocks[:, range(n), range(n)]
+    return (~blocks[:, off].astype(bool).any(axis=(1, 2, 3))
+            & (diagonal == diagonal[:, :1]).all(axis=(1, 2, 3)))
+
+
+def _magnitudes(letters: np.ndarray, exact: list, block: int) -> tuple:
+    """(M, rho) for the float letters X^ and the exact letters X: within a
+    factor 1/(1 - 2u) from the complex modulus, |X^| <= M, |X| <= M and
+    |X^ - X| <= rho M.  Only an inverse letter for n >= 3 has rho > 0: the
+    float adjugate of n = 2 only moves entries."""
+    mags = np.abs(letters)
+    n = letters.shape[-1]
+    if n == 2:
+        return mags, 0.0
+    rho = Fraction(0)
+    for k in range(1, len(letters), 2):
+        inverse = exact[k]
+        if block == 2:
+            # adj of the real form is conj(det) adj(g); rescale by the float det
+            d = complex(np.linalg.det(letters[k - 1]))
+            inverse = inverse @ _exact(np.diag([d / abs(d) ** 2] * n))
+        error = _exact(letters[k]) - inverse
+        for i in range(n):
+            for j in range(n):
+                # |a + bi| <= |a| + |b| for the block [[a, -b], [b, a]]
+                e = sum(abs(error[block * i + t, block * j]) for t in range(block))
+                bound = _up(Fraction(float(mags[k, i, j])) + e)
+                mags[k, i, j] = bound
+                if e:
+                    rho = max(rho, e / Fraction(bound))
+    return mags, _up(rho)
+
+
+def _decided(layer, c: float, eta: float) -> np.ndarray:
+    """Mask of the words proven not scalar: an off-diagonal entry, or the
+    difference of two diagonal entries, exceeds c |A_1|...|A_L| + eta, the
+    bound on its rounding error.  A non-finite entry or bound decides nothing."""
+    products = layer.products
+    n = products.shape[-1]
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    i, j = np.triu_indices(n, 1)
+    with np.errstate(all="ignore"):
+        bound = c * layer.magnitudes + eta
+        proven = (np.abs(products[:, rows, cols]) > bound[:, rows, cols]).any(axis=1)
+        gaps = np.abs(products[:, i, i] - products[:, j, j])
+        proven |= (gaps > bound[:, i, i] + bound[:, j, j]).any(axis=1)
+        finite = np.isfinite(products).all(axis=(1, 2)) & np.isfinite(bound).all(axis=(1, 2))
+    return proven & finite
 
 
 def freeness_falsifier(gens, max_len: int):
     """First reduced word of length at most max_len that acts as the
-    projective identity; None when every such word acts nontrivially.
+    projective identity; None when every such word is proven to act
+    nontrivially.
 
-    Words come from reduced_words, length by length with letters ordered
+    Words come from word_layers, length by length with letters ordered
     (0,+1) < (0,-1) < (1,+1) < ..., so the returned word is the first
-    counterexample in length-then-lexicographic order, and no product past
-    it is formed.
+    counterexample in length-then-lexicographic order.  Over Q_p each layer
+    is tested exactly.  Over R and C a word is proven nontrivial when its
+    float product is off scalar by more than the componentwise error bound
+    of the product (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sections 3.5-3.6); the first word of a layer that is not
+    proven is rechecked exactly in dyadic rationals, from the input letters
+    with exact adjugates as inverses.  If it is not exactly scalar either,
+    UndecidedError reports decided_len = L - 1, as it does when the next
+    layer would exceed the word budget.
     """
     if max_len < 1:
         raise DomainError(f"need max_len >= 1, got {max_len}")
     gens = tuple(gens)
     if not gens:
         raise DomainError("need at least one generator")
-    for letters, matrix in reduced_words(gens, max_len):
-        if _is_projective_identity(matrix):
-            return Word(letters)
+    fld = gens[0].field
+    letters = letter_stack(gens)
+    if fld.is_padic:
+        for layer in word_layers(letters, max_len):
+            hits = np.flatnonzero(_scalar_words(layer.products, 1))
+            if hits.size:
+                return Word(layer.letters(int(hits[0])))
+        return None
+    exact = []  # in letter order, as letter_stack
+    for g in gens:
+        x = _exact(g.entries)
+        exact += [x, _exact_adjugate(x)]
+    block = 2 if fld.kind is Kind.COMPLEX else 1
+    mags, rho = _magnitudes(letters, exact, block)
+    n = gens[0].n
+    width = n + 2 if block == 2 else n  # Higham's complex inner products: gamma_(n+2)
+    spread = max(1.0, float(mags.sum(axis=-1).max()))
+    for layer in word_layers(letters, max_len, mags):
+        length = layer.length
+        # rounding of the product (gamma), of the inverse letters (rho), and
+        # a 1 + gamma allowance for the float magnitudes, the complex moduli
+        # and this test's own arithmetic; eta bounds what underflow can lose
+        c = ((_gamma((length - 1) * width) + length * rho)
+             * (1 + _gamma(2 * length + 2 * (length - 1) * n + 23)))
+        with np.errstate(over="ignore"):
+            eta = float(math.ldexp(16 * n * (length + 1), -1074) * np.float64(spread) ** length)
+        open_words = np.flatnonzero(~_decided(layer, c, eta))
+        if not open_words.size:
+            continue
+        word = Word(layer.letters(int(open_words[0])))
+        product = functools.reduce(operator.matmul,
+                                   [exact[2 * i + (1 - e) // 2] for i, e in word.letters])
+        if _scalar_words(product[None], block)[0]:
+            return word
+        raise UndecidedError(
+            f"cannot decide past length {length - 1}: {word} is not proven "
+            "nontrivial in floating point, and its dyadic product is not scalar",
+            length - 1, word)
     return None

@@ -12,8 +12,11 @@ adversarial ones whose hyperplanes pass through orbit points, and reports
 in one pass the worst margin seen and how often each element was the best
 separator.  The global infimum r exists by compactness but is never
 computed; downstream constructions only ever query concrete
-configurations.  reduced_words is the one word enumerator, for the
-falsifier and the greedy candidate pool.
+configurations.  word_layers is the one reduced-word enumerator: a BFS that
+builds each word length as one (N, n, n) stack of products, keeping per
+length only the parent index and last letter of each word.  The falsifier
+reads its stacks; reduced_words, for the greedy candidate pool, is a
+per-word view of it.
 """
 
 import math
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field as derived_field
 import numpy as np
 
 from .cartan import SLMatrix, bilip_constant
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, UndecidedError
 from .fields import Kind
 from .projective import _norms, as_field_array, canonical_rows, hyperplane_distances
 from .sampling import padic_unit_coords
@@ -34,12 +37,15 @@ __all__ = [
     "NotSeparatingWarning",
     "RadiusEstimate",
     "SeparatingSet",
+    "WordLayer",
     "best_separator",
     "estimate_radius",
     "greedy_separating_set",
+    "letter_stack",
     "reduced_words",
     "sample_configuration",
     "verify_separating_for",
+    "word_layers",
 ]
 
 # margins this small on archimedean samples are roundoff residue of an
@@ -219,33 +225,98 @@ def estimate_radius(elements, m: int, trials: int, seed: int) -> RadiusEstimate:
     return RadiusEstimate(worst, tuple(wins))
 
 
+# No BFS layer holds more reduced words than this: two 2x2 generators reach
+# length 12 (708 588 words, 23 MB per (N, 2, 2) float stack) and stop before
+# length 13 (2 125 764 words).
+_WORD_BUDGET = 1_000_000
+
+
+def _letter(k: int) -> tuple:
+    """Letter k of the order (0,+1) < (0,-1) < (1,+1) < ..., as (index, +-1);
+    letter k ^ 1 is its inverse."""
+    return k // 2, 1 - 2 * (k % 2)
+
+
+def letter_stack(generators) -> np.ndarray:
+    """(2m, n, n) entries of the letters in order: g_0, g_0^-1, g_1, ..."""
+    return np.array([h.entries for g in generators for h in (g, g.inverse())])
+
+
+@dataclass(frozen=True)
+class WordLayer:
+    """The reduced words of one length, in length-then-lexicographic order.
+
+    trail holds one (parents, last) pair of index arrays per length so far:
+    word i of this layer is word parents[i] of the layer before followed by
+    letter last[i] (parents is None at length 1).  products[i] is the word's
+    matrix, the left-to-right product of its letters; magnitudes[i], when
+    asked for, the same product of the letters' magnitude matrices.
+    """
+
+    length: int
+    trail: tuple
+    products: np.ndarray
+    magnitudes: np.ndarray | None
+
+    def letters(self, i: int) -> tuple:
+        """Word i as a tuple of (index, +-1) letters."""
+        word = []
+        for parents, last in reversed(self.trail):
+            word.append(_letter(int(last[i])))
+            if parents is not None:
+                i = int(parents[i])
+        return tuple(reversed(word))
+
+
+def word_layers(letters: np.ndarray, max_len: int, magnitudes: np.ndarray | None = None):
+    """Yield the WordLayer of each length 1..max_len, built as one stack:
+    the previous layer's products times the letters that may follow.
+
+    letters is a letter_stack, magnitudes an optional (2m, n, n) stack
+    carried along by the same products.  Only one layer's products are
+    kept.  A layer over _WORD_BUDGET words raises UndecidedError before
+    anything of it is built.
+    """
+    count = len(letters)
+    layer = WordLayer(1, ((None, np.arange(count)),), letters, magnitudes)
+    for length in range(1, max_len + 1):
+        if length > 1:
+            size = len(layer.products) * (count - 1)
+            if size > _WORD_BUDGET:
+                raise UndecidedError(
+                    f"cannot decide past length {length - 1}: length {length} has "
+                    f"{size} reduced words, over the budget of {_WORD_BUDGET}", length - 1)
+            layer = _grow(layer, letters, magnitudes)
+        yield layer
+
+
+def _grow(layer: WordLayer, letters: np.ndarray, magnitudes) -> WordLayer:
+    """The next layer: each word followed by every letter but the inverse of
+    its last one, in order."""
+    parents, last = np.nonzero(np.arange(len(letters)) != (layer.trail[-1][1][:, None] ^ 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are kept
+        return WordLayer(
+            layer.length + 1, layer.trail + ((parents, last),),
+            layer.products[parents] @ letters[last],
+            None if magnitudes is None else layer.magnitudes[parents] @ magnitudes[last])
+
+
 def reduced_words(generators, max_len: int):
     """Yield (letters, matrix) for every reduced word of length 1..max_len
-    over the generators and their inverses.
+    over the generators and their inverses: word_layers, one word at a time.
 
     Letters are (index, +-1), ordered (0,+1) < (0,-1) < (1,+1) < ...;
     words come by length, then lexicographically.  The matrix is the
     product of the letters' matrices, left to right.  Only one length's
-    words are kept, and a consumer that stops early forms no further product.
+    words are kept, and a consumer that stops early forms no further layer.
     """
-    mats = {}
-    for idx, g in enumerate(generators):
-        mats[(idx, 1)] = g
-        mats[(idx, -1)] = g.inverse()
-    # the letters that may follow each letter in a reduced word
-    follow = {a: [(b, mats[b]) for b in mats if b != (a[0], -a[1])] for a in mats}
-    frontier = [((letter,), matrix) for letter, matrix in mats.items()]
-    if max_len >= 1:
-        yield from frontier
-    for length in range(2, max_len + 1):
-        grown = []
-        for word, matrix in frontier:
-            for letter, step in follow[word[-1]]:
-                item = (word + (letter,), matrix @ step)
-                yield item
-                if length < max_len:
-                    grown.append(item)
-        frontier = grown
+    generators = tuple(generators)
+    if not generators:
+        return
+    field = generators[0].field
+    for layer in word_layers(letter_stack(generators), max_len):
+        for i, entries in enumerate(layer.products):
+            yield layer.letters(i), SLMatrix(field, entries, check=False)
 
 
 def _dedupe(matrices):

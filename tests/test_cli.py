@@ -81,6 +81,7 @@ def test_falsify_commuting_pair(tmp_path, capsys):
     assert report["pass"] is False
     assert report["payload"]["letters"] == [[0, 1], [1, 1], [0, -1], [1, -1]]
     assert report["payload"]["word"] == "g0 g1 g0^-1 g1^-1"
+    assert report["payload"]["decided_len"] == 3
 
 
 def test_falsify_free_pair_passes(tmp_path, capsys):
@@ -90,6 +91,29 @@ def test_falsify_free_pair_passes(tmp_path, capsys):
     code, report = run_json(capsys, ["falsify", "--gens", path, "--max-len", "5"])
     assert code == 0
     assert report["payload"]["word"] is None
+    assert report["payload"]["decided_len"] == 5
+
+
+def test_falsify_stops_at_the_word_budget(tmp_path, capsys, monkeypatch):
+    # the Sanov pair is decided to length 12; length 13 would hold 2 125 764
+    # words, and no layer over the budget is ever requested
+    grown = []
+    grow = separation._grow
+
+    def checked_grow(layer, letters, magnitudes):
+        assert len(layer.products) * (len(letters) - 1) <= separation._WORD_BUDGET
+        grown.append(layer.length + 1)
+        return grow(layer, letters, magnitudes)
+
+    monkeypatch.setattr(separation, "_grow", checked_grow)
+    S = SLMatrix(REAL, [[1.0, 2.0], [0.0, 1.0]])
+    T = SLMatrix(REAL, [[1.0, 0.0], [2.0, 1.0]])
+    path = write_doc(tmp_path, "gens.json", gens_doc([S, T]))
+    code, report = run_json(capsys, ["falsify", "--gens", path, "--max-len", "40"])
+    assert code == 3
+    assert report["payload"]["decided_len"] == 12
+    assert report["payload"]["word"] is None
+    assert grown == list(range(2, 13))
 
 
 def test_malformed_json_is_exit_2(tmp_path, capsys):

@@ -23,6 +23,7 @@ from pingpong.errors import (
     DomainError,
     NoSeparatorError,
     PreconditionError,
+    UndecidedError,
 )
 from pingpong.fields import COMPLEX, REAL, padic
 from pingpong.pingpong import (
@@ -420,9 +421,64 @@ def test_falsifier_commuting_pair():
 
 
 def test_falsifier_projective_order_eight_rotation():
-    # R_{pi/4}^4 is rotation by pi, i.e. -I, a projective identity
-    word = freeness_falsifier([rotation(math.pi / 4)], 5)
-    assert word == Word(((0, 1),) * 4)
+    # R_{pi/4}^4 is -I, but the float rotation is a dyadic matrix whose
+    # fourth power is not scalar: words to length 3 are decided, g0^4 is not
+    with pytest.raises(UndecidedError) as caught:
+        freeness_falsifier([rotation(math.pi / 4)], 5)
+    assert caught.value.decided_len == 3
+    assert caught.value.word == Word(((0, 1),) * 4)
+    # the exact quarter turn squares to -I, a projective identity
+    quarter = SLMatrix(REAL, [[0.0, -1.0], [1.0, 0.0]])
+    assert freeness_falsifier([quarter], 5) == Word(((0, 1),) * 2)
+
+
+def test_falsifier_decides_sanov_pair_free_to_length_10():
+    S = SLMatrix(REAL, [[1.0, 2.0], [0.0, 1.0]])
+    T = SLMatrix(REAL, [[1.0, 0.0], [2.0, 1.0]])
+    assert freeness_falsifier([S, T], 10) is None
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=str)
+def test_falsifier_decides_random_3x3_pairs(field):
+    # n = 3: the float inverse letters are rounded, and the bound covers that
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        gens = [random_sl_arch(rng, field, 3) for _ in range(2)]
+        assert freeness_falsifier(gens, 5) is None
+
+
+def conjugated_diagonal(theta, s):
+    """q diag(s, 1/s) q^-1 with q the rotation by theta, as floats."""
+    q = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    return q @ np.diag([s, 1.0 / s]) @ q.T
+
+
+@pytest.mark.parametrize("pair", ["power", "commuting"])
+def test_falsifier_never_calls_planted_pairs_free(pair):
+    # the benchmark's planted families: (g, g^3), and two commuting
+    # conjugated diagonals, at scales s = 10 .. 1e6
+    rng = np.random.default_rng(8)
+    for s in 10.0 ** np.linspace(1, 6, 16):
+        theta = rng.uniform(0, math.pi)
+        g = conjugated_diagonal(theta, s)
+        h = g @ g @ g if pair == "power" else conjugated_diagonal(theta, 10.0 ** rng.uniform(1, 6))
+        try:
+            word = freeness_falsifier([SLMatrix(REAL, g), SLMatrix(REAL, h)], 4)
+        except UndecidedError as exc:
+            assert exc.decided_len < 4
+            continue
+        sums = [sum(e for i, e in word.letters if i == k) for k in (0, 1)]
+        assert (sums[0] + 3 * sums[1] == 0) if pair == "power" else sums == [0, 0]
+
+
+def test_falsifier_never_calls_overflowing_generators_free():
+    huge = SLMatrix(REAL, [[1e200, 0.0], [0.0, 1e-200]])
+    up = SLMatrix(REAL, [[1.0, 1e200], [0.0, 1.0]])
+    down = SLMatrix(REAL, [[1.0, 0.0], [1e200, 1.0]])
+    for gens in ([huge, up], [up, down]):
+        with pytest.raises(UndecidedError) as caught:
+            freeness_falsifier(gens, 6)
+        assert caught.value.decided_len == 1  # length 2 overflows
 
 
 def test_falsifier_validation():

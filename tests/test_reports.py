@@ -88,6 +88,12 @@ CASES = {
     "certify-mixed-gamma-size": ["certify-free", "--gens", "ident2_real.json",
                                  "--sep", "sep_real.json", "--gamma", "g_real3.json",
                                  "--verify-only", "--seed", "0"],
+    "separate-bad-m": ["separate", "--set", "sep_bad_m_real.json", "--trials", "8",
+                       "--seed", "1"],
+    "separate-bad-r": ["separate", "--set", "sep_bad_r_real.json", "--trials", "8",
+                       "--seed", "1"],
+    "falsify-undecided-rotation": ["falsify", "--gens", "rotation_eighth_real.json",
+                                   "--max-len", "5"],
 }
 
 

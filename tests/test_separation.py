@@ -3,8 +3,11 @@
 import math
 from fractions import Fraction
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pingpong.cartan import SLMatrix, apply_point, diagonal, identity
 from pingpong.errors import ConstructionError, DomainError
@@ -17,7 +20,7 @@ from pingpong.projective import (
     canonical_rows,
     dist_to_hyperplane,
 )
-from helpers import random_sl_arch
+from helpers import random_sl_arch, random_sl_padic
 from pingpong.separation import (
     Configuration,
     NotSeparatingWarning,
@@ -25,9 +28,11 @@ from pingpong.separation import (
     best_separator,
     estimate_radius,
     greedy_separating_set,
+    letter_stack,
     reduced_words,
     sample_configuration,
     verify_separating_for,
+    word_layers,
 )
 
 Q5 = padic(5)
@@ -301,3 +306,37 @@ def test_reduced_words_counts_order_and_products():
         for letter in word:
             product = product @ mats[letter]
         np.testing.assert_array_equal(matrix.entries, product.entries)
+
+
+def _bits(field, entries):
+    """The exact content of a matrix: its bytes, or each p-adic value and digit count."""
+    if field.is_padic:
+        return [(x.value, x.digits) for x in entries.ravel()]
+    return entries.tobytes()
+
+
+@settings(max_examples=24, deadline=None)
+@given(field=st.sampled_from([REAL, COMPLEX, Q5]), n=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_word_layers_match_left_to_right_products(field, n, seed):
+    if field.is_padic:
+        gens = [random_sl_padic(random.Random(seed + k), field, n) for k in range(2)]
+        max_len = 4 if n == 2 else 3
+    else:
+        rng = np.random.default_rng(seed)
+        gens = [random_sl_arch(rng, field, n) for _ in range(2)]
+        max_len = 5
+    mats = {}
+    for i, g in enumerate(gens):
+        mats[(i, 1)], mats[(i, -1)] = g, g.inverse()
+    count = 0
+    for layer in word_layers(letter_stack(gens), max_len):
+        assert len(layer.products) == 4 * 3 ** (layer.length - 1)
+        for i, entries in enumerate(layer.products):
+            word = layer.letters(i)
+            product = mats[word[0]]
+            for letter in word[1:]:
+                product = product @ mats[letter]
+            assert _bits(field, entries) == _bits(field, product.entries)
+            count += 1
+    assert count == len(list(reduced_words(gens, max_len)))
