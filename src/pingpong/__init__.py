@@ -44,7 +44,6 @@ from .fields import (
     abs_value,
     padic,
     relative_tolerance,
-    set_relative_tolerance,
     valuation,
 )
 from .liegen import (

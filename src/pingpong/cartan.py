@@ -5,10 +5,18 @@ deterministic phase convention; non-archimedean ones from Smith normal form
 over Z_p with minimal-valuation pivoting.  Both produce g = k * diag(a) * k'
 with |a_1| >= ... >= |a_n|, k and k' in the maximal compact subgroup, and the
 norm identities ||g|| = |a_1|, ||wedge^2 g|| = |a_1 a_2|.
+
+Exact linear algebra has one implementation, gauss_jordan: the determinant
+gate on input (over Q_p, and over R and C on the stored dyadic entries when
+the float gate is too wide to exclude det 0), the p-adic inverse, the p-adic
+minors of exterior_power and the falsifier's exact adjugates.  The Smith form
+keeps its own loop: it pivots on the whole remaining block rather than one
+column and records the row and column operations as k and k'.
 """
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,40 +27,51 @@ from .fields import FieldSpec, Kind, PadicScalar, relative_tolerance, valuation
 from .projective import ProjHyperplane, ProjPoint, as_field_array
 
 
-def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
+def exact_form(entries: np.ndarray) -> np.ndarray:
+    """Fraction object array of a matrix: the values of p-adic entries, the
+    dyadic rationals a float matrix holds, and for a complex matrix its
+    2n x 2n real form, a + bi as the block [[a, -b], [b, a]]."""
+    if entries.dtype == object:
+        return np.array([[x.value for x in row] for row in entries.tolist()], dtype=object)
+    if np.iscomplexobj(entries):
+        n = len(entries)
+        re, im = entries.real, entries.imag
+        entries = np.array([[re, -im], [im, re]]).transpose(2, 0, 3, 1).reshape(2 * n, 2 * n)
+    return np.array([[Fraction(x) for x in row] for row in entries.tolist()], dtype=object)
+
+
+def gauss_jordan(a: np.ndarray) -> tuple:
+    """(det, inverse) of a square object array of exact scalars by one
+    Gauss-Jordan elimination; inverse is None when a is exactly singular.
+
+    Fractions pivot on the first nonzero entry of the column, PadicScalars
+    on its least valuation.  The det is the signed product of the pivots.
+    """
+    n = len(a)
+    if isinstance(a[0, 0], PadicScalar):
+        zero, one = a[0, 0].field.zero(), a[0, 0].field.one()
+        size = operator.attrgetter("valuation")
+    else:
+        zero, one = Fraction(0), Fraction(1)
+        size = operator.not_  # nonzero first
+    m = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(a.tolist())]
+    det = one
     for t in range(n):
-        pivot_row = next((i for i in range(t, n) if m[i][t]), None)
-        if pivot_row is None:
-            return Fraction(0)
+        pivot_row = min(range(t, n), key=lambda i: size(m[i][t]))
+        if not m[pivot_row][t]:
+            return zero, None
         if pivot_row != t:
             m[t], m[pivot_row] = m[pivot_row], m[t]
             det = -det
-        det *= m[t][t]
-        inv = 1 / m[t][t]
-        for i in range(t + 1, n):
-            if m[i][t]:
-                f = m[i][t] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[t])]
-    return det
-
-
-def _padic_det(rows) -> "PadicScalar":
-    # cofactor expansion along the first row; fine for the small n used here
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    field = rows[0][0].field
-    total = field.zero()
-    for j, top in enumerate(rows[0]):
-        if not top.value:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = top * _padic_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+        det = det * m[t][t]
+        inv = one / m[t][t]
+        # a step on a zero entry would return the same value and digits: skip it
+        m[t] = [x * inv if x else x for x in m[t]]
+        for i in range(n):
+            if i != t and m[i][t]:
+                f = m[i][t]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[t])]
+    return det, np.array([row[n:] for row in m], dtype=object)
 
 
 class SLMatrix:
@@ -79,7 +98,7 @@ class SLMatrix:
 
     def _check_det(self):
         if self.field.is_padic:
-            det = _fraction_det([[c.value for c in row] for row in self.entries])
+            det, _ = gauss_jordan(exact_form(self.entries))
             if det != 1:
                 # digit-truncated input may miss 1 by something beyond its precision
                 slack = min(c.digits for row in self.entries for c in row)
@@ -92,12 +111,18 @@ class SLMatrix:
             # scale; it still catches every actually-unnormalized input
             n = len(self.entries)
             scale = float(np.max(np.abs(self.entries)))
+            if not math.isfinite(scale):
+                raise DomainError("matrix entries must be finite")
             try:
                 drift = max(1.0, scale) ** n * n * 8 * np.finfo(float).eps
             except OverflowError:  # s^n beyond the float range: any det is in the gate
                 drift = math.inf
-            if not abs(det - 1) <= max(relative_tolerance(), drift):
+            gate = max(relative_tolerance(), drift)
+            if not abs(det - 1) <= gate:
                 raise DomainError(f"determinant is {det:.12g}, not 1")
+            # a gate this wide admits det = 0, which the stored dyadic entries decide
+            if gate >= 1 and not gauss_jordan(exact_form(self.entries))[0]:
+                raise DomainError("determinant is exactly 0, not 1")
 
     @property
     def n(self) -> int:
@@ -113,7 +138,10 @@ class SLMatrix:
     def inverse(self) -> "SLMatrix":
         if self._inverse is None:
             if self.field.is_padic:
-                inv = _padic_inverse(self)
+                _, inv = gauss_jordan(self.entries)
+                if inv is None:
+                    raise DecompositionError("matrix is singular to working precision")
+                inv = SLMatrix(self.field, inv, check=False)
             else:
                 # adjugate, not LU: det = 1 makes it the inverse, and for
                 # n = 2 it stays exact however large the entries grow under
@@ -143,26 +171,6 @@ def _adjugate(entries: np.ndarray) -> np.ndarray:
             minor = np.delete(np.delete(entries, j, axis=0), i, axis=1)
             out[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
     return out
-
-
-def _padic_inverse(g: SLMatrix) -> SLMatrix:
-    n = g.n
-    field = g.field
-    m = [list(row) + [field.scalar(int(i == j)) for j in range(n)]
-         for i, row in enumerate(g.entries)]
-    for t in range(n):
-        pivot_row = min(range(t, n), key=lambda i: m[i][t].valuation)
-        if m[pivot_row][t].valuation == math.inf:
-            raise DecompositionError("matrix is singular to working precision")
-        if pivot_row != t:
-            m[t], m[pivot_row] = m[pivot_row], m[t]
-        inv = field.one() / m[t][t]
-        m[t] = [x * inv for x in m[t]]
-        for i in range(n):
-            if i != t and m[i][t].value:
-                f = m[i][t]
-                m[i] = [a - f * b for a, b in zip(m[i], m[t])]
-    return SLMatrix(field, [row[n:] for row in m], check=False)
 
 
 def identity(field: FieldSpec, n: int) -> SLMatrix:
@@ -320,7 +328,10 @@ def exterior_power(g: SLMatrix, i: int) -> SLMatrix:
     if not 1 <= i <= n - 1:
         raise DomainError(f"exterior power index must be in [1, {n - 1}], got {i}")
     subsets = list(itertools.combinations(range(n), i))
-    det = _padic_det if g.field.is_padic else np.linalg.det
+
+    def det(minor):
+        return gauss_jordan(minor)[0] if g.field.is_padic else np.linalg.det(minor)
+
     rows = [[det(g.entries[np.ix_(S, T)]) for T in subsets] for S in subsets]
     return SLMatrix(g.field, rows, check=False)
 

@@ -13,7 +13,6 @@ past its reported decided_len.
 import argparse
 import datetime
 import json
-import os
 import sys
 import warnings
 from importlib import metadata
@@ -23,7 +22,6 @@ from .cartan import bilip_constant
 from .contraction import ProximalCert, contraction_data, verify_contracting
 from .errors import (CertificationError, ConstructionError, InputError, NotContractingError,
                      UndecidedError)
-from .fields import relative_tolerance, set_relative_tolerance
 from .liegen import generated_subalgebra, matrix_log
 from .pingpong import (PingPongCert, certify_free_generators, freeness_falsifier,
                        separation_table, verify_pingpong)
@@ -270,16 +268,7 @@ _RUNNERS = {
 
 def run(argv) -> int:
     args = _parser().parse_args(argv)
-    tol = os.environ.get("PINGPONG_TOL")
-    # PINGPONG_TOL holds for this run only: the next run in this process
-    # starts from the tolerance that held before
-    before = relative_tolerance()
     try:
-        if tol is not None:
-            try:
-                set_relative_tolerance(float(tol))
-            except (ValueError, CertificationError) as exc:
-                raise InputError(f"PINGPONG_TOL={tol!r} is not a usable tolerance: {exc}")
         payload, passed, inputs, parameters = _RUNNERS[args.command](args)
     except InputError as exc:
         failure = {"error": str(exc)}
@@ -294,8 +283,6 @@ def run(argv) -> int:
             failure["word"] = None if exc.word is None else str(exc.word)
         _emit(args, _report(args, {}, {}, failure, False))
         return EXIT_PRECONDITION
-    finally:
-        set_relative_tolerance(before)
     _emit(args, _report(args, inputs, parameters, payload, passed))
     return EXIT_TRUE if passed else EXIT_FALSE
 

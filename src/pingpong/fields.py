@@ -21,19 +21,10 @@ from .errors import DomainError, PrecisionExhaustedError
 
 DEFAULT_PADIC_PRECISION = 40
 
-_relative_tolerance = 1e-9
-
 
 def relative_tolerance() -> float:
-    """Relative tolerance used by archimedean equality-like checks."""
-    return _relative_tolerance
-
-
-def set_relative_tolerance(tol: float) -> None:
-    global _relative_tolerance
-    if not 0.0 < tol < 1.0:
-        raise DomainError(f"relative tolerance must lie in (0, 1), got {tol}")
-    _relative_tolerance = tol
+    """Relative tolerance of the archimedean equality-like checks, a constant."""
+    return 1e-9
 
 
 def _is_prime(n: int) -> bool:

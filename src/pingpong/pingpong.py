@@ -27,7 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cartan import SLMatrix, _fraction_det, apply_hyperplane, apply_point, bilip_constant
+from .cartan import (SLMatrix, apply_hyperplane, apply_point, bilip_constant, exact_form,
+                     gauss_jordan)
 from .contraction import (
     ContractionCert,
     ProximalCert,
@@ -421,24 +422,6 @@ def _up(q: Fraction) -> float:
     return x if Fraction(x) >= q else math.nextafter(x, math.inf)
 
 
-def _exact(entries: np.ndarray) -> np.ndarray:
-    """Fraction object array of a float matrix, which holds dyadic rationals;
-    of a complex one its 2n x 2n real form, a + bi as the block [[a, -b], [b, a]]."""
-    if np.iscomplexobj(entries):
-        n = len(entries)
-        re, im = entries.real, entries.imag
-        entries = np.array([[re, -im], [im, re]]).transpose(2, 0, 3, 1).reshape(2 * n, 2 * n)
-    return np.array([[Fraction(x) for x in row] for row in entries.tolist()], dtype=object)
-
-
-def _exact_adjugate(a: np.ndarray) -> np.ndarray:
-    """adj(a) = det(a) a^-1 by cofactors, exactly; a projective inverse of a.
-    Over C, of the real form: |det|^2 a^-1, still a real form."""
-    n = len(a)
-    return np.array([[(-1) ** (i + j) * _fraction_det(np.delete(np.delete(a, j, 0), i, 1).tolist())
-                      for j in range(n)] for i in range(n)], dtype=object)
-
-
 def _scalar_words(stack: np.ndarray, block: int) -> np.ndarray:
     """Mask of the exactly scalar matrices of an object stack (N, s, s):
     zero off-diagonal blocks and equal diagonal blocks, blocks block x block."""
@@ -465,8 +448,8 @@ def _magnitudes(letters: np.ndarray, exact: list, block: int) -> tuple:
         if block == 2:
             # adj of the real form is conj(det) adj(g); rescale by the float det
             d = complex(np.linalg.det(letters[k - 1]))
-            inverse = inverse @ _exact(np.diag([d / abs(d) ** 2] * n))
-        error = _exact(letters[k]) - inverse
+            inverse = inverse @ exact_form(np.diag([d / abs(d) ** 2] * n))
+        error = exact_form(letters[k]) - inverse
         for i in range(n):
             for j in range(n):
                 # |a + bi| <= |a| + |b| for the block [[a, -b], [b, a]]
@@ -525,10 +508,13 @@ def freeness_falsifier(gens, max_len: int):
             if hits.size:
                 return Word(layer.letters(int(hits[0])))
         return None
-    exact = []  # in letter order, as letter_stack
-    for g in gens:
-        x = _exact(g.entries)
-        exact += [x, _exact_adjugate(x)]
+    exact = []  # in letter order, as letter_stack; adj = det a^-1 inverts projectively
+    for i, g in enumerate(gens):
+        x = exact_form(g.entries)
+        det, inverse = gauss_jordan(x)
+        if inverse is None:
+            raise DomainError(f"generator {i} is exactly singular")
+        exact += [x, det * inverse]
     block = 2 if fld.kind is Kind.COMPLEX else 1
     mags, rho = _magnitudes(letters, exact, block)
     n = gens[0].n

@@ -73,6 +73,15 @@ def fraction_det(rows):
     return total
 
 
+def adjugate_oracle(rows):
+    """Exact adjugate by cofactors: entry (i, j) is (-1)^(i+j) times the
+    determinant of rows without row j and column i."""
+    n = len(rows)
+    return [[(-1) ** (i + j) * fraction_det([[rows[r][c] for c in range(n) if c != i]
+                                              for r in range(n) if r != j])
+             for j in range(n)] for i in range(n)]
+
+
 def smith_valuations_oracle(g):
     """Diagonal valuations via minors: j_k = m_k - m_(k-1), m_k the least
     valuation of a k x k minor."""

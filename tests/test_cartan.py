@@ -1,11 +1,14 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    adjugate_oracle,
     batch_proj_dist,
     wedge_coordinates,
     fraction_det,
@@ -22,12 +25,13 @@ from pingpong.cartan import (
     cartan_decompose,
     diagonal,
     exterior_power,
+    gauss_jordan,
     identity,
     operator_norm,
     wedge_operator_norm,
 )
-from pingpong.errors import DomainError, PrecisionExhaustedError
-from pingpong.fields import COMPLEX, REAL, padic, valuation
+from pingpong.errors import DecompositionError, DomainError, PrecisionExhaustedError
+from pingpong.fields import COMPLEX, REAL, PadicScalar, padic, valuation
 from pingpong.projective import ProjHyperplane, ProjPoint, as_field_array, proj_dist
 
 Q5 = padic(5)
@@ -40,8 +44,46 @@ def test_determinant_validation():
         SLMatrix(Q5, [[1, 1], [0, 2]])
     with pytest.raises(DomainError), np.errstate(invalid="ignore"):
         SLMatrix(REAL, [[math.nan, 0], [0, 1]])
+    with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+        SLMatrix(REAL, [[math.inf, 0], [0, 1]])
     SLMatrix(REAL, [[1, 1], [0, 1]])
     SLMatrix(Q5, [[1, Fraction(1, 5)], [0, 1]])
+
+
+def test_wide_determinant_gate_refuses_exactly_singular_matrices():
+    # at entry scale 1e8 the float gate admits det 0; the dyadic entries decide
+    for field, rows in ((REAL, [[1e8, 1e8], [1e8, 1e8]]),
+                        (COMPLEX, [[1e8, 1e8j], [1e8, 1e8j]]),
+                        (REAL, [[1e200, 0.0], [1e200, 0.0]])):
+        with pytest.raises(DomainError, match="exactly 0"):
+            SLMatrix(field, rows)
+    SLMatrix(REAL, [[1e8, 1e8 + 1], [1e8 - 1, 1e8]])  # det exactly 1
+    SLMatrix(COMPLEX, [[1e8j, 1e8 + 1], [1e8 - 1, -1e8j]])
+
+
+_SMALL_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.lists(_SMALL_FRACTIONS, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_gauss_jordan_over_q(rows):
+    a = np.array(rows, dtype=object)
+    det, inverse = gauss_jordan(a)
+    assert det == fraction_det(rows)
+    if not det:
+        assert inverse is None
+        return
+    assert (a @ inverse == np.eye(len(rows), dtype=int)).all()
+    assert (det * inverse == np.array(adjugate_oracle(rows), dtype=object)).all()
+
+
+def test_gauss_jordan_finds_exact_singularity():
+    assert gauss_jordan(np.array([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]],
+                                 dtype=object)) == (0, None)
+    det, inverse = gauss_jordan(np.array([[0, 1], [1, 0]], dtype=object) * Fraction(1))
+    assert det == -1
+    assert (inverse == np.array([[0, 1], [1, 0]])).all()
 
 
 @pytest.mark.parametrize("field, dtype", [(REAL, np.float64), (COMPLEX, np.complex128),
@@ -91,6 +133,26 @@ def test_inverse():
     h = SLMatrix(Q5, [[2, 1], [1, 1]])
     prod = h @ h.inverse()
     assert [[c.value for c in row] for row in prod.entries] == [[1, 0], [0, 1]]
+    with pytest.raises(DecompositionError):
+        SLMatrix(Q5, [[5, 10], [1, 2]], check=False).inverse()
+
+
+def test_padic_inverse_pivots_on_least_valuation():
+    # pivoting on the first nonzero entry, 25, would leave 1 known digit in place of 3
+    g = SLMatrix(Q5, [[25, PadicScalar(Q5, 1, 3)], [1, PadicScalar(Q5, 1, 3)]], check=False)
+    inverse = g.inverse().entries
+    assert [[c.value for c in row] for row in inverse] == [
+        [Fraction(1, 24), Fraction(-1, 24)], [Fraction(-1, 24), Fraction(25, 24)]]
+    assert [[c.digits for c in row] for row in inverse] == [[3, 5], [3, 3]]
+
+
+def test_padic_inverse_is_exact():
+    rng = random.Random(89)
+    for n in (2, 3, 4, 5):
+        for _ in range(6):
+            g = random_sl_padic(rng, Q5, n)
+            prod = (g @ g.inverse()).entries
+            assert [[c.value for c in row] for row in prod] == np.eye(n, dtype=int).tolist()
 
 
 def test_cartan_of_descending_diagonal_is_trivial():
@@ -290,6 +352,19 @@ def test_exterior_power_functoriality():
         rhs = exterior_power(g, 2) @ exterior_power(h, 2)
         assert all(x.value == y.value
                    for rx, ry in zip(lhs.entries, rhs.entries) for x, y in zip(rx, ry))
+
+
+def test_padic_exterior_power_entries_are_minors():
+    rng = random.Random(97)
+    for n in (3, 4, 5):
+        for _ in range(3):
+            g = random_sl_padic(rng, Q5, n)
+            values = [[c.value for c in row] for row in g.entries]
+            for i in range(1, n):
+                subsets = list(itertools.combinations(range(n), i))
+                got = [[c.value for c in row] for row in exterior_power(g, i).entries]
+                assert got == [[fraction_det([[values[r][c] for c in T] for r in S])
+                                for T in subsets] for S in subsets]
 
 
 def test_exterior_power_matches_wedge_coordinates():

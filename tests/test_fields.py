@@ -13,8 +13,6 @@ from pingpong.fields import (
     PadicScalar,
     abs_value,
     padic,
-    relative_tolerance,
-    set_relative_tolerance,
     valuation,
 )
 
@@ -143,16 +141,3 @@ def test_unit_digit_round_trip():
     assert valuation(y.value - rebuilt.value, f) >= 40
     with pytest.raises(DomainError):
         f.zero().unit_digits()
-
-
-def test_tolerance_configuration():
-    before = relative_tolerance()
-    try:
-        set_relative_tolerance(1e-6)
-        assert relative_tolerance() == 1e-6
-        with pytest.raises(DomainError):
-            set_relative_tolerance(0.0)
-        with pytest.raises(DomainError):
-            set_relative_tolerance(2.0)
-    finally:
-        set_relative_tolerance(before)

@@ -481,6 +481,14 @@ def test_falsifier_never_calls_overflowing_generators_free():
         assert caught.value.decided_len == 1  # length 2 overflows
 
 
+def test_falsifier_refuses_exactly_singular_letters():
+    # check=False skips the determinant gate; the exact inverse letters still need det != 0
+    for field, rows in ((REAL, [[1e8, 1e8], [1e8, 1e8]]), (COMPLEX, [[1.0, 1j], [1.0, 1j]])):
+        singular = SLMatrix(field, rows, check=False)
+        with pytest.raises(DomainError, match="exactly singular"):
+            freeness_falsifier([singular], 3)
+
+
 def test_falsifier_validation():
     with pytest.raises(DomainError):
         freeness_falsifier([rotation(1.0)], 0)

@@ -30,6 +30,7 @@ CASES = {
     "cartan-q5-3": ["cartan", "--in", "g_q5_3.json"],
     "cartan-q5-short-digits": ["cartan", "--in", "g_q5_short_digits.json"],
     "cartan-bad-shape": ["cartan", "--in", "g_bad_shape.json"],
+    "cartan-singular-real": ["cartan", "--in", "g_singular_real.json"],
     "contract-real": ["contract-analyze", "--in", "g_real_contracting.json",
                       "--samples", "2000", "--seed", "7"],
     "contract-real3": ["contract-analyze", "--in", "g_real3.json",
@@ -94,6 +95,7 @@ CASES = {
                        "--seed", "1"],
     "falsify-undecided-rotation": ["falsify", "--gens", "rotation_eighth_real.json",
                                    "--max-len", "5"],
+    "falsify-singular-real": ["falsify", "--gens", "singular_real.json", "--max-len", "3"],
 }
 
 
