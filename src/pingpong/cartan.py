@@ -165,12 +165,10 @@ def _adjugate(entries: np.ndarray) -> np.ndarray:
     if n == 2:
         (a, b), (c, d) = entries
         return np.array([[d, -b], [-c, a]])
-    out = np.empty_like(entries)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(entries, j, axis=0), i, axis=1)
-            out[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
-    return out
+    # keep[k] lists 0..n-1 without k; minors[i, j] drops row j and column i
+    keep = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    minors = entries[keep[None, :, :, None], keep[:, None, None, :]]
+    return (-1) ** np.add.outer(np.arange(n), np.arange(n)) * np.linalg.det(minors)
 
 
 def identity(field: FieldSpec, n: int) -> SLMatrix:

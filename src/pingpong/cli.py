@@ -12,6 +12,7 @@ past its reported decided_len.
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 import warnings
@@ -38,6 +39,8 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
 
+# built on the first run and kept: every in-process run parses with one tree
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="pingpong",

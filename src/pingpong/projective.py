@@ -91,7 +91,14 @@ def canonical_rows(field: FieldSpec, rows) -> np.ndarray:
         pivots = np.array([min(row, key=lambda c: c.valuation) for row in flat], dtype=object)
         if not all(pivots):
             raise DomainError("projective representative must be nonzero")
-        return rows / pivots.reshape(rows.shape[:-1] + (1,))
+        # dividing a row by a pivot of exactly 1 known to at least each
+        # nonzero entry's digits would change no value and no digit count
+        todo = np.array([not (pivot.value == 1 and all(not c or c.digits <= pivot.digits
+                                                        for c in row))
+                         for row, pivot in zip(flat, pivots)], dtype=bool)
+        out = flat.copy()
+        out[todo] = flat[todo] / pivots[todo, None]
+        return out.reshape(rows.shape)
     mags = np.abs(flat)
     biggest = mags.max(-1, keepdims=True)
     if not biggest.all():
@@ -221,12 +228,13 @@ def dist_to_hyperplane(P: ProjPoint, H: ProjHyperplane) -> float:
 
 def hyperplane_distances(field: FieldSpec, points, forms) -> np.ndarray:
     """d([v], [ker f]) for every row v of points (..., P, n) and every row f
-    of forms (H, n), as a float array (..., P, H)."""
+    of forms (..., H, n), as a float array (..., P, H); the leading axes
+    broadcast, so a stack of points may meet its own forms."""
     points, point_norms = _pivoted(field, points)
     forms, form_norms = _pivoted(field, forms)
     # np.abs gives floats for every field; over Q_p in an object array
-    values = np.abs(points @ forms.T).astype(float, copy=False)
-    return values / (point_norms[..., None] * form_norms)
+    values = np.abs(points @ forms.swapaxes(-1, -2)).astype(float, copy=False)
+    return values / (point_norms[..., None] * form_norms[..., None, :])
 
 
 def point_distances(field: FieldSpec, points, w) -> np.ndarray:

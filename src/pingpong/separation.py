@@ -10,8 +10,14 @@ element and its inverse at once, for every field.  estimate_radius
 Monte-Carlo-samples configurations, alternating purely random ones with
 adversarial ones whose hyperplanes pass through orbit points, and reports
 in one pass the worst margin seen and how often each element was the best
-separator.  The global infimum r exists by compactness but is never
-computed; downstream constructions only ever query concrete
+separator.  It works in chunks of sampling.CHUNK_SIZE trials, each trial
+on its own seeded stream: per chunk one stack of configurations (T, 2m, n),
+one canonical_rows call for its points, its adversarial images and its
+forms, one deflation of the adversarial forms, and one kernel call over
+every trial, element and inverse.  sample_configuration and best_separator
+are the same code on a batch of one, and every trial rounds as it would
+alone, for R, C and Q_p.  The global infimum r exists by compactness but
+is never computed; downstream constructions only ever query concrete
 configurations.  word_layers is the one reduced-word enumerator: a BFS that
 builds each word length as one (N, n, n) stack of products, keeping per
 length only the parent index and last letter of each word.  The falsifier
@@ -30,7 +36,7 @@ from .cartan import SLMatrix, bilip_constant
 from .errors import ConstructionError, DomainError, UndecidedError
 from .fields import Kind
 from .projective import _norms, as_field_array, canonical_rows, hyperplane_distances
-from .sampling import padic_unit_coords
+from .sampling import CHUNK_SIZE, padic_unit_coords
 
 __all__ = [
     "Configuration",
@@ -95,16 +101,15 @@ def _inverse_pairs(elements: tuple[SLMatrix, ...]) -> np.ndarray:
     return np.array([(g.entries, g.inverse().entries) for g in elements])
 
 
-def _best(field, pairs, cfg: Configuration) -> tuple:
-    """(index, margin) of the first element of the stack with the largest
-    margin: the min over points v and forms f of d(g v, ker f) and
-    d(g^-1 v, ker f), +inf for an empty configuration."""
-    # points @ g^T for every g at once, rounded as for one g alone
-    images = cfg.points @ pairs.swapaxes(-1, -2)
-    distances = hyperplane_distances(field, images, cfg.forms)
-    margins = distances.min(axis=(1, 2, 3), initial=math.inf)
-    best = int(np.argmax(margins))
-    return best, float(margins[best])
+def _margins(field, pairs, batch: Configuration) -> np.ndarray:
+    """(T, E) margins of each element of the stack on each configuration of
+    a batch, points and forms (T, P, n) and (T, H, n): the min over points v
+    and forms f of d(g v, ker f) and d(g^-1 v, ker f), +inf for an empty
+    configuration."""
+    # points @ g^T for every trial and every g at once, rounded as for one alone
+    images = batch.points[:, None, None] @ pairs.swapaxes(-1, -2)
+    distances = hyperplane_distances(field, images, batch.forms[:, None, None])
+    return distances.min(axis=(2, 3, 4), initial=math.inf)
 
 
 def best_separator(F: SeparatingSet, cfg: Configuration):
@@ -120,8 +125,10 @@ def best_separator(F: SeparatingSet, cfg: Configuration):
         raise DomainError(
             f"configuration exceeds the 2m = {2 * F.m} size bound: "
             f"{len(cfg.points)} points, {len(cfg.forms)} hyperplanes")
-    best, margin = _best(F.elements[0].field, _inverse_pairs(F.elements), cfg)
-    return F.elements[best], margin
+    margins = _margins(F.elements[0].field, _inverse_pairs(F.elements),
+                       Configuration(cfg.points[None], cfg.forms[None]))[0]
+    best = int(np.argmax(margins))
+    return F.elements[best], float(margins[best])
 
 
 def verify_separating_for(F: SeparatingSet, cfg: Configuration) -> bool:
@@ -134,18 +141,57 @@ def verify_separating_for(F: SeparatingSet, cfg: Configuration) -> bool:
 
 
 def _deflate(field, u, w, vanishing: float):
-    """The form w with its pivot coordinate corrected so that it vanishes on
-    u exactly; if at most `vanishing` of w's norm is left, the form
-    e_k1 - (u_k1 / u_k0) e_k0 instead."""
-    k0 = int(np.argmax(np.abs(u)))
+    """Each form of w (k, n) with its pivot coordinate corrected so that it
+    vanishes exactly on the same row of u; where at most `vanishing` of the
+    form's norm is left, the form e_k1 - (u_k1 / u_k0) e_k0 instead."""
+    rows = np.arange(len(u))
+    k0 = np.abs(u).argmax(-1)
+    pivots = u[rows, k0]
     f = w.copy()
-    f[k0] -= (w @ u) / u[k0]
-    if _norms(field, f) <= vanishing * _norms(field, w):
-        k1 = (k0 + 1) % len(u)
-        f = np.full_like(w, field.zero())
-        f[k1] = field.one()
-        f[k0] = -u[k1] / u[k0]
+    # row-wise dots, rounded as w @ u of one row
+    f[rows, k0] -= (w[:, None, :] @ u[:, :, None])[:, 0, 0] / pivots
+    flat = _norms(field, f) <= vanishing * _norms(field, w)
+    if flat.any():
+        rows, k0 = rows[flat], k0[flat]
+        k1 = (k0 + 1) % u.shape[-1]
+        f[rows] = field.zero()
+        f[rows, k1] = field.one()
+        f[rows, k0] = -u[rows, k1] / pivots[flat]
     return f
+
+
+def _configurations(field, entries, m: int, trials: np.ndarray, seed: int) -> Configuration:
+    """The configurations of the given trials, stacked as points and forms
+    (T, 2m, n); entries is the (E, n, n) stack of the candidates.
+
+    Trial t draws from its own stream, np.random.default_rng(seed + t) over
+    R and C and random.Random(seed + t) over Q_p, so its configuration does
+    not depend on the batch it is drawn in.
+    """
+    n = entries.shape[-1]
+    shape = (2, 2 * m, n)
+    if field.is_padic:
+        coords = []
+        for t in trials.tolist():
+            rng = random_.Random(seed + t)
+            coords += [padic_unit_coords(rng, field, n) for _ in range(4 * m)]
+        rows = as_field_array(field, coords, 2).reshape((len(trials),) + shape)
+        vanishing = 0.0  # exact arithmetic: only a zero form is degenerate
+    else:
+        rngs = [np.random.default_rng(seed + t) for t in trials.tolist()]
+        rows = np.array([rng.normal(size=shape) for rng in rngs])
+        if field.kind is Kind.COMPLEX:
+            rows = rows + 1j * np.array([rng.normal(size=shape) for rng in rngs])
+        vanishing = 1e-9
+    points, forms = canonical_rows(field, rows[:, 0]), rows[:, 1].copy()
+    odd = np.flatnonzero(trials % 2)
+    if len(odd):
+        adversaries = entries[trials[odd] // 2 % len(entries)]
+        # stacked matrix-vector products: the bits of apply_point
+        images = canonical_rows(field, (adversaries[:, None] @ points[odd][..., None])[..., 0])
+        forms[odd] = _deflate(field, images.reshape(-1, n), forms[odd].reshape(-1, n),
+                              vanishing).reshape(images.shape)
+    return Configuration(points, canonical_rows(field, forms))
 
 
 def sample_configuration(elements, m: int, trial: int, seed: int) -> Configuration:
@@ -154,31 +200,15 @@ def sample_configuration(elements, m: int, trial: int, seed: int) -> Configurati
     Even trials draw 2m random points and 2m random hyperplanes.  Odd trials
     are adversarial: the hyperplanes are constructed to pass exactly through
     the images of the sampled points under one candidate, cycled round-robin
-    over the candidate list, so that candidate is pinned to margin 0.
+    over the candidate list, so that candidate is pinned to margin 0.  This
+    is trial `trial` of the batches estimate_radius scores.
     """
     elements = tuple(elements)
     if not elements:
         raise DomainError("configuration sampling needs at least one candidate element")
-    fld = elements[0].field
-    n = elements[0].n
-    if fld.is_padic:
-        rng = random_.Random(seed + trial)
-        rows = as_field_array(fld, [padic_unit_coords(rng, fld, n) for _ in range(4 * m)], 2)
-        rows = rows.reshape(2, 2 * m, n)
-        vanishing = 0.0  # exact arithmetic: only a zero form is degenerate
-    else:
-        rng = np.random.default_rng(seed + trial)
-        rows = rng.normal(size=(2, 2 * m, n))
-        if fld.kind is Kind.COMPLEX:
-            rows = rows + 1j * rng.normal(size=rows.shape)
-        vanishing = 1e-9
-    points, forms = canonical_rows(fld, rows[0]), rows[1]
-    if trial % 2 == 1:
-        adversary = elements[(trial // 2) % len(elements)]
-        # stacked matrix-vector products: the bits of apply_point
-        images = canonical_rows(fld, (adversary.entries @ points[..., None])[..., 0])
-        forms = np.array([_deflate(fld, u, w, vanishing) for u, w in zip(images, forms)])
-    return Configuration(points, canonical_rows(fld, forms))
+    batch = _configurations(elements[0].field, np.array([g.entries for g in elements]),
+                            m, np.array([trial]), seed)
+    return Configuration(batch.points[0], batch.forms[0])
 
 
 @dataclass(frozen=True)
@@ -194,6 +224,9 @@ def estimate_radius(elements, m: int, trials: int, seed: int) -> RadiusEstimate:
     """Worst best_separator margin over sampled configurations, and the wins
     of each element, from one pass over every trial.
 
+    Trials are drawn and scored in chunks of sampling.CHUNK_SIZE: per chunk
+    one batch of configurations (sample_configuration's, trial by trial) and
+    one hyperplane_distances call for every trial, element and inverse.
     r is an upper estimate of the true separation radius, reported as
     estimated rather than certified.  Each trial credits the first element
     with the largest margin, the tie rule of best_separator.  Every trial is
@@ -212,17 +245,20 @@ def estimate_radius(elements, m: int, trials: int, seed: int) -> RadiusEstimate:
     zero_tol = 0.0 if fld.is_padic else _ZERO_MARGIN
     pairs = _inverse_pairs(elements)
     worst = math.inf
-    wins = [0] * len(elements)
-    for t in range(trials):
-        best, margin = _best(fld, pairs, sample_configuration(elements, m, t, seed))
-        wins[best] += 1
-        worst = min(worst, margin)
+    wins = np.zeros(len(elements), dtype=int)
+    for start in range(0, trials, CHUNK_SIZE):
+        batch = _configurations(fld, pairs[:, 0], m,
+                                np.arange(start, min(start + CHUNK_SIZE, trials)), seed)
+        margins = _margins(fld, pairs, batch)
+        wins += np.bincount(margins.argmax(axis=1), minlength=len(elements))
+        # fmin passes over nan, as a running min() over the trials does
+        worst = min(worst, float(np.fmin.reduce(margins.max(axis=1))))
     if worst <= zero_tol:
         warnings.warn(
             "a sampled configuration defeats every candidate; "
             "the set is not separating for this m", NotSeparatingWarning)
         worst = 0.0
-    return RadiusEstimate(worst, tuple(wins))
+    return RadiusEstimate(worst, tuple(wins.tolist()))
 
 
 # No BFS layer holds more reduced words than this: two 2x2 generators reach

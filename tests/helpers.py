@@ -8,7 +8,8 @@ import numpy as np
 
 from pingpong.cartan import SLMatrix, apply_point
 from pingpong.fields import Kind, valuation
-from pingpong.projective import dist_to_hyperplane
+from pingpong.projective import _norms, dist_to_hyperplane
+from pingpong.separation import SeparatingSet, best_separator, sample_configuration
 
 
 def random_sl_arch(rng, field, n, spread=1.0):
@@ -150,3 +151,41 @@ def first_by_scalar_reference(F, conditions):
         else:
             return f, failures
     return None, failures
+
+
+def adjugate_loop(entries):
+    """Float adjugate one cofactor at a time: the reference the stacked
+    cartan._adjugate must match bit for bit."""
+    n = entries.shape[0]
+    out = np.empty_like(entries)
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(entries, j, axis=0), i, axis=1)
+            out[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
+    return out
+
+
+def radius_by_trials(elements, m, trials, seed):
+    """(r, wins) of estimate_radius from one best_separator call per
+    sample_configuration trial: the batched pass must equal it bit for bit."""
+    F = SeparatingSet(tuple(elements), m, 1.0)
+    worst, wins = math.inf, [0] * len(F.elements)
+    for trial in range(trials):
+        g, margin = best_separator(F, sample_configuration(F.elements, m, trial, seed))
+        wins[next(i for i, h in enumerate(F.elements) if h is g)] += 1
+        worst = min(worst, margin)
+    zero_tol = 0.0 if F.elements[0].field.is_padic else 1e-12
+    return (0.0 if worst <= zero_tol else worst), tuple(wins)
+
+
+def deflate_row(field, u, w, vanishing):
+    """One row of separation._deflate, as the per-row loop computed it."""
+    k0 = int(np.argmax(np.abs(u)))
+    f = w.copy()
+    f[k0] -= (w @ u) / u[k0]
+    if _norms(field, f) <= vanishing * _norms(field, w):
+        k1 = (k0 + 1) % len(u)
+        f = np.full_like(w, field.zero())
+        f[k1] = field.one()
+        f[k0] = -u[k1] / u[k0]
+    return f

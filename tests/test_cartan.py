@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    adjugate_loop,
     adjugate_oracle,
     batch_proj_dist,
     wedge_coordinates,
@@ -19,6 +20,7 @@ from helpers import (
 )
 from pingpong.cartan import (
     SLMatrix,
+    _adjugate,
     apply_hyperplane,
     apply_point,
     bilip_constant,
@@ -76,6 +78,22 @@ def test_gauss_jordan_over_q(rows):
         return
     assert (a @ inverse == np.eye(len(rows), dtype=int)).all()
     assert (det * inverse == np.array(adjugate_oracle(rows), dtype=object)).all()
+
+
+def test_adjugate_stack_matches_cofactor_loop_and_exact_oracle():
+    # one stacked det over all n^2 minors rounds each minor as a det of its own
+    rng = np.random.default_rng(11)
+    for k in range(300):
+        n, scale = 3 + k % 3, 10.0 ** rng.integers(-3, 4)
+        real = rng.normal(size=(n, n)) * scale
+        for entries in (real, real + 1j * rng.normal(size=(n, n)) * scale):
+            stacked, loop = _adjugate(entries), adjugate_loop(entries)
+            assert stacked.dtype == loop.dtype
+            assert stacked.tobytes() == loop.tobytes()
+        exact = np.array(adjugate_oracle([[Fraction(x) for x in row] for row in real]),
+                         dtype=object).astype(float)
+        tol = 1e-12 * (n * np.abs(real).max()) ** (n - 1)
+        assert np.abs(_adjugate(real) - exact).max() <= tol
 
 
 def test_gauss_jordan_finds_exact_singularity():

@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pingpong import io, separation
+from pingpong import cli, io, separation
 from pingpong.cartan import SLMatrix, identity
 from pingpong.cli import run
 from pingpong.fields import REAL, padic, relative_tolerance
 from pingpong.liegen import LieElement, matrix_exp
+from pingpong.sampling import CHUNK_SIZE
 
 
 REPORT_INPUTS = Path(__file__).parent / "data" / "reports" / "inputs"
@@ -194,19 +195,51 @@ def test_separate_reports_estimate_and_stats(tmp_path, capsys):
 def test_separate_scores_each_configuration_once(tmp_path, capsys, monkeypatch):
     elements = [rotation(k * math.pi / 8) for k in range(8)]
     path = write_doc(tmp_path, "F.json", sep_doc(elements, 2, 0.05))
+    trials = CHUNK_SIZE + 3
     scored = []
     original = separation.hyperplane_distances
 
     def counting(field, points, forms):
-        scored.append(points.shape[0])
+        scored.append(points.shape[:3])
         return original(field, points, forms)
 
-    # one kernel call per trial scores every element and its inverse
+    # one kernel call per chunk of trials scores every element and its inverse
     monkeypatch.setattr(separation, "hyperplane_distances", counting)
-    code, _ = run_json(capsys, ["separate", "--set", path, "--trials", "12",
+    code, _ = run_json(capsys, ["separate", "--set", path, "--trials", str(trials),
                                 "--seed", "7"])
     assert code == 0
-    assert scored == [len(elements)] * 12
+    assert [shape[1:] for shape in scored] == [(len(elements), 2)] * len(scored)
+    assert sum(shape[0] for shape in scored) == trials
+    assert max(shape[0] for shape in scored) <= CHUNK_SIZE
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(tmp_path, capsys):
+    g = write_doc(tmp_path, "g.json", matrix_doc(SLMatrix(REAL, [[4.0, 0.0], [0.0, 0.25]])))
+    sep = write_doc(tmp_path, "F.json",
+                    sep_doc([rotation(k * math.pi / 8) for k in range(8)], 2, 0.05))
+    gens = write_doc(tmp_path, "gens.json", gens_doc([SLMatrix(REAL, [[1.0, 2.0], [0.0, 1.0]]),
+                                                      SLMatrix(REAL, [[1.0, 0.0], [2.0, 1.0]])]))
+    runs = [["cartan", "--in", g], ["separate", "--set", sep, "--trials", "20", "--seed", "3"],
+            ["falsify", "--gens", gens, "--max-len", "3"], ["cartan", "--in", g, "--out", g + ".out"],
+            ["dense-check", "--gens", gens]]
+
+    def report(argv):
+        code = run(argv)
+        text = Path(argv[-1]).read_text() if "--out" in argv else capsys.readouterr().out
+        doc = json.loads(text)
+        doc.pop("timestamp")
+        return code, doc
+
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(report(argv))
+    parser = cli._parser()
+    with pytest.raises(SystemExit):
+        run(["separate", "--set", sep])  # no --seed: argparse exits with a usage error
+    capsys.readouterr()
+    assert [report(argv) for argv in runs] == fresh
+    assert cli._parser() is parser
 
 
 def test_separate_is_deterministic_modulo_timestamp(tmp_path, capsys):

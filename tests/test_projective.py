@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import wedge_coordinates
 from pingpong.errors import DomainError
-from pingpong.fields import COMPLEX, REAL, padic
+from pingpong.fields import COMPLEX, REAL, PadicScalar, padic
 from pingpong.projective import (
     ProjHyperplane,
     ProjPoint,
@@ -118,6 +118,21 @@ def test_canonical_rows_match_projpoint_bits(field):
     zero = as_field_array(field, [[1, 2, 3], [0, 0, 0]], 2)
     with pytest.raises(DomainError):
         canonical_rows(field, zero)
+
+
+def test_padic_canonical_rows_divide_only_where_division_changes_something(monkeypatch):
+    s = Q5.scalar
+    rows = np.array([[s(5), s(1), s(0)],                     # canonical already
+                     [s(25), PadicScalar(Q5, 1, 3), s(7)],   # pivot 1 known to 3 of 40 digits
+                     [s(10), s(3), s(2)]], dtype=object)
+    divided = []
+    divide = PadicScalar.__truediv__
+    monkeypatch.setattr(PadicScalar, "__truediv__", lambda x, y: divided.append(x) or divide(x, y))
+    out = canonical_rows(Q5, rows)
+    assert len(divided) == 6  # rows 1 and 2 only
+    assert [(x.value, x.digits) for x in out[0]] == [(5, 40), (1, 40), (0, 40)]
+    assert [(x.value, x.digits) for x in out[1]] == [(25, 3), (1, 3), (7, 3)]
+    assert [x.value for x in out[2]] == [Fraction(10, 3), 1, Fraction(2, 3)]
 
 
 def test_canonical_reps_are_scale_invariant():

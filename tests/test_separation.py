@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pingpong.cartan import SLMatrix, apply_point, diagonal, identity
 from pingpong.errors import ConstructionError, DomainError
 from pingpong.fields import COMPLEX, REAL, padic
 from pingpong import separation
+from pingpong.sampling import CHUNK_SIZE
 from pingpong.projective import (
     ProjHyperplane,
     ProjPoint,
@@ -20,7 +22,7 @@ from pingpong.projective import (
     canonical_rows,
     dist_to_hyperplane,
 )
-from helpers import random_sl_arch, random_sl_padic
+from helpers import deflate_row, radius_by_trials, random_sl_arch, random_sl_padic
 from pingpong.separation import (
     Configuration,
     NotSeparatingWarning,
@@ -222,20 +224,62 @@ def test_estimate_radius_wins_match_best_separator():
 def test_estimate_radius_defeated_set_scans_every_trial(monkeypatch):
     # I and -I act alike, so the adversarial trial 1 pins both
     elements = (identity(REAL, 2), SLMatrix(REAL, [[-1.0, 0.0], [0.0, -1.0]]))
+    trials = CHUNK_SIZE + 3
     sampled = []
-    original = separation.sample_configuration
+    original = separation._configurations
 
-    def counting(elements, m, trial, seed):
-        sampled.append(trial)
-        return original(elements, m, trial, seed)
+    def counting(field, entries, m, batch, seed):
+        assert len(batch) <= CHUNK_SIZE
+        sampled.extend(batch.tolist())
+        return original(field, entries, m, batch, seed)
 
-    monkeypatch.setattr(separation, "sample_configuration", counting)
+    monkeypatch.setattr(separation, "_configurations", counting)
     with pytest.warns(NotSeparatingWarning) as caught:
-        estimate = estimate_radius(elements, 1, 12, 3)
+        estimate = estimate_radius(elements, 1, trials, 3)
     assert [w.category for w in caught].count(NotSeparatingWarning) == 1
-    assert sampled == list(range(12))
+    assert sampled == list(range(trials))
     assert estimate.r == 0.0
-    assert estimate.wins == (12, 0)  # ties go to the first element
+    assert estimate.wins == (trials, 0)  # ties go to the first element
+
+
+@pytest.mark.parametrize("field, trials", [(REAL, CHUNK_SIZE + 3), (COMPLEX, 40), (Q5, 3)],
+                         ids=str)
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_estimate_radius_batches_equal_the_trial_loop(field, trials, n, m):
+    # chunked sampling and scoring round every trial as a batch of one does
+    if field.is_padic:
+        prng = random.Random(n * 10 + m)
+        elements = [random_sl_padic(prng, field, n) for _ in range(3)]
+    else:
+        rng = np.random.default_rng(n * 10 + m)
+        elements = [random_sl_arch(rng, field, n) for _ in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotSeparatingWarning)
+        estimate = estimate_radius(elements, m, trials, 5)
+    assert (estimate.r, estimate.wins) == radius_by_trials(elements, m, trials, 5)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX, Q5], ids=str)
+def test_deflate_batch_matches_rows_with_the_vanishing_fallback(field):
+    # rows 0 and 2 deflate normally; rows 1 and 3 are forms c e_k0 through
+    # the pivot coordinate k0 of u, whose correction leaves nothing
+    u = canonical_rows(field, as_field_array(field, [[3, 1, 2], [1, 4, 2], [2, 2, 1], [1, 1, 5]], 2))
+    coords = [[1, 2, 3], [0, 0, 0], [5, 1, 1], [0, 0, 0]]
+    for k, c in ((1, 7), (3, 2)):
+        coords[k][int(np.argmax(np.abs(u[k])))] = c
+    w = as_field_array(field, coords, 2)
+    vanishing = 0.0 if field.is_padic else 1e-9
+    batch = separation._deflate(field, u, w, vanishing)
+    rows = [deflate_row(field, a, b, vanishing) for a, b in zip(u, w)]
+    for got, want in zip(batch, rows):
+        if field.is_padic:
+            assert [(c.value, c.digits) for c in got] == [(c.value, c.digits) for c in want]
+        else:
+            assert got.tobytes() == want.tobytes()
+    for k in (1, 3):
+        k0 = int(np.argmax(np.abs(u[k])))
+        assert batch[k][(k0 + 1) % 3] == 1 and batch[k][(k0 + 2) % 3] == 0
+    assert np.abs((batch * u).sum(-1)).astype(float).max() <= (0 if field.is_padic else 1e-15)
 
 
 def test_estimate_radius_validates_arguments():
