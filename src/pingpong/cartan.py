@@ -8,7 +8,7 @@ norm identities ||g|| = |a_1|, ||wedge^2 g|| = |a_1 a_2|.
 
 Exact linear algebra has one implementation, gauss_jordan: the determinant
 gate on input (over Q_p, and over R and C on the stored dyadic entries when
-the float gate is too wide to exclude det 0), the p-adic inverse, the p-adic
+the float gate is too wide to decide det = 1), the p-adic inverse, the p-adic
 minors of exterior_power and the falsifier's exact adjugates.  The Smith form
 keeps its own loop: it pivots on the whole remaining block rather than one
 column and records the row and column operations as k and k'.
@@ -97,6 +97,14 @@ class SLMatrix:
             self._check_det()
 
     def _check_det(self):
+        """DomainError unless det = 1 as far as the stored entries tell: over
+        Q_p to the digits held; over R and C by the float gate, and where that
+        gate reaches 1 by the exact det d of the dyadic entries A (over C the
+        real 2n x 2n form, of det |det|^2).  d must be nonzero with
+        |d - 1| <= tol sum_ij |a_ij| |adj(A)_ji|, the first-order move of d
+        when each entry is off by a relative tol = relative_tolerance().  One
+        rounding per entry, u = 2^-53, would be too tight: the generators that
+        build_pingpong_tuple multiplies out need up to about 2e3 u for tol."""
         if self.field.is_padic:
             det, _ = gauss_jordan(exact_form(self.entries))
             if det != 1:
@@ -120,9 +128,18 @@ class SLMatrix:
             gate = max(relative_tolerance(), drift)
             if not abs(det - 1) <= gate:
                 raise DomainError(f"determinant is {det:.12g}, not 1")
-            # a gate this wide admits det = 0, which the stored dyadic entries decide
-            if gate >= 1 and not gauss_jordan(exact_form(self.entries))[0]:
+            if gate < 1:
+                return
+            # a gate this wide admits det = 0 and det = 2: the stored entries decide
+            a = exact_form(self.entries)
+            det, inverse = gauss_jordan(a)
+            if not det:
                 raise DomainError("determinant is exactly 0, not 1")
+            reach = Fraction(relative_tolerance()) * (abs(a) * abs(det * inverse).T).sum()
+            if abs(det - 1) > reach:
+                what = "squared modulus of the " if self.field.kind is Kind.COMPLEX else ""
+                raise DomainError(f"{what}determinant of the stored entries is "
+                                  f"{float(det):.12g}, not 1")
 
     @property
     def n(self) -> int:

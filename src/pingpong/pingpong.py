@@ -38,8 +38,9 @@ from .contraction import (
 )
 from .errors import (ConstructionError, DomainError, NoSeparatorError, PreconditionError,
                      UndecidedError)
-from .fields import Kind
-from .projective import ProjPoint, dist_to_hyperplane, hyperplane_distances
+from .fields import Kind, relative_tolerance
+# dist_to_hyperplane is unused here; perfbench/test_oracle.py reads it as pingpong.pingpong's
+from .projective import ProjPoint, dist_to_hyperplane, hyperplane_distances  # noqa: F401
 from .separation import SeparatingSet, letter_stack, word_layers
 
 __all__ = [
@@ -59,8 +60,6 @@ __all__ = [
 ]
 
 _PROBE_ATTEMPTS = 32
-# margin by which an archimedean distance must clear r in verify_pingpong
-_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -248,19 +247,26 @@ def tighten_very_contracting(element: VeryContractingElement) -> VeryContracting
                                   cartan_cert(element.matrix.inverse(), own))
 
 
+def _flag_table(certificates) -> np.ndarray:
+    """d(v_a, H_b) for the 2m attracting points v_a and repelling
+    hyperplanes H_b of the certificates, one hyperplane_distances call; side
+    2i is x_i's forward side and 2i + 1 its backward side."""
+    sides = [side for pc in certificates for side in (pc.forward, pc.backward)]
+    return hyperplane_distances(sides[0].attracting.field,
+                                np.stack([side.attracting.rep for side in sides]),
+                                np.stack([side.repelling.form for side in sides]))
+
+
 def separation_table(certificates) -> tuple:
     """Cross distances ((i, si), (j, sj), d) between attracting points of
     x_i^(si) and repulsive hyperplanes of x_j^(sj), ordered pairs i != j."""
-    entries = []
-    for i, ci in enumerate(certificates):
-        for j, cj in enumerate(certificates):
-            if i == j:
-                continue
-            for si, attr in ((1, ci.forward), (-1, ci.backward)):
-                for sj, rep in ((1, cj.forward), (-1, cj.backward)):
-                    entries.append(((i, si), (j, sj),
-                                    dist_to_hyperplane(attr.attracting, rep.repelling)))
-    return tuple(entries)
+    if not certificates:
+        return ()
+    table = _flag_table(certificates)
+    m = len(certificates)
+    return tuple(((i, si), (j, sj), float(table[2 * i + (1 - si) // 2, 2 * j + (1 - sj) // 2]))
+                 for i in range(m) for j in range(m) if i != j
+                 for si in (1, -1) for sj in (1, -1))
 
 
 def build_pingpong_tuple(a, F: SeparatingSet, gamma: VeryContractingElement) -> PingPongCert:
@@ -383,29 +389,23 @@ def _select(F: SeparatingSet, name: str, conditions):
 
 
 def verify_pingpong(cert: PingPongCert) -> bool:
-    """Recompute all flag and cross-separation distances from the stored
-    certificate data.
-
-    Archimedean inequalities must clear r by _TOLERANCE = 1e-9; distances over a
-    p-adic field are exact powers of p and are compared against r with only
-    a 1e-12 relative allowance for the float arithmetic that produced r.
+    """Re-check the stored flags: every entry of the certificates' flag table
+    but x_i's point against x_i^-1's hyperplane and back.  The generators are
+    not read.  Archimedean distances must clear r by relative_tolerance();
+    p-adic ones are exact powers of p, compared with r with only a 1e-12
+    relative allowance for the float arithmetic that produced r.
     """
     if not cert.r > 2 * cert.epsilon:
         return False
-    fld = cert.generators[0].field
-    if fld.is_padic:
+    if any(pc.backward is None for pc in cert.certificates):
+        return False
+    if cert.generators[0].field.is_padic:
         threshold = cert.r * (1 - 1e-12)
     else:
-        threshold = cert.r + _TOLERANCE
-
-    for pc in cert.certificates:
-        if pc.backward is None:
-            return False
-        if pc.forward.flag_distance() < threshold:
-            return False
-        if pc.backward.flag_distance() < threshold:
-            return False
-    return not any(d < threshold for _, _, d in separation_table(cert.certificates))
+        threshold = cert.r + relative_tolerance()
+    generator = np.arange(2 * cert.m) // 2
+    checked = (generator[:, None] != generator) | np.eye(2 * cert.m, dtype=bool)
+    return not (_flag_table(cert.certificates)[checked] < threshold).any()
 
 
 _U = 2.0 ** -53  # unit roundoff of float64

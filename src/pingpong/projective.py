@@ -9,9 +9,10 @@ ProjHyperplane are a field and one such row, read-only (P.rep, H.form),
 and callers read the row itself.
 
 hyperplane_distances and point_distances, the array form of the metric, are
-written once for every field; the norm and the p-adic canonical rows are
-the only splits.  proj_dist and dist_to_hyperplane are their scalar
-reference, one pair of rows at a time.
+written once for every field and are its only implementation; the norm and
+the p-adic canonical rows are the only splits.  proj_dist,
+dist_to_hyperplane and the equality of points and hyperplanes call them on
+a batch of one.
 """
 
 import functools
@@ -181,7 +182,7 @@ def _same_line(X, Y, v, w) -> bool:
         return False
     if X.field.is_padic:
         return all(a == b for a, b in zip(v, w))
-    return _sine(X.field, v, w) <= relative_tolerance()
+    return point_distances(X.field, v[None], w)[0] <= relative_tolerance()
 
 
 def _check_compatible(X, Y):
@@ -191,39 +192,17 @@ def _check_compatible(X, Y):
         raise DomainError(f"mixed dimensions: {len(X)} and {len(Y)}")
 
 
-def _norm(field: FieldSpec, v) -> float:
-    # the scalar reference's norm of one row: np.linalg.norm over R and C
-    # (the kernels' _norms sums differently), the sup norm over Q_p
-    if field.is_padic:
-        return max((c.abs() for c in v), default=0.0)
-    return float(np.linalg.norm(v))
-
-
-def _wedge(v, w) -> np.ndarray:
-    """v ^ w in the basis e_i ^ e_j, pairs (i, j) with i < j in lex order."""
-    # scalar products: numpy's array loops round a complex product differently
-    n = len(v)
-    return np.array([v[i] * w[j] - v[j] * w[i] for i in range(n) for j in range(i + 1, n)])
-
-
-def _sine(field: FieldSpec, v, w) -> float:
-    # p-adic canonical reps have sup norm exactly 1.0: the power of p stays exact
-    return _norm(field, _wedge(v, w)) / (_norm(field, v) * _norm(field, w))
-
-
 def proj_dist(P: ProjPoint, Q: ProjPoint) -> float:
     """Standard metric; values in [0,1], an ultrametric over Q_p."""
     _check_compatible(P, Q)
-    return _sine(P.field, P.rep, Q.rep)
+    return float(point_distances(P.field, P.rep[None], Q.rep)[0])
 
 
 def dist_to_hyperplane(P: ProjPoint, H: ProjHyperplane) -> float:
     """d([v], [ker f]) = |f(v)| / (||f|| ||v||), f(v) = sum f_i v_i with no
     conjugation: forms are linear."""
     _check_compatible(P, H)
-    v, f = P.rep, H.form
-    # item() gives a Python float or complex, or the PadicScalar itself
-    return abs(np.sum(f * v, keepdims=True).item()) / (_norm(P.field, v) * _norm(P.field, f))
+    return float(hyperplane_distances(P.field, P.rep[None], H.form[None])[0, 0])
 
 
 def hyperplane_distances(field: FieldSpec, points, forms) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from pingpong.cartan import SLMatrix, apply_point
 from pingpong.fields import Kind, valuation
-from pingpong.projective import _norms, dist_to_hyperplane
+from pingpong.projective import _norms
 from pingpong.separation import SeparatingSet, best_separator, sample_configuration
 
 
@@ -118,8 +118,35 @@ def power_iteration_norm(m, iters=400):
 
 def wedge_coordinates(v, w):
     """v ^ w in the basis e_i ^ e_j, pairs (i, j) with i < j in lex order."""
+    # scalar products: numpy's array loops round a complex product differently
     n = len(v)
     return [v[i] * w[j] - v[j] * w[i] for i in range(n) for j in range(i + 1, n)]
+
+
+# The scalar metric: one pair of rows at a time, with np.linalg.norm over R
+# and C, an oracle written apart from the kernels of pingpong.projective.
+
+def scalar_norm(field, v):
+    """np.linalg.norm of one row over R and C, its sup norm over Q_p."""
+    if field.is_padic:
+        return max((c.abs() for c in v), default=0.0)
+    return float(np.linalg.norm(v))
+
+
+def scalar_proj_dist(P, Q):
+    """d([v], [w]) = ||v ^ w|| / (||v|| ||w||) from the canonical rows."""
+    v, w = P.rep, Q.rep
+    # p-adic canonical reps have sup norm exactly 1.0: the power of p stays exact
+    return (scalar_norm(P.field, np.array(wedge_coordinates(v, w)))
+            / (scalar_norm(P.field, v) * scalar_norm(P.field, w)))
+
+
+def scalar_dist_to_hyperplane(P, H):
+    """d([v], [ker f]) = |f(v)| / (||f|| ||v||), the form applied unconjugated."""
+    v, f = P.rep, H.form
+    # item() gives a Python float or complex, or the PadicScalar itself
+    return (abs(np.sum(f * v, keepdims=True).item())
+            / (scalar_norm(P.field, v) * scalar_norm(P.field, f)))
 
 
 def batch_proj_dist(u, v):
@@ -132,10 +159,11 @@ def batch_proj_dist(u, v):
 
 def condition_distances(f, condition):
     """d([f^side v], H) for every point v and hyperplane H of a selection
-    condition (text, side, points, hyperplanes), one scalar call each."""
+    condition (text, side, points, hyperplanes), one scalar oracle call each."""
     _, side, points, hyperplanes = condition
     g = f if side == 1 else f.inverse()
-    return [dist_to_hyperplane(apply_point(g, P), H) for P in points for H in hyperplanes]
+    return [scalar_dist_to_hyperplane(apply_point(g, P), H)
+            for P in points for H in hyperplanes]
 
 
 def first_by_scalar_reference(F, conditions):

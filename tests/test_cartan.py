@@ -63,6 +63,23 @@ def test_wide_determinant_gate_refuses_exactly_singular_matrices():
     SLMatrix(COMPLEX, [[1e8j, 1e8 + 1], [1e8 - 1, -1e8j]])
 
 
+def test_wide_determinant_gate_refuses_a_stored_determinant_far_from_one():
+    # the float det of [[1e8, 1e8], [0, 2e-8]] is inside the gate at scale 1e8,
+    # but its stored entries give det 2, which no rounding of the entries explains
+    with pytest.raises(DomainError, match="stored entries is 2, not 1"):
+        SLMatrix(REAL, [[1e8, 1e8], [0.0, 2e-8]])
+    with pytest.raises(DomainError, match="squared modulus .* is 4, not 1"):
+        SLMatrix(COMPLEX, [[1e8, 1e8], [0.0, 2e-8]])
+    # float-computed det-1 matrices at large scale stay accepted
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        theta, scale = rng.uniform(0, math.pi), 10.0 ** rng.uniform(4, 9)
+        q = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        g = q @ np.diag([scale, 1 / scale]) @ q.T
+        for power in (g, g @ g, g @ g @ g):
+            SLMatrix(REAL, power)
+
+
 _SMALL_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
 

@@ -143,6 +143,15 @@ def test_non_finite_generator_is_exit_2_with_path(tmp_path, capsys):
     assert report["payload"]["path"] == "generators[0][0][0]"
 
 
+def test_stored_determinant_far_from_one_is_exit_2_with_path(tmp_path, capsys):
+    path = write_doc(tmp_path, "g.json",
+                     {"field": {"kind": "real"}, "matrix": [[1e8, 1e8], [0.0, 2e-8]]})
+    code, report = run_json(capsys, ["cartan", "--in", path])
+    assert code == 2
+    assert report["payload"]["path"] == "matrix"
+    assert "determinant of the stored entries is 2, not 1" in report["payload"]["error"]
+
+
 @pytest.mark.parametrize("mode", ["--build", "--verify-only"])
 def test_certify_free_mixed_documents_are_exit_2_with_path(tmp_path, capsys, mode):
     gens = write_doc(tmp_path, "gens.json", gens_doc([rotation(0.3), rotation(0.5)]))

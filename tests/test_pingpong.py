@@ -1,5 +1,6 @@
 """Manufacturing steps, tuple construction, verification, falsifier."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (condition_distances, first_by_scalar_reference, random_sl_arch,
-                     random_sl_padic)
+                     random_sl_padic, scalar_dist_to_hyperplane)
 from pingpong.cartan import SLMatrix, bilip_constant, identity
 from pingpong.contraction import (
     ContractionCert,
@@ -388,6 +389,105 @@ def test_verify_sanov_hand_built_pair():
     # the declared epsilon is not empirically achieved; verify_pingpong
     # certifies the separation geometry, not the contraction constant
     assert not verify_contracting(certs[0].forward, a, samples=10_000, seed=0)
+
+
+# the flag table
+
+
+def pipeline_cert(field, m=3):
+    """certify_free_generators on m identities: R and C over the eighth
+    rotations (over C with diagonal phases), Q_5 over words in S and T."""
+    if field.is_padic:
+        S, T = SLMatrix(field, [[1, 1], [0, 1]]), SLMatrix(field, [[1, 0], [1, 1]])
+        F = SeparatingSet(_dedupe(g for _, g in reduced_words([S, T], 2)), 2, 0.04)
+        gamma0, seed = SLMatrix(field, [[Fraction(1, 125), 0], [0, 125]]), 2
+    else:
+        phases = [np.exp(0.3j * k) if field is COMPLEX else 1.0 for k in range(8)]
+        F = SeparatingSet([SLMatrix(field, rotation(k * math.pi / 8).entries
+                                    @ np.diag([phases[k], 1 / phases[k]]))
+                           for k in range(8)], 2, 0.05)
+        gamma0, seed = SLMatrix(field, [[1e3, 0.0], [0.0, 1e-3]]), 5
+    with pytest.warns(UserWarning, match="bi-Lipschitz"):
+        return certify_free_generators([identity(field, 2)] * m, F, gamma0, seed=seed)
+
+
+def sides(certificates):
+    return [side for pc in certificates for side in (pc.forward, pc.backward)]
+
+
+def oracle_verify(cert):
+    """verify_pingpong on the scalar oracle: each certificate's two flags,
+    then every cross distance between different generators."""
+    if cert.generators[0].field.is_padic:
+        threshold = cert.r * (1 - 1e-12)
+    else:
+        threshold = cert.r + 1e-9
+    flags = [scalar_dist_to_hyperplane(side.attracting, side.repelling)
+             for side in sides(cert.certificates)]
+    cross = [scalar_dist_to_hyperplane(a.attracting, b.repelling)
+             for i, ci in enumerate(cert.certificates)
+             for j, cj in enumerate(cert.certificates) if i != j
+             for a in (ci.forward, ci.backward) for b in (cj.forward, cj.backward)]
+    return all(d >= threshold for d in flags + cross)
+
+
+def moved(cert, a, b):
+    """Copy of cert with side a's attracting point moved onto side b's
+    repelling hyperplane, built past the certificates' own checks."""
+    moved_sides = sides(cert.certificates)
+    side, form = moved_sides[a], moved_sides[b].repelling.form
+    v = side.attracting.rep.copy()
+    k = int(np.argmax(np.abs(form)))
+    v[k] -= (form @ v) / form[k]
+    moved_sides[a] = ContractionCert(side.epsilon, ProjPoint(side.attracting.field, v),
+                                     side.repelling, side.ratio)
+    certificates = []
+    for i, pc in enumerate(cert.certificates):
+        pc = copy.copy(pc)
+        object.__setattr__(pc, "forward", moved_sides[2 * i])
+        object.__setattr__(pc, "backward", moved_sides[2 * i + 1])
+        certificates.append(pc)
+    return PingPongCert(cert.generators, certificates, cert.r, cert.epsilon,
+                        separation_table(certificates))
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX, padic(5)], ids=["R", "C", "Q_5"])
+def test_flag_table_matches_scalar_oracle(field):
+    cert = pipeline_cert(field)
+    tol = 0.0 if field.is_padic else 1e-15
+    # separation_table: the per-entry oracle, in the order of the pair loop
+    want = [((i, si), (j, sj), scalar_dist_to_hyperplane(
+                 sides(cert.certificates)[2 * i + (1 - si) // 2].attracting,
+                 sides(cert.certificates)[2 * j + (1 - sj) // 2].repelling))
+            for i in range(cert.m) for j in range(cert.m) if i != j
+            for si in (1, -1) for sj in (1, -1)]
+    got = separation_table(cert.certificates)
+    assert [entry[:2] for entry in got] == [entry[:2] for entry in want]
+    assert all(abs(g[2] - w[2]) <= tol for g, w in zip(got, want))
+    assert verify_pingpong(cert) and oracle_verify(cert)
+    # moving any point onto any hyperplane: verify_pingpong says what the
+    # oracle says, and only the unchecked entries, from x_i's point to
+    # x_i^-1's hyperplane and back, can drop to 0 on these certificates
+    for a in range(2 * cert.m):
+        for b in range(2 * cert.m):
+            copy_ = moved(cert, a, b)
+            unchecked = a // 2 == b // 2 and a != b
+            assert verify_pingpong(copy_) == oracle_verify(copy_) == unchecked, (a, b)
+
+
+def test_pipeline_generators_pass_the_determinant_gate():
+    # the built generators are float products at entry scale up to ~1e11,
+    # and certify-free --verify-only reads them back through the det gate
+    rng = np.random.default_rng(4)
+    F = rotation_set(0.05, ks=range(0, 8))
+    for run in range(40):
+        q = rotation(float(rng.uniform(0, math.pi)))
+        scale = 10.0 ** float(rng.uniform(3, 6))
+        gamma0 = q @ SLMatrix(REAL, [[scale, 0.0], [0.0, 1.0 / scale]]) @ q.inverse()
+        with pytest.warns(UserWarning, match="bi-Lipschitz"):
+            cert = certify_free_generators([identity(REAL, 2)] * 2, F, gamma0, seed=run)
+        for g in cert.generators:
+            SLMatrix(REAL, g.entries)
 
 
 # p-adic pipeline

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import wedge_coordinates
+from helpers import scalar_dist_to_hyperplane, scalar_proj_dist, wedge_coordinates
 from pingpong.errors import DomainError
 from pingpong.fields import COMPLEX, REAL, PadicScalar, padic
 from pingpong.projective import (
@@ -14,7 +14,7 @@ from pingpong.projective import (
     ProjPoint,
     _PIVOT_CUTOFF,
     _norms,
-    _wedge,
+    _pairs,
     as_field_array,
     canonical_rows,
     dist_to_hyperplane,
@@ -59,7 +59,9 @@ def test_wedge_basis_order():
     # pairs (0,1), (0,2), (1,2)
     want = [1 * 5 - 2 * 4, 1 * 6 - 3 * 4, 2 * 6 - 3 * 5]
     assert wedge_coordinates(v, w) == want
-    assert _wedge(as_field_array(REAL, v, 1), as_field_array(REAL, w, 1)).tolist() == want
+    assert wedge_coordinates(as_field_array(REAL, v, 1), as_field_array(REAL, w, 1)) == want
+    # the kernels' wedge basis is the same
+    assert [(int(i), int(j)) for i, j in zip(*_pairs(3))] == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_proj_dist_examples():
@@ -317,9 +319,12 @@ def test_kernels_match_scalar_reference(name, data):
     W = ProjPoint(field, w)
     for a, v in enumerate(points):
         P = ProjPoint(field, v)
-        assert abs(to_point[a] - proj_dist(P, W)) <= tol
+        assert abs(to_point[a] - scalar_proj_dist(P, W)) <= tol
+        assert abs(proj_dist(P, W) - scalar_proj_dist(P, W)) <= tol
         for b, f in enumerate(forms):
-            assert abs(to_hyperplane[a, b] - dist_to_hyperplane(P, ProjHyperplane(field, f))) <= tol
+            H = ProjHyperplane(field, f)
+            assert abs(to_hyperplane[a, b] - scalar_dist_to_hyperplane(P, H)) <= tol
+            assert abs(dist_to_hyperplane(P, H) - scalar_dist_to_hyperplane(P, H)) <= tol
 
 
 def test_kernels_take_batch_axes_and_empty_inputs():

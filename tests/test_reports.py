@@ -3,8 +3,8 @@
 Every case runs ``pingpong.cli.run`` on documents in
 ``tests/data/reports/inputs`` and compares the exit code and the whole
 report, key order included, with ``tests/data/reports/expected/<case>.json``.
-Only the timestamp, the input path strings and ``parameters.threads`` (a
-retired flag) are left out; the sha256 digests of the inputs stay in.
+Only the timestamp and the input path strings are left out; the sha256
+digests of the inputs and every parameter stay in.
 
 Running this file as a script rewrites the expected reports from the code
 on the import path.  That is for a deliberate change of output only, and
@@ -114,8 +114,6 @@ def _comparable(report) -> str:
     del report["timestamp"]
     report["inputs"] = {name: {k: v for k, v in entry.items() if k != "path"}
                         for name, entry in report["inputs"].items()}
-    report["parameters"] = {k: v for k, v in report["parameters"].items()
-                            if k != "threads"}
     return json.dumps(report, indent=2)
 
 

@@ -22,7 +22,8 @@ from pingpong.projective import (
     canonical_rows,
     dist_to_hyperplane,
 )
-from helpers import deflate_row, radius_by_trials, random_sl_arch, random_sl_padic
+from helpers import (deflate_row, radius_by_trials, random_sl_arch, random_sl_padic,
+                     scalar_dist_to_hyperplane)
 from pingpong.separation import (
     Configuration,
     NotSeparatingWarning,
@@ -140,8 +141,8 @@ def test_margin_monotone_in_elements():
 
 def _scalar_margin(g, cfg):
     field = g.field
-    return min(dist_to_hyperplane(apply_point(x, ProjPoint(field, v)),
-                                  ProjHyperplane(field, f))
+    return min(scalar_dist_to_hyperplane(apply_point(x, ProjPoint(field, v)),
+                                         ProjHyperplane(field, f))
                for x in (g, g.inverse()) for v in cfg.points for f in cfg.forms)
 
 
