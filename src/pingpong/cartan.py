@@ -9,9 +9,11 @@ norm identities ||g|| = |a_1|, ||wedge^2 g|| = |a_1 a_2|.
 Exact linear algebra has one implementation, gauss_jordan: the determinant
 gate on input (over Q_p, and over R and C on the stored dyadic entries when
 the float gate is too wide to decide det = 1), the p-adic inverse, the p-adic
-minors of exterior_power and the falsifier's exact adjugates.  The Smith form
-keeps its own loop: it pivots on the whole remaining block rather than one
-column and records the row and column operations as k and k'.
+minors of exterior_power and the falsifier's exact adjugates.  Where only
+the determinant is wanted (the Q_p gate and the minors) it runs forward
+only.  The Smith form keeps its own loop: it pivots on the whole remaining
+block rather than one column and records the row and column operations as
+k and k'.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DecompositionError, DomainError, PrecisionExhaustedError
-from .fields import FieldSpec, Kind, PadicScalar, relative_tolerance, valuation
+from .fields import FieldSpec, Kind, PadicScalar, matmul, relative_tolerance, valuation
 from .projective import ProjHyperplane, ProjPoint, as_field_array
 
 
@@ -40,12 +42,17 @@ def exact_form(entries: np.ndarray) -> np.ndarray:
     return np.array([[Fraction(x) for x in row] for row in entries.tolist()], dtype=object)
 
 
-def gauss_jordan(a: np.ndarray) -> tuple:
+def gauss_jordan(a: np.ndarray, inverse: bool = True) -> tuple:
     """(det, inverse) of a square object array of exact scalars by one
     Gauss-Jordan elimination; inverse is None when a is exactly singular.
 
     Fractions pivot on the first nonzero entry of the column, PadicScalars
     on its least valuation.  The det is the signed product of the pivots.
+    With inverse=False only the forward pass runs, and the inverse is None:
+    the same pivots, each eliminating the rows below it only, with no
+    identity block.  Those operations are a subset of the full pass's, so
+    det keeps its value and its digits, and no step can raise that the full
+    pass would not.
     """
     n = len(a)
     if isinstance(a[0, 0], PadicScalar):
@@ -54,7 +61,9 @@ def gauss_jordan(a: np.ndarray) -> tuple:
     else:
         zero, one = Fraction(0), Fraction(1)
         size = operator.not_  # nonzero first
-    m = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(a.tolist())]
+    m = a.tolist()
+    if inverse:
+        m = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(m)]
     det = one
     for t in range(n):
         pivot_row = min(range(t, n), key=lambda i: size(m[i][t]))
@@ -67,10 +76,12 @@ def gauss_jordan(a: np.ndarray) -> tuple:
         inv = one / m[t][t]
         # a step on a zero entry would return the same value and digits: skip it
         m[t] = [x * inv if x else x for x in m[t]]
-        for i in range(n):
+        for i in range(n) if inverse else range(t + 1, n):
             if i != t and m[i][t]:
                 f = m[i][t]
                 m[i] = [x - f * y if y else x for x, y in zip(m[i], m[t])]
+    if not inverse:
+        return det, None
     return det, np.array([row[n:] for row in m], dtype=object)
 
 
@@ -106,7 +117,7 @@ class SLMatrix:
         rounding per entry, u = 2^-53, would be too tight: the generators that
         build_pingpong_tuple multiplies out need up to about 2e3 u for tol."""
         if self.field.is_padic:
-            det, _ = gauss_jordan(exact_form(self.entries))
+            det, _ = gauss_jordan(exact_form(self.entries), inverse=False)
             if det != 1:
                 # digit-truncated input may miss 1 by something beyond its precision
                 slack = min(c.digits for row in self.entries for c in row)
@@ -150,7 +161,7 @@ class SLMatrix:
             return NotImplemented
         if self.field != other.field or self.n != other.n:
             raise DomainError("matrix product needs matching fields and sizes")
-        return SLMatrix(self.field, self.entries @ other.entries, check=False)
+        return SLMatrix(self.field, matmul(self.entries, other.entries), check=False)
 
     def inverse(self) -> "SLMatrix":
         if self._inverse is None:
@@ -345,7 +356,7 @@ def exterior_power(g: SLMatrix, i: int) -> SLMatrix:
     subsets = list(itertools.combinations(range(n), i))
 
     def det(minor):
-        return gauss_jordan(minor)[0] if g.field.is_padic else np.linalg.det(minor)
+        return gauss_jordan(minor, inverse=False)[0] if g.field.is_padic else np.linalg.det(minor)
 
     rows = [[det(g.entries[np.ix_(S, T)]) for T in subsets] for S in subsets]
     return SLMatrix(g.field, rows, check=False)
@@ -377,10 +388,10 @@ def _check_space(g: SLMatrix, X):
 def apply_point(g: SLMatrix, P: ProjPoint) -> ProjPoint:
     """[g(v)]."""
     _check_space(g, P)
-    return ProjPoint(g.field, g.entries @ P.rep)
+    return ProjPoint(g.field, matmul(g.entries, P.rep))
 
 
 def apply_hyperplane(g: SLMatrix, H: ProjHyperplane) -> ProjHyperplane:
     """[g(ker f)] = [ker f o g^(-1)]."""
     _check_space(g, H)
-    return ProjHyperplane(g.field, H.form @ g.inverse().entries)
+    return ProjHyperplane(g.field, matmul(H.form, g.inverse().entries))

@@ -116,7 +116,7 @@ def verify_contracting(cert: ContractionCert, g: SLMatrix,
         chunks = archimedean_unit_chunks(field, g.n, samples, seed)
     for points in chunks:
         to_plane = hyperplane_distances(field, points, cert.repelling.form[None])[:, 0]
-        to_point = point_distances(field, points @ g.entries.T, cert.attracting.rep)
+        to_point = point_distances(field, points, cert.attracting.rep, g.entries)
         if ((to_plane >= cert.epsilon) & (to_point > cert.epsilon)).any():
             return False
     return True

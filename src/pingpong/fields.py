@@ -10,12 +10,15 @@ x - x = 0 hold on the nose.
 
 Matrices and projective rows keep scalars of every field in numpy arrays,
 p-adic ones in object arrays, so one numpy expression serves R, C and Q_p.
+Products of such arrays go through matmul.
 """
 
 import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DomainError, PrecisionExhaustedError
 
@@ -272,6 +275,21 @@ class PadicScalar:
 
     def __repr__(self):
         return f"PadicScalar({self.value}, p={self.field.prime}, digits={self.digits})"
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for field arrays.  Object arrays (Q_p) multiply as the explicit
+    sum (a[..., :, :, None] * b[..., None, :, :]).sum(-2), which adds in the
+    order of numpy's object matmul but lets a PrecisionExhaustedError through:
+    the object matmul keeps calling __mul__ after a sum has raised and ends in
+    a SystemError.  Float and complex arrays take @ itself."""
+    if a.dtype != object and b.dtype != object:
+        return a @ b
+    if b.ndim == 1:
+        return matmul(a, b[:, None])[..., 0]
+    if a.ndim == 1:
+        return matmul(a[None], b)[..., 0, :]
+    return (a[..., :, :, None] * b[..., None, :, :]).sum(-2)
 
 
 def abs_value(x, field: FieldSpec) -> float:

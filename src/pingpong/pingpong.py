@@ -369,7 +369,7 @@ def _first(F: SeparatingSet, conditions) -> tuple:
     for f in F.elements:
         for idx, (side, points, forms) in enumerate(rows):
             g = f if side == 1 else f.inverse()
-            if not (hyperplane_distances(f.field, points @ g.entries.T, forms) > F.r).all():
+            if not (hyperplane_distances(f.field, points, forms, g.entries) > F.r).all():
                 failures[idx] += 1
                 break
         else:

@@ -10,15 +10,17 @@ element and its inverse at once, for every field.  estimate_radius
 Monte-Carlo-samples configurations, alternating purely random ones with
 adversarial ones whose hyperplanes pass through orbit points, and reports
 in one pass the worst margin seen and how often each element was the best
-separator.  It works in chunks of sampling.CHUNK_SIZE trials, each trial
-on its own seeded stream: per chunk one stack of configurations (T, 2m, n),
-one canonical_rows call for its points, its adversarial images and its
-forms, one deflation of the adversarial forms, and one kernel call over
-every trial, element and inverse.  sample_configuration and best_separator
-are the same code on a batch of one, and every trial rounds as it would
-alone, for R, C and Q_p.  The global infimum r exists by compactness but
-is never computed; downstream constructions only ever query concrete
-configurations.  word_layers is the one reduced-word enumerator: a BFS that
+separator.  It works in chunks of trials, each trial on its own seeded
+stream, with T sized so that the chunk's (T, E, 2, 2m, 2m) table of
+distances stays within _TABLE_BUDGET entries, at most sampling.CHUNK_SIZE
+trials: per chunk one stack of configurations (T, 2m, n), one
+canonical_rows call for its points, its adversarial images and its forms,
+one deflation of the adversarial forms, and one kernel call that forms
+and scores g v for every trial, element and inverse.  sample_configuration
+and best_separator are the same code on a batch of one, and every trial
+rounds as it would alone, for R, C and Q_p.  The global infimum r exists
+by compactness but is never computed; downstream constructions only ever
+query concrete configurations.  word_layers is the one reduced-word enumerator: a BFS that
 builds each word length as one (N, n, n) stack of products, keeping per
 length only the parent index and last letter of each word.  The falsifier
 reads its stacks; reduced_words, for the greedy candidate pool, is a
@@ -34,7 +36,7 @@ import numpy as np
 
 from .cartan import SLMatrix, bilip_constant
 from .errors import ConstructionError, DomainError, UndecidedError
-from .fields import Kind
+from .fields import Kind, matmul
 from .projective import _norms, as_field_array, canonical_rows, hyperplane_distances
 from .sampling import CHUNK_SIZE, padic_unit_coords
 
@@ -57,6 +59,12 @@ __all__ = [
 # margins this small on archimedean samples are roundoff residue of an
 # exact incidence, not genuine separation
 _ZERO_MARGIN = 1e-12
+
+# Entries of the (T, E, 2, 2m, 2m) distance table of one chunk of trials.
+# The 16-element Q_5 fixture at m = 2 takes 128 trials a chunk, about 21 MB
+# at peak under tracemalloc, where 1024 trials took 170 MB; over R and C a
+# chunk takes about a tenth of that per entry.
+_TABLE_BUDGET = 1 << 16
 
 
 class NotSeparatingWarning(UserWarning):
@@ -106,9 +114,9 @@ def _margins(field, pairs, batch: Configuration) -> np.ndarray:
     a batch, points and forms (T, P, n) and (T, H, n): the min over points v
     and forms f of d(g v, ker f) and d(g^-1 v, ker f), +inf for an empty
     configuration."""
-    # points @ g^T for every trial and every g at once, rounded as for one alone
-    images = batch.points[:, None, None] @ pairs.swapaxes(-1, -2)
-    distances = hyperplane_distances(field, images, batch.forms[:, None, None])
+    # g v for every trial and every g at once, rounded as for one alone
+    distances = hyperplane_distances(field, batch.points[:, None, None],
+                                     batch.forms[:, None, None], pairs)
     return distances.min(axis=(2, 3, 4), initial=math.inf)
 
 
@@ -149,7 +157,7 @@ def _deflate(field, u, w, vanishing: float):
     pivots = u[rows, k0]
     f = w.copy()
     # row-wise dots, rounded as w @ u of one row
-    f[rows, k0] -= (w[:, None, :] @ u[:, :, None])[:, 0, 0] / pivots
+    f[rows, k0] -= matmul(w[:, None, :], u[:, :, None])[:, 0, 0] / pivots
     flat = _norms(field, f) <= vanishing * _norms(field, w)
     if flat.any():
         rows, k0 = rows[flat], k0[flat]
@@ -188,7 +196,8 @@ def _configurations(field, entries, m: int, trials: np.ndarray, seed: int) -> Co
     if len(odd):
         adversaries = entries[trials[odd] // 2 % len(entries)]
         # stacked matrix-vector products: the bits of apply_point
-        images = canonical_rows(field, (adversaries[:, None] @ points[odd][..., None])[..., 0])
+        images = matmul(adversaries[:, None], points[odd][..., None])[..., 0]
+        images = canonical_rows(field, images)
         forms[odd] = _deflate(field, images.reshape(-1, n), forms[odd].reshape(-1, n),
                               vanishing).reshape(images.shape)
     return Configuration(points, canonical_rows(field, forms))
@@ -224,9 +233,10 @@ def estimate_radius(elements, m: int, trials: int, seed: int) -> RadiusEstimate:
     """Worst best_separator margin over sampled configurations, and the wins
     of each element, from one pass over every trial.
 
-    Trials are drawn and scored in chunks of sampling.CHUNK_SIZE: per chunk
-    one batch of configurations (sample_configuration's, trial by trial) and
-    one hyperplane_distances call for every trial, element and inverse.
+    Trials are drawn and scored in chunks of at most sampling.CHUNK_SIZE,
+    sized by _TABLE_BUDGET: per chunk one batch of configurations
+    (sample_configuration's, trial by trial) and one hyperplane_distances
+    call for every trial, element and inverse.
     r is an upper estimate of the true separation radius, reported as
     estimated rather than certified.  Each trial credits the first element
     with the largest margin, the tie rule of best_separator.  Every trial is
@@ -246,9 +256,10 @@ def estimate_radius(elements, m: int, trials: int, seed: int) -> RadiusEstimate:
     pairs = _inverse_pairs(elements)
     worst = math.inf
     wins = np.zeros(len(elements), dtype=int)
-    for start in range(0, trials, CHUNK_SIZE):
+    chunk = max(1, min(CHUNK_SIZE, _TABLE_BUDGET // (2 * len(elements) * (2 * m) ** 2)))
+    for start in range(0, trials, chunk):
         batch = _configurations(fld, pairs[:, 0], m,
-                                np.arange(start, min(start + CHUNK_SIZE, trials)), seed)
+                                np.arange(start, min(start + chunk, trials)), seed)
         margins = _margins(fld, pairs, batch)
         wins += np.bincount(margins.argmax(axis=1), minlength=len(elements))
         # fmin passes over nan, as a running min() over the trials does
@@ -333,7 +344,7 @@ def _grow(layer: WordLayer, letters: np.ndarray, magnitudes) -> WordLayer:
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are kept
         return WordLayer(
             layer.length + 1, layer.trail + ((parents, last),),
-            layer.products[parents] @ letters[last],
+            matmul(layer.products[parents], letters[last]),
             None if magnitudes is None else layer.magnitudes[parents] @ magnitudes[last])
 
 

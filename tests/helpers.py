@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 
 from pingpong.cartan import SLMatrix, apply_point
-from pingpong.fields import Kind, valuation
-from pingpong.projective import _norms
+from pingpong.fields import Kind, matmul, valuation
+from pingpong.projective import _norms, as_field_array, canonical_rows
+from pingpong.sampling import padic_point_chunks
 from pingpong.separation import SeparatingSet, best_separator, sample_configuration
 
 
@@ -147,6 +148,48 @@ def scalar_dist_to_hyperplane(P, H):
     # item() gives a Python float or complex, or the PadicScalar itself
     return (abs(np.sum(f * v, keepdims=True).item())
             / (scalar_norm(P.field, v) * scalar_norm(P.field, f)))
+
+
+# The PadicScalar route of the p-adic kernels, an oracle for the integer arm
+# of pingpong.projective: the same distances by PadicScalar arithmetic, with
+# the products of fields.matmul.
+
+def padic_hyperplane_distances(field, points, forms, matrices=None):
+    """hyperplane_distances over Q_p: d([g v], [ker f]) as the abs of
+    f(g v) for canonical PadicScalar rows g v and f."""
+    if matrices is not None:
+        points = matmul(points, matrices.swapaxes(-1, -2))
+    points, forms = canonical_rows(field, points), canonical_rows(field, forms)
+    return np.abs(matmul(points, forms.swapaxes(-1, -2))).astype(float)
+
+
+def padic_point_distances(field, points, w, matrices=None):
+    """point_distances over Q_p: the sup norm of the PadicScalar wedge of
+    canonical g v and w."""
+    if matrices is not None:
+        points = matmul(points, matrices.swapaxes(-1, -2))
+    v, w = canonical_rows(field, points), canonical_rows(field, w)
+    i, j = np.triu_indices(len(w), 1)
+    return np.abs(v[..., i] * w[j] - v[..., j] * w[i]).astype(float).max(axis=-1, initial=0.0)
+
+
+def padic_margins(field, pairs, batch):
+    """separation._margins by the PadicScalar route."""
+    distances = padic_hyperplane_distances(field, batch.points[:, None, None],
+                                           batch.forms[:, None, None], pairs)
+    return distances.min(axis=(2, 3, 4), initial=math.inf)
+
+
+def padic_verify_contracting(cert, g, samples, seed):
+    """contraction.verify_contracting over Q_p by the PadicScalar route."""
+    field = g.field
+    for chunk in padic_point_chunks(field, g.n, samples, seed):
+        points = as_field_array(field, chunk, 2)
+        to_plane = padic_hyperplane_distances(field, points, cert.repelling.form[None])[:, 0]
+        to_point = padic_point_distances(field, points, cert.attracting.rep, g.entries)
+        if ((to_plane >= cert.epsilon) & (to_point > cert.epsilon)).any():
+            return False
+    return True
 
 
 def batch_proj_dist(u, v):

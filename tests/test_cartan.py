@@ -113,6 +113,39 @@ def test_adjugate_stack_matches_cofactor_loop_and_exact_oracle():
         assert np.abs(_adjugate(real) - exact).max() <= tol
 
 
+def test_determinant_pass_keeps_every_digit_and_raises_no_more():
+    # the forward pass's operations are a subset of the full pass's: every
+    # det keeps its value and digit count, and none raises that did not
+    rng = random.Random(3)
+    spared = 0
+    for precision in (3, 4, 5, 6):
+        field = padic(5, precision)
+        for _ in range(60):
+            a = random_sl_padic(rng, field, rng.choice([2, 3, 4]), val_range=3).entries
+            try:
+                full = gauss_jordan(a)[0]
+            except PrecisionExhaustedError:
+                full = None
+            try:
+                det = gauss_jordan(a, inverse=False)[0]
+            except PrecisionExhaustedError:
+                assert full is None
+                continue
+            if full is None:
+                spared += 1
+            else:
+                assert (det, det.digits) == (full, full.digits)
+    assert spared
+    # a minor whose full pass lost its digits on the identity block
+    field = padic(5, 3)
+    a = as_field_array(field, [[Fraction(1, 5), 0, 2], [Fraction(2, 25), 125, Fraction(4254, 5)],
+                               [Fraction(6, 125), 75, Fraction(12763, 25)]], 2)
+    with pytest.raises(PrecisionExhaustedError):
+        gauss_jordan(a)
+    det, inverse = gauss_jordan(a, inverse=False)
+    assert (det, det.digits, inverse) == (1, 3, None)
+
+
 def test_gauss_jordan_finds_exact_singularity():
     assert gauss_jordan(np.array([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]],
                                  dtype=object)) == (0, None)

@@ -208,9 +208,9 @@ def test_separate_scores_each_configuration_once(tmp_path, capsys, monkeypatch):
     scored = []
     original = separation.hyperplane_distances
 
-    def counting(field, points, forms):
-        scored.append(points.shape[:3])
-        return original(field, points, forms)
+    def counting(field, points, forms, matrices):
+        scored.append(np.broadcast_shapes(points.shape[:-2], matrices.shape[:-2]))
+        return original(field, points, forms, matrices)
 
     # one kernel call per chunk of trials scores every element and its inverse
     monkeypatch.setattr(separation, "hyperplane_distances", counting)

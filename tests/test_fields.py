@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pingpong.errors import DomainError, PrecisionExhaustedError
@@ -12,6 +13,7 @@ from pingpong.fields import (
     Kind,
     PadicScalar,
     abs_value,
+    matmul,
     padic,
     valuation,
 )
@@ -119,6 +121,25 @@ def test_exact_zero_is_representable():
     assert z.digits == Q5.precision
     # exact zeros do not poison later precision
     assert (z + Q5.one()).digits == Q5.precision
+
+
+def test_matmul_lets_precision_loss_through():
+    # 1 * 1 + 24 * 1 = 25 is known only modulo 5^2 at two digits.  On a stack,
+    # numpy's object matmul turns that error into a SystemError
+    f = padic(5, 2)
+    a = np.array([[[f.scalar(1), f.scalar(24)]] * 2] * 2)
+    b = np.array([[f.one(), f.zero()], [f.one(), f.zero()]])
+    with pytest.raises(PrecisionExhaustedError, match="valuation 2"):
+        matmul(a, b)
+    # the sum in the order of @, with vectors promoted as @ promotes them
+    exact = padic(5)
+    c = np.array([[exact.scalar(k + 2 * i) for k in range(2)] for i in range(2)])
+    v = np.array([exact.scalar(3), exact.scalar(-1)])
+    assert matmul(c, c).tolist() == (c @ c).tolist()
+    assert matmul(c, v).tolist() == (c @ v).tolist()
+    assert matmul(v, c).tolist() == (v @ c).tolist()
+    floats = np.arange(8.0).reshape(2, 2, 2)
+    assert np.array_equal(matmul(floats, floats), floats @ floats)
 
 
 def test_multiplication_keeps_the_weaker_digit_count():

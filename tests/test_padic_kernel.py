@@ -1,0 +1,164 @@
+"""The integer p-adic arm of the distance kernels against the PadicScalar route.
+
+helpers.padic_hyperplane_distances, padic_point_distances, padic_margins and
+padic_verify_contracting compute the same quantities with PadicScalar
+arithmetic, the route the kernels replaced.  On every case of the corpus
+the floats must be equal, and PrecisionExhaustedError (or DomainError for a
+zero row) must be raised by both or by neither.  The corpus is random sets
+over Q_3, Q_5 and Q_7 with p in the denominators, n = 2..4, at precision 40
+and at precision 3..8, plus rows built to cancel, entries carrying more
+digits than the precision, and distances p^-k down a ladder of k.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from helpers import (adjugate_oracle, padic_hyperplane_distances, padic_margins,
+                     padic_point_distances, padic_verify_contracting, random_sl_padic)
+from pingpong.contraction import cartan_cert, contraction_coefficient, verify_contracting
+from pingpong.errors import DomainError, PrecisionExhaustedError
+from pingpong.fields import PadicScalar, padic
+from pingpong.projective import as_field_array, hyperplane_distances, point_distances
+from pingpong.separation import _configurations, _margins
+
+PRIMES = (3, 5, 7)
+PRECISIONS = (40, 3, 4, 5, 6, 7, 8)
+
+
+def _outcome(fn, *args):
+    """The floats fn returns, or the name of the error it raises."""
+    try:
+        out = fn(*args)
+    except (PrecisionExhaustedError, DomainError) as exc:
+        return type(exc).__name__
+    return out.tolist() if isinstance(out, np.ndarray) else out
+
+
+def _scalar(rng, field):
+    """A value that cancels often (small integers, powers of p, p in the
+    denominator) with 1 .. precision + 3 known digits."""
+    p = field.prime
+    base = rng.choice([0, 0, 1, -1, 1, 2, -2, p, -p, rng.randrange(-p ** 5, p ** 5)])
+    value = Fraction(base) * Fraction(p) ** rng.randint(-3, 3)
+    return PadicScalar(field, value, rng.randint(1, field.precision + 3))
+
+
+def _rows(rng, field, shape):
+    """An object array of shape (..., n) of _scalar entries, no row zero."""
+    rows = np.empty(shape, dtype=object)
+    for index in np.ndindex(shape[:-1]):
+        row = [field.zero()]
+        while not any(row):
+            row = [_scalar(rng, field) for _ in range(shape[-1])]
+        rows[index] = row
+    return rows
+
+
+FIELDS = [padic(p, precision) for p in PRIMES for precision in PRECISIONS]
+
+
+def _name(field):
+    return f"Q{field.prime}-{field.precision}"
+
+
+def _inverse_pairs(field, elements):
+    """separation._inverse_pairs with each inverse exact, at full digits: a
+    PadicScalar inverse at precision 3..8 mostly runs out of digits before
+    any distance is taken."""
+    return np.array([(g.entries, as_field_array(
+        field, adjugate_oracle([[c.value for c in row] for row in g.entries]), 2))
+        for g in elements])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=_name)
+def test_margins_match_the_padic_scalar_route(field):
+    rng = random.Random(field.prime * 100 + field.precision)
+    compared = raised = 0
+    for attempt in range(100):
+        if compared == 12:
+            break
+        n = 2 + compared % 3
+        elements = [random_sl_padic(rng, field, n, val_range=3)
+                    for _ in range(rng.randint(2, 4))]
+        pairs = _inverse_pairs(field, elements)
+        try:
+            batch = _configurations(field, pairs[:, 0], rng.randint(1, 2), np.arange(4), attempt)
+        except PrecisionExhaustedError:
+            continue  # sampling is the same PadicScalar work on both sides
+        kernel = _outcome(_margins, field, pairs, batch)
+        assert kernel == _outcome(padic_margins, field, pairs, batch)
+        compared += 1
+        raised += isinstance(kernel, str)
+    assert compared == 12
+    if field.precision == 40:
+        assert raised == 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=_name)
+def test_kernels_match_the_padic_scalar_route(field):
+    rng = random.Random(field.prime * 1000 + field.precision)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        points = _rows(rng, field, (2, 1, rng.randint(1, 3), n))
+        forms = _rows(rng, field, (2, 1, rng.randint(1, 3), n))
+        w = _rows(rng, field, (n,))
+        matrices = _rows(rng, field, (3, n, n))
+        for g in (None, matrices):
+            assert (_outcome(hyperplane_distances, field, points, forms, g)
+                    == _outcome(padic_hyperplane_distances, field, points, forms, g))
+            assert (_outcome(point_distances, field, points, w, g)
+                    == _outcome(padic_point_distances, field, points, w, g))
+        g = random_sl_padic(rng, field, n, val_range=3).entries
+        assert (_outcome(hyperplane_distances, field, points, forms, g)
+                == _outcome(padic_hyperplane_distances, field, points, forms, g))
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_distance_ladder_is_the_float_power(prime):
+    # float(p) ** -k is what PadicScalar.abs gives; numpy's array power
+    # differs from it in the last bit for some k (5^-5 among them)
+    field = padic(prime, 8)
+    point = as_field_array(field, [[1, 0]], 2)
+    for k in range(32):
+        forms = as_field_array(field, [[prime ** k, 1]], 2)
+        w = as_field_array(field, [1, prime ** k], 1)
+        assert hyperplane_distances(field, point, forms).tolist() == [[float(prime) ** -k]]
+        assert point_distances(field, point, w).tolist() == [float(prime) ** -k]
+        assert (padic_hyperplane_distances(field, point, forms).tolist()
+                == [[float(prime) ** -k]])
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_a_sum_keeps_at_most_precision_digits(prime):
+    # entries read with more unit digits than the precision: 1 + p^4 is
+    # known to 6 digits but keeps 3, so adding -1 leaves p^4 known modulo
+    # p^3 only, and both routes raise; without the cap it would be p^-4
+    field = padic(prime, 3)
+    point = np.array([[PadicScalar(field, x, 6) for x in (1, prime ** 4, -1)]])
+    form = np.array([[PadicScalar(field, 1, 6)] * 3])
+    for fn in (hyperplane_distances, padic_hyperplane_distances):
+        assert _outcome(fn, field, point, form) == "PrecisionExhaustedError"
+    # one digit more of room, and both give the distance
+    point[0, 1] = PadicScalar(field, prime ** 2, 6)
+    for fn in (hyperplane_distances, padic_hyperplane_distances):
+        assert _outcome(fn, field, point, form) == [[float(prime) ** -2]]
+
+
+@pytest.mark.parametrize("field", [padic(p, precision) for p in PRIMES
+                                   for precision in (40, 4, 6)], ids=_name)
+def test_verify_contracting_matches_the_padic_scalar_route(field):
+    rng = random.Random(field.prime + field.precision)
+    for n in (2, 3, 4):
+        for seed in range(2):
+            g = random_sl_padic(rng, field, n, val_range=3)
+            try:
+                coefficient = contraction_coefficient(g)
+                certs = [cartan_cert(g, eps) for eps in (min(coefficient, 1.0), 1 / field.prime)]
+            except PrecisionExhaustedError:
+                continue
+            for cert in certs:
+                assert (_outcome(verify_contracting, cert, g, 60, seed)
+                        == _outcome(padic_verify_contracting, cert, g, 60, seed))

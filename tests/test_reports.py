@@ -46,6 +46,9 @@ CASES = {
     "separate-complex": ["separate", "--set", "sep_complex.json", "--trials", "40",
                          "--seed", "3"],
     "separate-q5": ["separate", "--set", "sep_q5.json", "--trials", "8", "--seed", "1"],
+    # numpy's object matmul turned this precision loss into a SystemError (exit 1)
+    "separate-q5-low-precision": ["separate", "--set", "sep_q5_low_precision.json",
+                                  "--trials", "6", "--seed", "0"],
     "separate-defeated-real": ["separate", "--set", "sep_pm_identity_real.json",
                                "--m", "1", "--trials", "12", "--seed", "3"],
     "certify-build-real": ["certify-free", "--gens", "ident2_real.json",

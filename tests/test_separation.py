@@ -260,6 +260,27 @@ def test_estimate_radius_batches_equal_the_trial_loop(field, trials, n, m):
     assert (estimate.r, estimate.wins) == radius_by_trials(elements, m, trials, 5)
 
 
+def test_chunks_are_sized_by_the_table_budget(monkeypatch):
+    # 24 elements at m = 2 give 768 table entries a trial: 85 trials a chunk
+    rng = np.random.default_rng(24)
+    elements = [random_sl_arch(rng, REAL, 3) for _ in range(24)]
+    sizes = []
+    original = separation._configurations
+
+    def counting(field, entries, m, batch, seed):
+        sizes.append(len(batch))
+        return original(field, entries, m, batch, seed)
+
+    monkeypatch.setattr(separation, "_configurations", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotSeparatingWarning)
+        estimate = estimate_radius(elements, 2, 200, 9)
+        monkeypatch.undo()
+        expected = radius_by_trials(elements, 2, 200, 9)
+    assert sizes == [85, 85, 30]
+    assert (estimate.r, estimate.wins) == expected
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX, Q5], ids=str)
 def test_deflate_batch_matches_rows_with_the_vanishing_fallback(field):
     # rows 0 and 2 deflate normally; rows 1 and 3 are forms c e_k0 through
