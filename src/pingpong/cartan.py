@@ -4,7 +4,9 @@ Archimedean decompositions come from the singular value decomposition with a
 deterministic phase convention; non-archimedean ones from Smith normal form
 over Z_p with minimal-valuation pivoting.  Both produce g = k * diag(a) * k'
 with |a_1| >= ... >= |a_n|, k and k' in the maximal compact subgroup, and the
-norm identities ||g|| = |a_1|, ||wedge^2 g|| = |a_1 a_2|.
+norm identities ||g|| = |a_1|, ||wedge^2 g|| = |a_1 a_2|.  Over Q_p,
+bilip_constant needs only the first and ||g^(-1)|| = 1/|a_n|, so it reads both
+off the entries of g and of its inverse and makes no decomposition.
 
 Exact linear algebra has one implementation, gauss_jordan: the determinant
 gate on input (over Q_p, and over R and C on the stored dyadic entries when
@@ -275,14 +277,21 @@ def _cartan_archimedean(g: SLMatrix) -> CartanTriple:
     return CartanTriple(k, tuple(float(x) for x in s), k_prime)
 
 
-def _cartan_padic(g: SLMatrix) -> CartanTriple:
-    field = g.field
+def _check_digits(g: SLMatrix):
+    """PrecisionExhaustedError unless every entry of the p-adic g carries at
+    least n + 1 digits, the floor of the decomposition."""
     n = g.n
     worst = min(c.digits for row in g.entries for c in row)
     if worst < n + 1:
         raise PrecisionExhaustedError(
             f"matrix entries carry {worst} digits; decomposition in dimension {n} "
             f"needs at least {n + 1}")
+
+
+def _cartan_padic(g: SLMatrix) -> CartanTriple:
+    field = g.field
+    n = g.n
+    _check_digits(g)
     m = [list(row) for row in g.entries]
     k = [[field.scalar(int(i == j)) for j in range(n)] for i in range(n)]
     k2 = [[field.scalar(int(i == j)) for j in range(n)] for i in range(n)]
@@ -363,10 +372,22 @@ def exterior_power(g: SLMatrix, i: int) -> SLMatrix:
 
 
 def bilip_constant(g: SLMatrix) -> float:
-    """|a_1/a_n|^2, a Lipschitz constant for [g] and [g^(-1)] on all of P^(n-1)."""
-    t = g.cartan()
+    """|a_1/a_n|^2, a Lipschitz constant for [g] and [g^(-1)] on all of P^(n-1).
+
+    It is (||g|| ||g^(-1)||)^2: |a_1| = ||g|| and 1/|a_n| = ||g^(-1)||.  Over
+    Q_p no decomposition is needed.  k and k' lie in GL_n(Z_p) and keep the
+    sup norm, so ||g|| = max |g_ij| and ||g^(-1)|| = max |(g^(-1))_ij|, and the
+    constant is p^(-2 (min v(g_ij) + min v((g^(-1))_ij))), read off g and its
+    cached inverse; that is the exponent 2 (v(a_n) - v(a_1)) of the Smith
+    form, so the float is the same.  The decomposition's digit floor still
+    applies.  Over R and C the singular values come from the SVD.
+    """
     if g.field.is_padic:
-        return float(g.field.prime) ** (2 * (t.a[-1].valuation - t.a[0].valuation))
+        _check_digits(g)
+        top = min(c.valuation for row in g.entries for c in row)
+        inverse_top = min(c.valuation for row in g.inverse().entries for c in row)
+        return float(g.field.prime) ** (-2 * (top + inverse_top))
+    t = g.cartan()
     return (t.a[0] / t.a[-1]) ** 2
 
 

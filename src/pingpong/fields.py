@@ -6,7 +6,10 @@ digits, mimicking a fixed-precision p-adic model: arithmetic propagates the
 digit count, and an operation whose nonzero result would retain less than
 one known digit raises PrecisionExhaustedError instead of returning noise.
 Exact cancellation yields an exact zero, so structural identities such as
-x - x = 0 hold on the nose.
+x - x = 0 hold on the nose.  The operators take each result's valuation from
+their operands: a product's is the sum, a quotient's the difference, a
+negation's the same, and a sum's the smaller one unless the two are equal,
+when only the exact value can tell.
 
 Matrices and projective rows keep scalars of every field in numpy arrays,
 p-adic ones in object arrays, so one numpy expression serves R, C and Q_p.
@@ -142,6 +145,13 @@ class PadicScalar:
     scalar has ``field.precision`` of them.  Addition can destroy digits
     through cancellation, multiplication keeps the minimum of the two
     counts.  Instances are immutable.
+
+    __init__ reads any int or Fraction and finds its valuation.  The
+    operators +, -, *, / and unary - build their results with _known
+    instead: v(xy) = v(x) + v(y), v(x/y) = v(x) - v(y), v(-x) = v(x), and
+    v(x + y) = min(v(x), v(y)) when v(x) != v(y); only a sum of equal
+    valuations reads the valuation off its value.  Each result has the
+    value, digits and valuation __init__ would give it.
     """
 
     __slots__ = ("field", "value", "digits", "valuation")
@@ -174,36 +184,53 @@ class PadicScalar:
         unit = sum(d % p * p ** i for i, d in enumerate(unit_digits))
         return cls(field, Fraction(unit) * Fraction(p) ** val, len(unit_digits))
 
+    @classmethod
+    def _known(cls, field: FieldSpec, value: Fraction, digits: int, valuation) -> "PadicScalar":
+        """An operator's result, built from what its operands tell: value is
+        already a Fraction and valuation is exact.  A zero gets full digits
+        and valuation +inf, as __init__ gives it."""
+        x = object.__new__(cls)
+        x.field = field
+        x.value = value
+        if value:
+            x.digits, x.valuation = digits, valuation
+        else:
+            x.digits, x.valuation = field.precision, math.inf
+        return x
+
     def _coerce(self, other) -> "PadicScalar":
         if isinstance(other, PadicScalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise DomainError(f"mixed fields: {self.field} and {other.field}")
             return other
         if isinstance(other, (int, Fraction)):
             return PadicScalar(self.field, other)
         raise DomainError(f"cannot treat {type(other).__name__} as a p-adic scalar")
 
-    def _from_abs_precision(self, value: Fraction, abs_prec) -> "PadicScalar":
-        # abs_prec = valuation + digits of the least precisely known operand
+    def __add__(self, other):
+        other = self._coerce(other)
+        field = self.field
+        value = self.value + other.value
         if not value:
-            return PadicScalar(self.field, 0)
-        v = _vp(value, self.field.prime)
+            return PadicScalar._known(field, value, field.precision, math.inf)
+        # |x + y| = max(|x|, |y|) unless the two valuations are equal
+        if self.valuation == other.valuation:
+            v = _vp(value, field.prime)
+        else:
+            v = min(self.valuation, other.valuation)
+        # abs_prec = valuation + digits of the least precisely known operand
+        abs_prec = min(self.valuation + self.digits, other.valuation + other.digits)
         digits = abs_prec - v
         if digits < 1:
             raise PrecisionExhaustedError(
                 f"cancellation left a result of valuation {v} known only modulo "
-                f"{self.field.prime}^{abs_prec}")
-        return PadicScalar(self.field, value, min(int(digits), self.field.precision))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        prec = min(self.valuation + self.digits, other.valuation + other.digits)
-        return self._from_abs_precision(self.value + other.value, prec)
+                f"{field.prime}^{abs_prec}")
+        return PadicScalar._known(field, value, min(digits, field.precision), v)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PadicScalar(self.field, -self.value, self.digits)
+        return PadicScalar._known(self.field, -self.value, self.digits, self.valuation)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -213,7 +240,9 @@ class PadicScalar:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return PadicScalar(self.field, self.value * other.value, min(self.digits, other.digits))
+        return PadicScalar._known(self.field, self.value * other.value,
+                                  min(self.digits, other.digits),
+                                  self.valuation + other.valuation)
 
     __rmul__ = __mul__
 
@@ -221,7 +250,9 @@ class PadicScalar:
         other = self._coerce(other)
         if not other.value:
             raise DomainError("division by zero")
-        return PadicScalar(self.field, self.value / other.value, min(self.digits, other.digits))
+        return PadicScalar._known(self.field, self.value / other.value,
+                                  min(self.digits, other.digits),
+                                  self.valuation - other.valuation)
 
     def __rtruediv__(self, other):
         if not self.value:

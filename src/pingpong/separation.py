@@ -21,8 +21,9 @@ and best_separator are the same code on a batch of one, and every trial
 rounds as it would alone, for R, C and Q_p.  The global infimum r exists
 by compactness but is never computed; downstream constructions only ever
 query concrete configurations.  word_layers is the one reduced-word enumerator: a BFS that
-builds each word length as one (N, n, n) stack of products, keeping per
-length only the parent index and last letter of each word.  The falsifier
+builds each word length as one (N, n, n) stack of products, filled in
+blocks of words, keeping per length only the parent index and last letter
+of each word.  The falsifier
 reads its stacks; reduced_words, for the greedy candidate pool, is a
 per-word view of it.
 """
@@ -277,6 +278,10 @@ def estimate_radius(elements, m: int, trials: int, seed: int) -> RadiusEstimate:
 # length 13 (2 125 764 words).
 _WORD_BUDGET = 1_000_000
 
+# Words of a layer that _grow multiplies at once: the gathered operands of
+# one block take 0.5 MB each for 2x2 float words, however long the layer.
+_GROW_ROWS = 1 << 14
+
 
 def _letter(k: int) -> tuple:
     """Letter k of the order (0,+1) < (0,-1) < (1,+1) < ..., as (index, +-1);
@@ -344,8 +349,19 @@ def _grow(layer: WordLayer, letters: np.ndarray, magnitudes) -> WordLayer:
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are kept
         return WordLayer(
             layer.length + 1, layer.trail + ((parents, last),),
-            matmul(layer.products[parents], letters[last]),
-            None if magnitudes is None else layer.magnitudes[parents] @ magnitudes[last])
+            _extend(layer.products, letters, parents, last),
+            None if magnitudes is None
+            else _extend(layer.magnitudes, magnitudes, parents, last))
+
+
+def _extend(stack, letters, parents, last):
+    """matmul(stack[parents], letters[last]) in blocks of _GROW_ROWS rows:
+    the same products, with no gathered copy of a whole layer."""
+    out = np.empty((len(last),) + letters.shape[1:], letters.dtype)
+    for start in range(0, len(last), _GROW_ROWS):
+        block = slice(start, start + _GROW_ROWS)
+        out[block] = matmul(stack[parents[block]], letters[last[block]])
+    return out
 
 
 def reduced_words(generators, max_len: int):

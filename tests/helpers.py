@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from pingpong.cartan import SLMatrix, apply_point
-from pingpong.fields import Kind, matmul, valuation
+from pingpong.cartan import SLMatrix, _cartan_padic, apply_point
+from pingpong.errors import DomainError, PrecisionExhaustedError
+from pingpong.fields import Kind, PadicScalar, _vp, matmul, valuation
 from pingpong.projective import _norms, as_field_array, canonical_rows
 from pingpong.sampling import padic_point_chunks
 from pingpong.separation import SeparatingSet, best_separator, sample_configuration
@@ -102,6 +103,79 @@ def smith_valuations_oracle(g):
     for k in range(1, n):
         out.append(mins[k] - mins[k - 1])
     return out
+
+
+def bilip_constant_by_smith(g):
+    """cartan.bilip_constant over Q_p as the Smith form gives it: |a_1/a_n|^2
+    from the diagonal valuations of a fresh decomposition of g."""
+    t = _cartan_padic(g)
+    return float(g.field.prime) ** (2 * (t.a[-1].valuation - t.a[0].valuation))
+
+
+# The PadicScalar operators with every result built by __init__, an oracle
+# for the operators that take their results' valuations from the operands.
+# x is a PadicScalar, y the other operand.
+
+def _coerce_by_init(x, y):
+    if isinstance(y, PadicScalar):
+        if y.field != x.field:
+            raise DomainError(f"mixed fields: {x.field} and {y.field}")
+        return y
+    if isinstance(y, (int, Fraction)):
+        return PadicScalar(x.field, y)
+    raise DomainError(f"cannot treat {type(y).__name__} as a p-adic scalar")
+
+
+def padic_add_by_init(x, y):
+    """x + y and y + x."""
+    y = _coerce_by_init(x, y)
+    abs_prec = min(x.valuation + x.digits, y.valuation + y.digits)
+    value = x.value + y.value
+    if not value:
+        return PadicScalar(x.field, 0)
+    v = _vp(value, x.field.prime)
+    digits = abs_prec - v
+    if digits < 1:
+        raise PrecisionExhaustedError(
+            f"cancellation left a result of valuation {v} known only modulo "
+            f"{x.field.prime}^{abs_prec}")
+    return PadicScalar(x.field, value, min(int(digits), x.field.precision))
+
+
+def padic_neg_by_init(x):
+    """-x."""
+    return PadicScalar(x.field, -x.value, x.digits)
+
+
+def padic_sub_by_init(x, y):
+    """x - y."""
+    return padic_add_by_init(x, padic_neg_by_init(_coerce_by_init(x, y)))
+
+
+def padic_rsub_by_init(x, y):
+    """y - x."""
+    return padic_add_by_init(padic_neg_by_init(x), y)
+
+
+def padic_mul_by_init(x, y):
+    """x * y and y * x."""
+    y = _coerce_by_init(x, y)
+    return PadicScalar(x.field, x.value * y.value, min(x.digits, y.digits))
+
+
+def padic_div_by_init(x, y):
+    """x / y."""
+    y = _coerce_by_init(x, y)
+    if not y.value:
+        raise DomainError("division by zero")
+    return PadicScalar(x.field, x.value / y.value, min(x.digits, y.digits))
+
+
+def padic_rdiv_by_init(x, y):
+    """y / x."""
+    if not x.value:
+        raise DomainError("division by zero")
+    return padic_div_by_init(_coerce_by_init(x, y), x)
 
 
 def power_iteration_norm(m, iters=400):
@@ -222,6 +296,16 @@ def first_by_scalar_reference(F, conditions):
         else:
             return f, failures
     return None, failures
+
+
+def grown_by_gather(layer, letters, magnitudes=None):
+    """The next layer's products and magnitudes as one gather of both
+    operands, products[parents] @ letters[last]: the reference the blocks of
+    separation._grow must match bit for bit."""
+    parents, last = np.nonzero(np.arange(len(letters)) != (layer.trail[-1][1][:, None] ^ 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (matmul(layer.products[parents], letters[last]),
+                None if magnitudes is None else layer.magnitudes[parents] @ magnitudes[last])
 
 
 def adjugate_loop(entries):

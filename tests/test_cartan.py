@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ from helpers import (
     adjugate_loop,
     adjugate_oracle,
     batch_proj_dist,
+    bilip_constant_by_smith,
     wedge_coordinates,
     fraction_det,
     power_iteration_norm,
@@ -345,6 +347,51 @@ def test_bilip_examples():
     assert bilip_constant(diagonal(REAL, [2, 0.5])) == pytest.approx(16)
     assert bilip_constant(SLMatrix(REAL, [[0, -1], [1, 0]])) == pytest.approx(1, rel=1e-9)
     assert bilip_constant(diagonal(Q5, [Fraction(1, 5), 5])) == 625.0
+
+
+def _outcome(f, g):
+    try:
+        return f(g)
+    except (DecompositionError, PrecisionExhaustedError) as exc:
+        return type(exc), str(exc)
+
+
+def test_padic_bilip_constant_matches_the_smith_form():
+    # bilip_constant over Q_p reads |a_1| and |a_n| off g and its inverse.  It
+    # must give the Smith form's float wherever both finish, and the minors'
+    # wherever it finishes; below the digit floor both raise alike, and
+    # otherwise it raises only where the inverse does
+    rng = random.Random(67)
+    seen = collections.Counter()
+    for k in range(900):
+        field = padic(rng.choice([3, 5, 7]), 40 if k % 3 == 0 else rng.randint(3, 8))
+        n = rng.randint(2, 5)
+        g = random_sl_padic(rng, field, n, val_range=3)
+        if k % 3 == 2:
+            g = SLMatrix(field, [[PadicScalar(field, c.value, rng.randint(1, field.precision))
+                                  for c in row] for row in g.entries], check=False)
+        # fresh copies: no cached inverse or decomposition is shared
+        new = _outcome(bilip_constant, SLMatrix(field, g.entries, check=False))
+        old = _outcome(bilip_constant_by_smith, SLMatrix(field, g.entries, check=False))
+        inverse = _outcome(lambda h: h.inverse(), SLMatrix(field, g.entries, check=False))
+        if min(c.digits for row in g.entries for c in row) < n + 1:
+            assert new == old
+            assert new[1].startswith("matrix entries carry")
+            seen["floor"] += 1
+        elif isinstance(new, float):
+            assert isinstance(inverse, SLMatrix)
+            j = smith_valuations_oracle(g)
+            assert new == float(field.prime) ** (2 * (j[-1] - j[0]))
+            if isinstance(old, float):
+                assert new == old
+                seen["equal"] += 1
+            else:
+                seen["smith form only raises"] += 1
+        else:
+            assert new == inverse
+            seen["inverse only raises" if isinstance(old, float) else "both raise"] += 1
+    assert set(seen) == {"floor", "equal", "smith form only raises", "inverse only raises",
+                         "both raise"}, seen
 
 
 def test_projective_maps_respect_bilip_bound():

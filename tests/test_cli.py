@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pingpong import cli, io, separation
+from pingpong import cartan, cli, io, separation
 from pingpong.cartan import SLMatrix, identity
 from pingpong.cli import run
 from pingpong.fields import REAL, padic, relative_tolerance
@@ -220,6 +220,25 @@ def test_separate_scores_each_configuration_once(tmp_path, capsys, monkeypatch):
     assert [shape[1:] for shape in scored] == [(len(elements), 2)] * len(scored)
     assert sum(shape[0] for shape in scored) == trials
     assert max(shape[0] for shape in scored) <= CHUNK_SIZE
+
+
+def test_padic_separate_runs_no_smith_form(capsys, monkeypatch):
+    # C = max |a_1/a_n|^2 comes from each element and its inverse, which the
+    # separation scores anyway: no Cartan decomposition is made
+    decomposed = []
+    original = cartan._cartan_padic
+
+    def spy(g):
+        decomposed.append(g)
+        return original(g)
+
+    monkeypatch.setattr(cartan, "_cartan_padic", spy)
+    code, doc = run_json(capsys, ["separate", "--set",
+                                  str(Path(__file__).parent / "data" / "sep_f_q5.json"),
+                                  "--trials", "4", "--seed", "1"])
+    assert code in (0, 1)
+    assert len(doc["payload"]["elements"]) == 16
+    assert decomposed == []
 
 
 def test_parser_is_built_once_and_survives_a_usage_error(tmp_path, capsys):

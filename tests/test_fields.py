@@ -1,10 +1,21 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    padic_add_by_init,
+    padic_div_by_init,
+    padic_mul_by_init,
+    padic_neg_by_init,
+    padic_rdiv_by_init,
+    padic_rsub_by_init,
+    padic_sub_by_init,
+)
 from pingpong.errors import DomainError, PrecisionExhaustedError
 from pingpong.fields import (
     COMPLEX,
@@ -162,3 +173,102 @@ def test_unit_digit_round_trip():
     assert valuation(y.value - rebuilt.value, f) >= 40
     with pytest.raises(DomainError):
         f.zero().unit_digits()
+
+
+def _outcome(op, *args):
+    """What an operation gives: the result's value, digits and valuation, or
+    the error's type and message."""
+    try:
+        r = op(*args)
+    except (DomainError, PrecisionExhaustedError) as exc:
+        return type(exc), str(exc)
+    return type(r), r.field, r.value, type(r.value), r.digits, r.valuation
+
+
+def _reflected(forward, reflected):
+    # y op x runs y's own operator when y is a PadicScalar, else x's reflected one
+    return lambda x, y: forward(y, x) if isinstance(y, PadicScalar) else reflected(x, y)
+
+
+# (operator on x and y, its oracle built by __init__)
+_OPERATORS = [
+    (operator.add, padic_add_by_init),
+    (lambda x, y: y + x, _reflected(padic_add_by_init, padic_add_by_init)),
+    (operator.sub, padic_sub_by_init),
+    (lambda x, y: y - x, _reflected(padic_sub_by_init, padic_rsub_by_init)),
+    (operator.mul, padic_mul_by_init),
+    (lambda x, y: y * x, _reflected(padic_mul_by_init, padic_mul_by_init)),
+    (operator.truediv, padic_div_by_init),
+    (lambda x, y: y / x, _reflected(padic_div_by_init, padic_rdiv_by_init)),
+]
+
+
+def _assert_operators_match_init(x, y):
+    assert _outcome(operator.neg, x) == _outcome(padic_neg_by_init, x)
+    for op, oracle in _OPERATORS:
+        assert _outcome(op, x, y) == _outcome(oracle, x, y)
+
+
+@st.composite
+def _operand_pairs(draw):
+    """A PadicScalar x and an operand y: another scalar of the field or of an
+    equal FieldSpec, an int, a Fraction, a scalar that cancels x in part or
+    exactly, one of a foreign field, or a float."""
+    prime, precision = draw(st.sampled_from([(3, 4), (5, 3), (5, 40), (7, 6)]))
+    field = padic(prime, precision)
+
+    def value():
+        num = 0 if draw(st.integers(0, 7)) == 0 else draw(st.integers(-60, 60))
+        return Fraction(num, draw(st.integers(1, 60))) * Fraction(prime) ** draw(st.integers(-4, 4))
+
+    def digits():
+        # beyond precision too: only the cap at precision bounds a sum then
+        return draw(st.integers(1, precision + 3))
+
+    x = PadicScalar(field, value(), digits())
+    kind = draw(st.sampled_from(["scalar", "equal field", "int", "fraction", "cancels",
+                                 "foreign", "float"]))
+    if kind == "scalar":
+        y = PadicScalar(field, value(), digits())
+    elif kind == "equal field":
+        y = PadicScalar(padic(prime, precision), value(), digits())
+    elif kind == "int":
+        y = draw(st.integers(-100, 100))
+    elif kind == "fraction":
+        y = value()
+    elif kind == "cancels":
+        # +-x plus a multiple of p^k: x + y or x - y loses up to k digits, or all
+        k = draw(st.integers(0, precision + 4))
+        y = PadicScalar(field, draw(st.sampled_from([1, -1])) * x.value
+                        + value() * Fraction(prime) ** k, digits())
+    elif kind == "foreign":
+        other = draw(st.sampled_from([padic(prime, precision + 1), padic(11, precision)]))
+        y = PadicScalar(other, value(), digits())
+    else:
+        y = 0.5
+    return x, y
+
+
+@settings(max_examples=600, deadline=None)
+@given(_operand_pairs())
+def test_padic_operators_match_their_init_built_oracle(pair):
+    _assert_operators_match_init(*pair)
+
+
+def test_padic_operators_match_oracle_on_edge_cases():
+    f = padic(5, 6)
+    worn = PadicScalar(f, 7, 2)
+    cases = [
+        (f.zero(), worn),                        # 0 / x: full digits, not the divisor's
+        (PadicScalar(f, 3, 4), 0),               # x / 0 and 0 / x
+        (worn, worn),                            # x - x: an exact zero
+        (PadicScalar(f, 1 + 5 ** 3, 6), PadicScalar(f, -1, 6)),   # cancels three digits
+        (PadicScalar(f, 1 + 5 ** 9, 6), PadicScalar(f, -1, 6)),   # cancels all of them
+        (PadicScalar(f, 1, 9), PadicScalar(f, 5, 9)),             # a sum capped at precision
+        (PadicScalar(f, Fraction(2, 25), 3), Fraction(-2, 25)),
+        (PadicScalar(f, 4, 5), PadicScalar(padic(7, 6), 4, 5)),    # foreign field
+    ]
+    for x, y in cases:
+        _assert_operators_match_init(x, y)
+    assert (f.zero() / worn).digits == f.precision
+    assert (PadicScalar(f, 1, 9) + PadicScalar(f, 5, 9)).digits == f.precision

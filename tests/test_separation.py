@@ -22,8 +22,8 @@ from pingpong.projective import (
     canonical_rows,
     dist_to_hyperplane,
 )
-from helpers import (deflate_row, radius_by_trials, random_sl_arch, random_sl_padic,
-                     scalar_dist_to_hyperplane)
+from helpers import (deflate_row, grown_by_gather, radius_by_trials, random_sl_arch,
+                     random_sl_padic, scalar_dist_to_hyperplane)
 from pingpong.separation import (
     Configuration,
     NotSeparatingWarning,
@@ -406,3 +406,34 @@ def test_word_layers_match_left_to_right_products(field, n, seed):
             assert _bits(field, entries) == _bits(field, product.entries)
             count += 1
     assert count == len(list(reduced_words(gens, max_len)))
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX, Q5])
+def test_word_layers_match_the_gathered_product(field, monkeypatch):
+    # a layer built in blocks of words is bit for bit the one gather of both
+    # operands, products and magnitude stacks alike; blocks of 7 words cut
+    # across the children of a parent
+    monkeypatch.setattr(separation, "_GROW_ROWS", 7)
+    rng = np.random.default_rng(71)
+    cases = []
+    for n in (2, 3, 4):
+        for count in (4, 6):
+            if field.is_padic:
+                gens = [random_sl_padic(random.Random(int(rng.integers(1 << 30))), field, n)
+                        for _ in range(count // 2)]
+                cases.append((letter_stack(gens), None, 4 if count == 4 else 3))
+                continue
+            letters = letter_stack([random_sl_arch(rng, field, n) for _ in range(count // 2)])
+            cases.append((letters, np.abs(letters), 7 if count == 4 else 5))
+            # entries up to 1e250: the products reach inf and nan
+            wild = letters * 10.0 ** rng.integers(-250, 250, size=(count, 1, 1))
+            cases.append((wild, np.abs(wild), 4))
+    for letters, magnitudes, max_len in cases:
+        before = None
+        for layer in word_layers(letters, max_len, magnitudes):
+            if before is not None:
+                products, grown = grown_by_gather(before, letters, magnitudes)
+                assert _bits(field, layer.products) == _bits(field, products)
+                if magnitudes is not None:
+                    assert layer.magnitudes.tobytes() == grown.tobytes()
+            before = layer
