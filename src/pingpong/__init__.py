@@ -1,5 +1,8 @@
 """Freeness certificates for matrix groups over local fields."""
 
+# the one source of the version: the packaging and the reports read it
+__version__ = "0.1.0"
+
 from .cartan import (
     CartanTriple,
     SLMatrix,
@@ -89,5 +92,3 @@ from .separation import (
     sample_configuration,
     verify_separating_for,
 )
-
-__version__ = "0.1.0"

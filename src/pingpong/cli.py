@@ -16,10 +16,8 @@ import functools
 import json
 import sys
 import warnings
-from importlib import metadata
 
-from . import io
-from .cartan import bilip_constant
+from . import __version__, io
 from .contraction import ProximalCert, contraction_data, verify_contracting
 from .errors import (CertificationError, ConstructionError, InputError, NotContractingError,
                      UndecidedError)
@@ -27,11 +25,6 @@ from .liegen import generated_subalgebra, matrix_log
 from .pingpong import (PingPongCert, certify_free_generators, freeness_falsifier,
                        separation_table, verify_pingpong)
 from .separation import NotSeparatingWarning, SeparatingSet, estimate_radius
-
-try:
-    _VERSION = metadata.version("pingpong")
-except metadata.PackageNotFoundError:
-    _VERSION = "0+unpackaged"
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -98,7 +91,7 @@ def _parser() -> argparse.ArgumentParser:
 def _report(args, inputs: dict, parameters: dict, payload: dict, passed: bool) -> dict:
     return {
         "schema": 1,
-        "tool": f"pingpong {_VERSION}",
+        "tool": f"pingpong {__version__}",
         "command": args.command,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "inputs": {name: {"path": path, "sha256": io.input_digest(path)}
@@ -152,32 +145,31 @@ def _run_contract_analyze(args):
 
 def _run_separate(args):
     F = io.load_separating_set(args.setfile)
-    if args.m is not None:
-        if args.m < 1:
-            raise InputError(f"--m must be positive, got {args.m}")
-        F = SeparatingSet(F.elements, args.m, F.r)
+    m = F.m if args.m is None else args.m
+    if m < 1:
+        raise InputError(f"--m must be positive, got {m}")
     if args.trials < 1:
         raise InputError(f"--trials must be positive, got {args.trials}")
     notes = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NotSeparatingWarning)
-        estimate = estimate_radius(F.elements, F.m, args.trials, args.seed)
+        estimate = estimate_radius(F.elements, m, args.trials, args.seed)
         notes.extend(str(w.message) for w in caught
                      if issubclass(w.category, NotSeparatingWarning))
     prov = io.measured(F.elements[0].field)
     payload = {
-        "m": F.m,
+        "m": m,
         "declared_r": io.tagged(F.r, "exact"),
         "r_estimate": io.tagged(estimate.r, "estimate"),
         "C": io.tagged(F.C, prov),
         "elements": [{"index": i,
-                      "bilip": io.tagged(bilip_constant(g), prov),
+                      "bilip": io.tagged(bilip, prov),
                       "wins": estimate.wins[i]}
-                     for i, g in enumerate(F.elements)],
+                     for i, bilip in enumerate(F.bilips)],
         "notes": notes,
     }
     return (payload, estimate.r > 0.0, {"set": args.setfile},
-            {"m": F.m, "trials": args.trials})
+            {"m": m, "trials": args.trials})
 
 
 def _claimed_tuple_cert(gens, F: SeparatingSet) -> PingPongCert:

@@ -66,7 +66,8 @@ class FieldSpec:
                 raise DomainError(f"p-adic field needs a prime, got {self.prime}")
             if self.precision is None:
                 object.__setattr__(self, "precision", DEFAULT_PADIC_PRECISION)
-            if not isinstance(self.precision, int) or self.precision < 1:
+            if (not isinstance(self.precision, int) or isinstance(self.precision, bool)
+                    or self.precision < 1):
                 raise DomainError(f"precision must be a positive integer, got {self.precision}")
         elif self.prime is not None or self.precision is not None:
             raise DomainError("prime/precision only make sense for p-adic fields")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .cartan import SLMatrix
 from .contraction import ContractionCert, ProximalCert
 from .errors import CertificationError, InputError
-from .fields import COMPLEX, REAL, FieldSpec, Kind, PadicScalar, padic
+from .fields import COMPLEX, DEFAULT_PADIC_PRECISION, REAL, FieldSpec, Kind, PadicScalar, padic
 from .pingpong import PingPongCert
 from .separation import SeparatingSet
 
@@ -99,9 +99,12 @@ def parse_field(doc: dict) -> FieldSpec:
             raise InputError("p-adic field spec needs an integer prime",
                              path="field.prime")
         precision = spec.get("precision")
+        if precision is None:
+            precision = DEFAULT_PADIC_PRECISION
+        elif not isinstance(precision, int) or isinstance(precision, bool) or precision < 1:
+            raise InputError(f"p-adic precision must be a positive integer, got {precision!r}",
+                             path="field.precision")
         try:
-            if precision is None:
-                return padic(prime)
             return padic(prime, precision)
         except CertificationError as exc:
             raise InputError(str(exc), path="field")

@@ -74,11 +74,13 @@ class NotSeparatingWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SeparatingSet:
-    """Candidate set with declared margin r and derived bi-Lipschitz bound C."""
+    """Candidate set with declared margin r, each element's bi-Lipschitz
+    constant in bilips and their maximum C."""
 
     elements: tuple
     m: int
     r: float
+    bilips: tuple = derived_field(init=False)
     C: float = derived_field(init=False)
 
     def __post_init__(self):
@@ -91,8 +93,9 @@ class SeparatingSet:
         for g in elements[1:]:
             if g.field != elements[0].field or g.n != elements[0].n:
                 raise ConstructionError("all separating-set elements must share one field and size")
-        object.__setattr__(
-            self, "C", max((bilip_constant(g) for g in elements), default=1.0))
+        bilips = tuple(bilip_constant(g) for g in elements)
+        object.__setattr__(self, "bilips", bilips)
+        object.__setattr__(self, "C", max(bilips, default=1.0))
 
 
 @dataclass(frozen=True)
@@ -105,16 +108,12 @@ class Configuration:
     forms: np.ndarray
 
 
-def _inverse_pairs(elements: tuple[SLMatrix, ...]) -> np.ndarray:
-    """(E, 2, n, n) stack of the entries of each element and of its inverse."""
-    return np.array([(g.entries, g.inverse().entries) for g in elements])
-
-
 def _margins(field, pairs, batch: Configuration) -> np.ndarray:
     """(T, E) margins of each element of the stack on each configuration of
     a batch, points and forms (T, P, n) and (T, H, n): the min over points v
     and forms f of d(g v, ker f) and d(g^-1 v, ker f), +inf for an empty
-    configuration."""
+    configuration; pairs is the (E, 2, n, n) view of the elements'
+    letter_stack."""
     # g v for every trial and every g at once, rounded as for one alone
     distances = hyperplane_distances(field, batch.points[:, None, None],
                                      batch.forms[:, None, None], pairs)
@@ -134,7 +133,8 @@ def best_separator(F: SeparatingSet, cfg: Configuration):
         raise DomainError(
             f"configuration exceeds the 2m = {2 * F.m} size bound: "
             f"{len(cfg.points)} points, {len(cfg.forms)} hyperplanes")
-    margins = _margins(F.elements[0].field, _inverse_pairs(F.elements),
+    g = F.elements[0]
+    margins = _margins(g.field, letter_stack(F.elements).reshape(-1, 2, g.n, g.n),
                        Configuration(cfg.points[None], cfg.forms[None]))[0]
     best = int(np.argmax(margins))
     return F.elements[best], float(margins[best])
@@ -252,9 +252,9 @@ def estimate_radius(elements, m: int, trials: int, seed: int) -> RadiusEstimate:
         raise DomainError(f"need at least one trial, got {trials}")
     if m < 1:
         raise DomainError(f"m must be positive, got {m}")
-    fld = elements[0].field
+    fld, n = elements[0].field, elements[0].n
     zero_tol = 0.0 if fld.is_padic else _ZERO_MARGIN
-    pairs = _inverse_pairs(elements)
+    pairs = letter_stack(elements).reshape(-1, 2, n, n)
     worst = math.inf
     wins = np.zeros(len(elements), dtype=int)
     chunk = max(1, min(CHUNK_SIZE, _TABLE_BUDGET // (2 * len(elements) * (2 * m) ** 2)))

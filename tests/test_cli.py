@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pingpong
 from pingpong import cartan, cli, io, separation
 from pingpong.cartan import SLMatrix, identity
 from pingpong.cli import run
@@ -16,6 +18,7 @@ from pingpong.liegen import LieElement, matrix_exp
 from pingpong.sampling import CHUNK_SIZE
 
 
+ROOT = Path(__file__).resolve().parents[1]
 REPORT_INPUTS = Path(__file__).parent / "data" / "reports" / "inputs"
 
 
@@ -66,7 +69,7 @@ def test_report_envelope_fields(tmp_path, capsys):
     code, report = run_json(capsys, ["cartan", "--in", path])
     assert code == 0
     assert report["schema"] == 1
-    assert report["tool"].startswith("pingpong ")
+    assert report["tool"] == f"pingpong {pingpong.__version__}"
     assert report["command"] == "cartan"
     assert len(report["inputs"]["in"]["sha256"]) == 64
     assert report["seed"] is None
@@ -241,6 +244,30 @@ def test_padic_separate_runs_no_smith_form(capsys, monkeypatch):
     assert decomposed == []
 
 
+def test_separate_takes_each_bilip_constant_once(capsys, monkeypatch):
+    # the payload's constants and C come from the one SeparatingSet built at
+    # load, and --m does not rebuild it
+    calls = []
+    original = cartan.bilip_constant
+
+    def spy(g):
+        calls.append(g)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pingpong") and getattr(module, "bilip_constant", None) is original:
+            monkeypatch.setattr(module, "bilip_constant", spy)
+    code, doc = run_json(capsys, ["separate", "--set",
+                                  str(Path(__file__).parent / "data" / "sep_f_q5.json"),
+                                  "--m", "2", "--trials", "4", "--seed", "1"])
+    assert code in (0, 1)
+    assert doc["payload"]["m"] == doc["parameters"]["m"] == 2
+    bilips = [e["bilip"]["value"] for e in doc["payload"]["elements"]]
+    assert len(calls) == len(bilips) == 16
+    assert bilips == [original(g) for g in calls]
+    assert doc["payload"]["C"]["value"] == max(bilips)
+
+
 def test_parser_is_built_once_and_survives_a_usage_error(tmp_path, capsys):
     g = write_doc(tmp_path, "g.json", matrix_doc(SLMatrix(REAL, [[4.0, 0.0], [0.0, 0.25]])))
     sep = write_doc(tmp_path, "F.json",
@@ -406,18 +433,41 @@ def test_threads_flag_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+def _source_env():
+    """The environment with src first on PYTHONPATH, for a fresh interpreter."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def test_module_entry_point(tmp_path):
     path = write_doc(tmp_path, "g.json",
                      matrix_doc(SLMatrix(REAL, [[4.0, 0.0], [0.0, 0.25]])))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "pingpong", "cartan", "--in", path],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_source_env(), timeout=60)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["command"] == "cartan"
     assert report["payload"]["a_abs"][0]["value"] == pytest.approx(4.0)
+
+
+def test_cold_start_reads_no_package_metadata():
+    # the tool version is pingpong.__version__; importlib.metadata and the
+    # email modules it pulls in cost a cold start about a tenth of its time
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pingpong.cli; print('importlib.metadata' in sys.modules)"],
+        capture_output=True, text=True, env=_source_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_packaging_reads_the_package_version():
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)
+    assert "version" not in project["project"]
+    assert "version" in project["project"]["dynamic"]
+    assert (project["tool"]["setuptools"]["dynamic"]["version"]
+            == {"attr": "pingpong.__version__"})
 
 
 def test_padic_fixture_separates(capsys):

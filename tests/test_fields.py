@@ -52,6 +52,8 @@ def test_field_spec_validation():
         padic(4)
     with pytest.raises(DomainError):
         padic(5, 0)
+    with pytest.raises(DomainError, match="got True"):
+        padic(5, True)  # bool is an int subclass, not a precision
     with pytest.raises(DomainError):
         FieldSpec(Kind.REAL, prime=5)
     assert REAL.d == 4.0

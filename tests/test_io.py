@@ -6,6 +6,7 @@ import pytest
 
 from pingpong import io
 from pingpong.cartan import SLMatrix, identity
+from pingpong.cli import EXIT_INPUT, run
 from pingpong.errors import CertificationError, InputError
 from pingpong.fields import COMPLEX, REAL, padic
 
@@ -82,6 +83,18 @@ def test_determinant_violation_is_input_error(tmp_path):
     doc = {"field": {"kind": "real"}, "matrix": [[2.0, 0.0], [0.0, 1.0]]}
     with pytest.raises(InputError):
         io.load_matrix(write(tmp_path, "g.json", doc))
+
+
+@pytest.mark.parametrize("precision", [True, 2.0, "40", 0])
+def test_bad_padic_precision_points_at_it(tmp_path, capsys, precision):
+    # true is not precision 1, though bool is an int subclass
+    doc = {"field": {"kind": "padic", "prime": 5, "precision": precision},
+           "matrix": [[1, 0], [0, 1]]}
+    assert run(["cartan", "--in", str(write(tmp_path, "g.json", doc))]) == EXIT_INPUT
+    report = json.loads(capsys.readouterr().out)
+    assert report["payload"]["path"] == "field.precision"
+    assert report["payload"]["error"] == (
+        f"field.precision: p-adic precision must be a positive integer, got {precision!r}")
 
 
 def test_unknown_field_kind(tmp_path):

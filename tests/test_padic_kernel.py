@@ -65,7 +65,8 @@ def _name(field):
 
 
 def _inverse_pairs(field, elements):
-    """separation._inverse_pairs with each inverse exact, at full digits: a
+    """The (E, 2, n, n) view of the elements' letter_stack, which
+    separation._margins scores, with each inverse exact, at full digits: a
     PadicScalar inverse at precision 3..8 mostly runs out of digits before
     any distance is taken."""
     return np.array([(g.entries, as_field_array(

@@ -12,6 +12,8 @@ such a change belongs in CHANGES.md.
 """
 
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -102,12 +104,15 @@ CASES = {
 }
 
 
+def _argv(name):
+    return [str(INPUTS / arg) if arg.endswith(".json") else arg for arg in CASES[name]]
+
+
 def _run_case(name):
     """(exit code, report) of one case, the report read back from --out."""
-    argv = [str(INPUTS / arg) if arg.endswith(".json") else arg for arg in CASES[name]]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
-        code = run(argv + ["--out", str(out)])
+        code = run(_argv(name) + ["--out", str(out)])
         report = json.loads(out.read_text())
     return code, report
 
@@ -126,6 +131,24 @@ def test_report_matches_recording(name):
     code, report = _run_case(name)
     assert code == expected["exit"]
     assert _comparable(report) == _comparable(expected["report"])
+
+
+def test_an_installed_distribution_leaves_the_reports_alone(tmp_path):
+    # the tool line is pingpong.__version__, whatever distribution metadata
+    # comes first on the path
+    info = tmp_path / "site" / "pingpong-9.9.dist-info"
+    info.mkdir(parents=True)
+    (info / "METADATA").write_text("Metadata-Version: 2.1\nName: pingpong\nVersion: 9.9\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(info.parent), str(src), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "report.json"
+    done = subprocess.run([sys.executable, "-m", "pingpong", *_argv("cartan-real3"),
+                           "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    expected = json.loads((EXPECTED / "cartan-real3.json").read_text())
+    assert done.returncode == expected["exit"], done.stderr
+    assert _comparable(json.loads(out.read_text())) == _comparable(expected["report"])
 
 
 def test_every_recording_has_a_case():
