@@ -19,8 +19,8 @@ import numpy as np
 from .cartan import SLMatrix
 from .errors import ConstructionError, DomainError, NotContractingError
 from .fields import FieldSpec, relative_tolerance
-from .projective import (ProjHyperplane, ProjPoint, as_field_array, dist_to_hyperplane,
-                         hyperplane_distances, point_distances)
+from .projective import (ProjHyperplane, ProjPoint, dist_to_hyperplane, hyperplane_distances,
+                         point_distances)
 from .sampling import archimedean_unit_chunks, padic_point_chunks
 
 
@@ -109,12 +109,8 @@ def verify_contracting(cert: ContractionCert, g: SLMatrix,
     for samples = 0.
     """
     field = g.field
-    if field.is_padic:
-        chunks = (as_field_array(field, chunk, 2)
-                  for chunk in padic_point_chunks(field, g.n, samples, seed))
-    else:
-        chunks = archimedean_unit_chunks(field, g.n, samples, seed)
-    for points in chunks:
+    chunks = padic_point_chunks if field.is_padic else archimedean_unit_chunks
+    for points in chunks(field, g.n, samples, seed):
         to_plane = hyperplane_distances(field, points, cert.repelling.form[None])[:, 0]
         to_point = point_distances(field, points, cert.attracting.rep, g.entries)
         if ((to_plane >= cert.epsilon) & (to_point > cert.epsilon)).any():

@@ -13,12 +13,13 @@ class InputError(CertificationError):
     """Malformed or schema-violating user input.
 
     ``path`` points at the offending location inside the input document,
-    e.g. ``matrices.g[0][1]``.
+    e.g. ``matrices.g[0][1]``; the empty path is the document root, and
+    only a nonempty path prefixes the message.
     """
 
     def __init__(self, message: str, path: str | None = None):
         self.path = path
-        if path is not None:
+        if path:
             message = f"{path}: {message}"
         super().__init__(message)
 

@@ -107,7 +107,8 @@ def parse_field(doc: dict) -> FieldSpec:
         try:
             return padic(prime, precision)
         except CertificationError as exc:
-            raise InputError(str(exc), path="field")
+            # the precision is checked above, so the prime is what padic() refused
+            raise InputError(str(exc), path="field.prime")
     raise InputError(f'unknown field kind {kind!r} (expected "real", "complex" '
                      'or "padic")', path="field.kind")
 

@@ -20,7 +20,6 @@ far the search was decided.
 import functools
 import math
 import operator
-import random as random_
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +40,7 @@ from .errors import (ConstructionError, DomainError, NoSeparatorError, Precondit
 from .fields import Kind, relative_tolerance
 # dist_to_hyperplane is unused here; perfbench/test_oracle.py reads it as pingpong.pingpong's
 from .projective import ProjPoint, dist_to_hyperplane, hyperplane_distances  # noqa: F401
+from .sampling import probe_offset
 from .separation import SeparatingSet, letter_stack, word_layers
 
 __all__ = [
@@ -162,27 +162,12 @@ def make_proximal(g: SLMatrix, cert: ContractionCert, F: SeparatingSet) -> Proxi
     return ProximalElement(matrix, ProximalCert(F.r, F.C * cert.epsilon, forward, None))
 
 
-def _perturbed(P: ProjPoint, seed: int) -> ProjPoint:
-    fld = P.field
-    n = len(P)
-    if fld.is_padic:
-        rng = random_.Random(seed)
-        span = fld.prime ** max(fld.precision - 2, 1)
-        noise = [fld.scalar(fld.prime ** 2 * rng.randrange(span)) for _ in range(n)]
-    else:
-        rng = np.random.default_rng(seed)
-        noise = rng.normal(size=n) * 1e-2
-        if fld.kind is Kind.COMPLEX:
-            noise = noise + 1j * rng.normal(size=n) * 1e-2
-    return ProjPoint(fld, P.rep + noise)
-
-
 def make_very_contracting(g: SLMatrix, cert: ContractionCert, F: SeparatingSet,
                           seed: int = 0) -> VeryContractingElement:
     """g f g^-1 for the first f in F clearing both probe conditions.
 
-    The probe point u is the attracting point of g^-1 under seed-
-    deterministic perturbation, retried when no f qualifies.  Both output
+    The probe point u is the attracting point of g^-1 moved by
+    probe_offset(seed + attempt), retried when no f qualifies.  Both output
     certificates carry epsilon' = sqrt(2Cd) epsilon / r with the conjugate's
     own Cartan flags.
     """
@@ -196,7 +181,8 @@ def make_very_contracting(g: SLMatrix, cert: ContractionCert, F: SeparatingSet,
     ginv = g.inverse()
     anchor = ginv.cartan().attracting_point()
     for attempt in range(_PROBE_ATTEMPTS):
-        pulled = [apply_point(ginv, _perturbed(anchor, seed + attempt))]
+        probe = ProjPoint(g.field, anchor.rep + probe_offset(g.field, g.n, seed + attempt))
+        pulled = [apply_point(ginv, probe)]
         f, _ = _first(F, (("d([f] u, H) > r", 1, pulled, [cert.repelling]),
                           ("d([f^-1] u, H) > r", -1, pulled, [cert.repelling])))
         if f is not None:

@@ -30,16 +30,15 @@ per-word view of it.
 
 import math
 import warnings
-import random as random_
 from dataclasses import dataclass, field as derived_field
 
 import numpy as np
 
 from .cartan import SLMatrix, bilip_constant
 from .errors import ConstructionError, DomainError, UndecidedError
-from .fields import Kind, matmul
-from .projective import _norms, as_field_array, canonical_rows, hyperplane_distances
-from .sampling import CHUNK_SIZE, padic_unit_coords
+from .fields import matmul
+from .projective import _norms, canonical_rows, hyperplane_distances
+from .sampling import CHUNK_SIZE, stream_rows
 
 __all__ = [
     "Configuration",
@@ -173,25 +172,14 @@ def _configurations(field, entries, m: int, trials: np.ndarray, seed: int) -> Co
     """The configurations of the given trials, stacked as points and forms
     (T, 2m, n); entries is the (E, n, n) stack of the candidates.
 
-    Trial t draws from its own stream, np.random.default_rng(seed + t) over
-    R and C and random.Random(seed + t) over Q_p, so its configuration does
-    not depend on the batch it is drawn in.
+    Trial t draws its 4m rows, points first, from sampling stream seed + t,
+    so its configuration does not depend on the batch it is drawn in.
     """
     n = entries.shape[-1]
-    shape = (2, 2 * m, n)
-    if field.is_padic:
-        coords = []
-        for t in trials.tolist():
-            rng = random_.Random(seed + t)
-            coords += [padic_unit_coords(rng, field, n) for _ in range(4 * m)]
-        rows = as_field_array(field, coords, 2).reshape((len(trials),) + shape)
-        vanishing = 0.0  # exact arithmetic: only a zero form is degenerate
-    else:
-        rngs = [np.random.default_rng(seed + t) for t in trials.tolist()]
-        rows = np.array([rng.normal(size=shape) for rng in rngs])
-        if field.kind is Kind.COMPLEX:
-            rows = rows + 1j * np.array([rng.normal(size=shape) for rng in rngs])
-        vanishing = 1e-9
+    rows = stream_rows(field, n, [seed + t for t in trials.tolist()], 4 * m)
+    rows = rows.reshape(len(trials), 2, 2 * m, n)
+    # exact arithmetic over Q_p: only a zero form is degenerate
+    vanishing = 0.0 if field.is_padic else 1e-9
     points, forms = canonical_rows(field, rows[:, 0]), rows[:, 1].copy()
     odd = np.flatnonzero(trials % 2)
     if len(odd):

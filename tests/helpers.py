@@ -9,7 +9,7 @@ import numpy as np
 from pingpong.cartan import SLMatrix, _cartan_padic, apply_point
 from pingpong.errors import DomainError, PrecisionExhaustedError
 from pingpong.fields import Kind, PadicScalar, _vp, matmul, valuation
-from pingpong.projective import _norms, as_field_array, canonical_rows
+from pingpong.projective import _norms, canonical_rows
 from pingpong.sampling import padic_point_chunks
 from pingpong.separation import SeparatingSet, best_separator, sample_configuration
 
@@ -257,8 +257,7 @@ def padic_margins(field, pairs, batch):
 def padic_verify_contracting(cert, g, samples, seed):
     """contraction.verify_contracting over Q_p by the PadicScalar route."""
     field = g.field
-    for chunk in padic_point_chunks(field, g.n, samples, seed):
-        points = as_field_array(field, chunk, 2)
+    for points in padic_point_chunks(field, g.n, samples, seed):
         to_plane = padic_hyperplane_distances(field, points, cert.repelling.form[None])[:, 0]
         to_point = padic_point_distances(field, points, cert.attracting.rep, g.entries)
         if ((to_plane >= cert.epsilon) & (to_point > cert.epsilon)).any():

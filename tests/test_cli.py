@@ -170,6 +170,24 @@ def test_certify_free_mixed_documents_are_exit_2_with_path(tmp_path, capsys, mod
         assert "--gens" in report["payload"]["error"] and flag in report["payload"]["error"]
 
 
+@pytest.mark.parametrize("command, doc, flag, value", [
+    ("contract-analyze", "--in", "--samples", "-1"),
+    ("separate", "--set", "--m", "0"),
+    ("separate", "--set", "--trials", "0"),
+    ("falsify", "--gens", "--max-len", "0"),
+])
+def test_bad_flag_is_exit_2_without_a_document_path(tmp_path, capsys, command, doc, flag, value):
+    ident = identity(REAL, 2)
+    content = {"--in": matrix_doc(ident), "--set": sep_doc([ident], 1, 0.1),
+               "--gens": gens_doc([ident])}[doc]
+    argv = [command, doc, write_doc(tmp_path, "doc.json", content), flag, value]
+    code, report = run_json(capsys, argv + ([] if command == "falsify" else ["--seed", "0"]))
+    assert code == 2
+    # a flag has no place in a document
+    assert "path" not in report["payload"]
+    assert report["payload"]["error"].startswith(f"{flag} must be ")
+
+
 def test_noncontracting_input_is_exit_3(tmp_path, capsys):
     path = write_doc(tmp_path, "g.json", matrix_doc(rotation(0.7)))
     code, report = run_json(capsys,

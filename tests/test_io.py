@@ -171,3 +171,45 @@ def test_point_and_form_encodings():
     form = io.encode_form(t.repulsive_hyperplane())
     assert set(point) == {"point"} and len(point["point"]) == 2
     assert set(form) == {"form"} and len(form["form"]) == 2
+
+
+REAL_SPEC = {"kind": "real"}
+IDENTITY = [[1, 0], [0, 1]]
+
+
+def padic_entry(entry):
+    return {"field": {"kind": "padic", "prime": 5}, "matrix": [[entry, 0], [0, 1]]}
+
+
+# (command, document, path); a document of None is a file that is not there,
+# and its path is the file's own
+@pytest.mark.parametrize("command, doc, path", [
+    ("cartan", None, None),
+    ("cartan", [1, 2], ""),
+    ("cartan", {"matrix": IDENTITY}, "field"),
+    ("cartan", {"field": {"kind": "padic", "prime": "5"}, "matrix": IDENTITY}, "field.prime"),
+    ("cartan", {"field": {"kind": "padic", "prime": 4}, "matrix": IDENTITY}, "field.prime"),
+    ("cartan", padic_entry({"rat": "1/0"}), "matrix[0][0]"),
+    ("cartan", padic_entry({"val": 1.5, "unit_digits": [1]}), "matrix[0][0].val"),
+    ("cartan", padic_entry({"val": 0, "unit_digits": []}), "matrix[0][0].unit_digits"),
+    ("cartan", padic_entry({"val": 0, "unit_digits": [10, 1]}), "matrix[0][0]"),
+    ("cartan", {"field": REAL_SPEC, "matrix": 5}, "matrix"),
+    ("cartan", {"field": REAL_SPEC}, "matrix"),
+    ("falsify", {"field": REAL_SPEC, "generators": []}, "generators"),
+    ("separate", {"field": REAL_SPEC, "elements": [], "m": 1, "r": 0.1}, "elements"),
+    ("separate", {"field": REAL_SPEC, "elements": [IDENTITY], "m": 1, "r": "0.1"}, "r"),
+], ids=["unreadable", "root-list", "no-field", "prime-str", "prime-4", "rat-1/0", "val-float",
+        "digits-empty", "digits-p-multiple", "matrix-int", "no-matrix", "no-generators",
+        "no-elements", "r-str"])
+def test_bad_document_is_exit_2_with_its_path(tmp_path, capsys, command, doc, path):
+    file = tmp_path / "doc.json"
+    if doc is not None:
+        file.write_text(json.dumps(doc))
+    want = str(file) if path is None else path
+    flag, extra = {"cartan": ("--in", []), "falsify": ("--gens", ["--max-len", "2"]),
+                   "separate": ("--set", ["--seed", "0"])}[command]
+    assert run([command, flag, str(file), *extra]) == EXIT_INPUT
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["path"] == want
+    # the root's empty path prefixes nothing
+    assert payload["error"].startswith(f"{want}: " if want else f"{file}: ")

@@ -354,6 +354,20 @@ def test_greedy_separating_set_builds_padic_candidates():
     assert estimate_radius(list(F.elements), 1, 20, 13).r == F.r
 
 
+def test_greedy_separating_set_grows_past_the_best_pair():
+    # over R the best pair of words falls short of the target, so the growth
+    # loop runs, and the rounded-entry key drops the words equal to one another
+    F = greedy_separating_set([rotation(math.pi / 8), rotation(math.pi / 5)], m=1,
+                              target_r=0.3, trials=40, seed=3, max_word_len=2, max_size=6)
+    assert len(F.elements) > 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotSeparatingWarning)
+        # the search starts from the best pair
+        pair = estimate_radius(list(F.elements[:2]), 1, 40, 3).r
+    assert F.r > pair
+    assert estimate_radius(list(F.elements), 1, 40, 3).r == F.r
+
+
 def test_reduced_words_counts_order_and_products():
     S = SLMatrix(REAL, [[1.0, 2.0], [0.0, 1.0]])
     T = SLMatrix(REAL, [[1.0, 0.0], [2.0, 1.0]])
