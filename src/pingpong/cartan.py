@@ -13,11 +13,15 @@ gate on input (over Q_p, and over R and C on the stored dyadic entries when
 the float gate is too wide to decide det = 1), the p-adic inverse, the p-adic
 minors of exterior_power and the falsifier's exact adjugates.  Where only
 the determinant is wanted (the Q_p gate and the minors) it runs forward
-only.  The Smith form keeps its own loop: it pivots on the whole remaining
-block rather than one column and records the row and column operations as
-k and k'.
+only.  Its exact input is exact_form, the n x n matrix of the stored values
+for every field: Fractions over R and Q_p, and over C GaussianRationals,
+whose real and imaginary parts are Fractions, so the complex gate sees the
+phase of a determinant as well as its modulus.  The Smith form keeps its own
+loop: it pivots on the whole remaining block rather than one column and
+records the row and column operations as k and k'.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -31,16 +35,79 @@ from .fields import FieldSpec, Kind, PadicScalar, matmul, relative_tolerance, va
 from .projective import ProjHyperplane, ProjPoint, as_field_array
 
 
+def _operand(op):
+    """op with an int or Fraction operand read as a GaussianRational, and
+    NotImplemented for any other, a numpy array say."""
+    @functools.wraps(op)
+    def wrapped(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = GaussianRational(other)
+        elif not isinstance(other, GaussianRational):
+            return NotImplemented
+        return op(self, other)
+    return wrapped
+
+
+class GaussianRational:
+    """a + bi with rational a and b, the exact value of a complex float entry.
+
+    It has the operators gauss_jordan and the falsifier use, and complex()
+    for the determinant gate's message, and no more.
+    abs is |a| + |b|: an upper bound on the modulus, within a factor sqrt(2)
+    of it, and a Fraction, so that sums of abs values stay exact.
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag=0):
+        self.real = Fraction(real)
+        self.imag = Fraction(imag)
+
+    @_operand
+    def __add__(self, other):
+        return GaussianRational(self.real + other.real, self.imag + other.imag)
+
+    @_operand
+    def __sub__(self, other):
+        return GaussianRational(self.real - other.real, self.imag - other.imag)
+
+    def __neg__(self):
+        return GaussianRational(-self.real, -self.imag)
+
+    @_operand
+    def __mul__(self, other):
+        return GaussianRational(self.real * other.real - self.imag * other.imag,
+                                self.real * other.imag + self.imag * other.real)
+
+    @_operand
+    def __truediv__(self, other):
+        norm = other.real ** 2 + other.imag ** 2
+        return GaussianRational((self.real * other.real + self.imag * other.imag) / norm,
+                                (self.imag * other.real - self.real * other.imag) / norm)
+
+    @_operand
+    def __eq__(self, other):
+        return self.real == other.real and self.imag == other.imag
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+    def __abs__(self) -> Fraction:
+        return abs(self.real) + abs(self.imag)
+
+    def __complex__(self):
+        return complex(float(self.real), float(self.imag))
+
+
 def exact_form(entries: np.ndarray) -> np.ndarray:
-    """Fraction object array of a matrix: the values of p-adic entries, the
-    dyadic rationals a float matrix holds, and for a complex matrix its
-    2n x 2n real form, a + bi as the block [[a, -b], [b, a]]."""
+    """Object array of the exact values of a matrix: Fractions for the values
+    of p-adic entries and the dyadic rationals a float matrix holds,
+    GaussianRationals for a complex one."""
     if entries.dtype == object:
         return np.array([[x.value for x in row] for row in entries.tolist()], dtype=object)
     if np.iscomplexobj(entries):
-        n = len(entries)
-        re, im = entries.real, entries.imag
-        entries = np.array([[re, -im], [im, re]]).transpose(2, 0, 3, 1).reshape(2 * n, 2 * n)
+        return np.array([[GaussianRational(x.real, x.imag) for x in row]
+                         for row in entries.tolist()], dtype=object)
     return np.array([[Fraction(x) for x in row] for row in entries.tolist()], dtype=object)
 
 
@@ -48,8 +115,8 @@ def gauss_jordan(a: np.ndarray, inverse: bool = True) -> tuple:
     """(det, inverse) of a square object array of exact scalars by one
     Gauss-Jordan elimination; inverse is None when a is exactly singular.
 
-    Fractions pivot on the first nonzero entry of the column, PadicScalars
-    on its least valuation.  The det is the signed product of the pivots.
+    Fractions and GaussianRationals pivot on the first nonzero entry of the
+    column, PadicScalars on its least valuation.  The det is the signed product of the pivots.
     With inverse=False only the forward pass runs, and the inverse is None:
     the same pivots, each eliminating the rows below it only, with no
     identity block.  Those operations are a subset of the full pass's, so
@@ -61,7 +128,8 @@ def gauss_jordan(a: np.ndarray, inverse: bool = True) -> tuple:
         zero, one = a[0, 0].field.zero(), a[0, 0].field.one()
         size = operator.attrgetter("valuation")
     else:
-        zero, one = Fraction(0), Fraction(1)
+        exact = GaussianRational if isinstance(a[0, 0], GaussianRational) else Fraction
+        zero, one = exact(0), exact(1)
         size = operator.not_  # nonzero first
     m = a.tolist()
     if inverse:
@@ -112,10 +180,10 @@ class SLMatrix:
     def _check_det(self):
         """DomainError unless det = 1 as far as the stored entries tell: over
         Q_p to the digits held; over R and C by the float gate, and where that
-        gate reaches 1 by the exact det d of the dyadic entries A (over C the
-        real 2n x 2n form, of det |det|^2).  d must be nonzero with
-        |d - 1| <= tol sum_ij |a_ij| |adj(A)_ji|, the first-order move of d
-        when each entry is off by a relative tol = relative_tolerance().  One
+        gate reaches 1 by the exact det d of the dyadic entries A.  d must be
+        nonzero with |d - 1| <= tol sum_ij |a_ij| |adj(A)_ji|, the first-order
+        move of d when each entry is off by a relative tol = relative_tolerance()
+        (over C, |a + bi| is read as |a| + |b|, GaussianRational's abs).  One
         rounding per entry, u = 2^-53, would be too tight: the generators that
         build_pingpong_tuple multiplies out need up to about 2e3 u for tol."""
         if self.field.is_padic:
@@ -150,9 +218,8 @@ class SLMatrix:
                 raise DomainError("determinant is exactly 0, not 1")
             reach = Fraction(relative_tolerance()) * (abs(a) * abs(det * inverse).T).sum()
             if abs(det - 1) > reach:
-                what = "squared modulus of the " if self.field.kind is Kind.COMPLEX else ""
-                raise DomainError(f"{what}determinant of the stored entries is "
-                                  f"{float(det):.12g}, not 1")
+                raise DomainError(f"determinant of the stored entries is "
+                                  f"{self.field.scalar(det):.12g}, not 1")
 
     @property
     def n(self) -> int:

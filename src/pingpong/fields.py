@@ -260,15 +260,6 @@ class PadicScalar:
             raise DomainError("division by zero")
         return self._coerce(other) / self
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise DomainError("only integer powers of p-adic scalars are supported")
-        if not self.value:
-            if k <= 0:
-                raise DomainError(f"0**{k} is not defined")
-            return self
-        return PadicScalar(self.field, self.value ** k, self.digits)
-
     def __eq__(self, other):
         if isinstance(other, PadicScalar):
             return self.field == other.field and self.value == other.value

@@ -10,11 +10,14 @@ condition is data, (text, side, points, hyperplanes), met by f when every
 d([f^side v], H) > r; _first scores it with one hyperplane_distances call.
 A valid certificate implies the x_i freely generate F_m; freeness_falsifier
 is the independent brute-force check of that conclusion.  It decides one
-word length at a time on the stacks of separation.word_layers: exactly over
-Q_p, and over R and C by a rigorous componentwise bound on the rounding of
-each product, with an exact dyadic recheck of the first word the bound
-leaves open.  When that word is not exactly scalar, UndecidedError says how
-far the search was decided.
+word length at a time on the stacks of separation.word_layers, for the
+stored matrices: exact_form and the exact gauss_jordan adjugates give each
+letter's exact value.  Over Q_p each such letter, scaled to Python ints,
+builds the words, which are tested exactly, so no digit count can stop the
+search.  Over R and C the float words are decided by a rigorous
+componentwise bound on the rounding of each product, with an exact recheck
+of the first word the bound leaves open.  When that word is not exactly
+scalar, UndecidedError says how far the search was decided.
 """
 
 import functools
@@ -41,7 +44,7 @@ from .fields import Kind, relative_tolerance
 # dist_to_hyperplane is unused here; perfbench/test_oracle.py reads it as pingpong.pingpong's
 from .projective import ProjPoint, dist_to_hyperplane, hyperplane_distances  # noqa: F401
 from .sampling import probe_offset
-from .separation import SeparatingSet, letter_stack, word_layers
+from .separation import _GROW_ROWS, SeparatingSet, letter_stack, word_layers
 
 __all__ = [
     "PingPongCert",
@@ -381,8 +384,6 @@ def verify_pingpong(cert: PingPongCert) -> bool:
     p-adic ones are exact powers of p, compared with r with only a 1e-12
     relative allowance for the float arithmetic that produced r.
     """
-    if not cert.r > 2 * cert.epsilon:
-        return False
     if any(pc.backward is None for pc in cert.certificates):
         return False
     if cert.generators[0].field.is_padic:
@@ -408,18 +409,15 @@ def _up(q: Fraction) -> float:
     return x if Fraction(x) >= q else math.nextafter(x, math.inf)
 
 
-def _scalar_words(stack: np.ndarray, block: int) -> np.ndarray:
-    """Mask of the exactly scalar matrices of an object stack (N, s, s):
-    zero off-diagonal blocks and equal diagonal blocks, blocks block x block."""
-    n = stack.shape[1] // block
-    blocks = stack.reshape(len(stack), n, block, n, block).transpose(0, 1, 3, 2, 4)
-    off = ~np.eye(n, dtype=bool)
-    diagonal = blocks[:, range(n), range(n)]
-    return (~blocks[:, off].astype(bool).any(axis=(1, 2, 3))
-            & (diagonal == diagonal[:, :1]).all(axis=(1, 2, 3)))
+def _scalar_words(stack: np.ndarray) -> np.ndarray:
+    """Mask of the exactly scalar matrices of an object stack (N, n, n)."""
+    n = stack.shape[1]
+    diagonal = stack[:, range(n), range(n)]
+    return (~stack[:, ~np.eye(n, dtype=bool)].astype(bool).any(axis=1)
+            & (diagonal == diagonal[:, :1]).all(axis=1))
 
 
-def _magnitudes(letters: np.ndarray, exact: list, block: int) -> tuple:
+def _magnitudes(letters: np.ndarray, exact: list) -> tuple:
     """(M, rho) for the float letters X^ and the exact letters X: within a
     factor 1/(1 - 2u) from the complex modulus, |X^| <= M, |X| <= M and
     |X^ - X| <= rho M.  Only an inverse letter for n >= 3 has rho > 0: the
@@ -430,38 +428,45 @@ def _magnitudes(letters: np.ndarray, exact: list, block: int) -> tuple:
         return mags, 0.0
     rho = Fraction(0)
     for k in range(1, len(letters), 2):
-        inverse = exact[k]
-        if block == 2:
-            # adj of the real form is conj(det) adj(g); rescale by the float det
-            d = complex(np.linalg.det(letters[k - 1]))
-            inverse = inverse @ exact_form(np.diag([d / abs(d) ** 2] * n))
-        error = exact_form(letters[k]) - inverse
+        # abs of a GaussianRational is |a| + |b|, at least the modulus
+        error = abs(exact_form(letters[k]) - exact[k])
         for i in range(n):
             for j in range(n):
-                # |a + bi| <= |a| + |b| for the block [[a, -b], [b, a]]
-                e = sum(abs(error[block * i + t, block * j]) for t in range(block))
-                bound = _up(Fraction(float(mags[k, i, j])) + e)
+                bound = _up(Fraction(float(mags[k, i, j])) + error[i, j])
                 mags[k, i, j] = bound
-                if e:
-                    rho = max(rho, e / Fraction(bound))
+                if error[i, j]:
+                    rho = max(rho, error[i, j] / Fraction(bound))
     return mags, _up(rho)
 
 
-def _decided(layer, c: float, eta: float) -> np.ndarray:
-    """Mask of the words proven not scalar: an off-diagonal entry, or the
+def _first_open(layer, c: float, eta: float):
+    """Index of the first word of a layer not proven non-scalar, None when
+    every word is.  A word is proven when an off-diagonal entry, or the
     difference of two diagonal entries, exceeds c |A_1|...|A_L| + eta, the
-    bound on its rounding error.  A non-finite entry or bound decides nothing."""
-    products = layer.products
-    n = products.shape[-1]
+    bound on its rounding error; a non-finite entry or bound decides nothing.
+    The layer is tested in blocks of _GROW_ROWS words, in order, up to the
+    first block that holds an open word."""
+    n = layer.products.shape[-1]
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))
     i, j = np.triu_indices(n, 1)
-    with np.errstate(all="ignore"):
-        bound = c * layer.magnitudes + eta
-        proven = (np.abs(products[:, rows, cols]) > bound[:, rows, cols]).any(axis=1)
-        gaps = np.abs(products[:, i, i] - products[:, j, j])
-        proven |= (gaps > bound[:, i, i] + bound[:, j, j]).any(axis=1)
-        finite = np.isfinite(products).all(axis=(1, 2)) & np.isfinite(bound).all(axis=(1, 2))
-    return proven & finite
+    for start in range(0, len(layer.products), _GROW_ROWS):
+        products = layer.products[start:start + _GROW_ROWS]
+        with np.errstate(all="ignore"):
+            bound = c * layer.magnitudes[start:start + _GROW_ROWS] + eta
+            proven = (np.abs(products[:, rows, cols]) > bound[:, rows, cols]).any(axis=1)
+            gaps = np.abs(products[:, i, i] - products[:, j, j])
+            proven |= (gaps > bound[:, i, i] + bound[:, j, j]).any(axis=1)
+            proven &= np.isfinite(products).all(axis=(1, 2)) & np.isfinite(bound).all(axis=(1, 2))
+        open_words = np.flatnonzero(~proven)
+        if open_words.size:
+            return start + int(open_words[0])
+    return None
+
+
+def _integral(x: np.ndarray) -> np.ndarray:
+    """x times the lcm of its denominators, as Python ints: a scalar
+    multiple of x, with the same projective action."""
+    return np.frompyfunc(int, 1, 1)(x * math.lcm(*(q.denominator for q in x.flat)))
 
 
 def freeness_falsifier(gens, max_len: int):
@@ -471,15 +476,17 @@ def freeness_falsifier(gens, max_len: int):
 
     Words come from word_layers, length by length with letters ordered
     (0,+1) < (0,-1) < (1,+1) < ..., so the returned word is the first
-    counterexample in length-then-lexicographic order.  Over Q_p each layer
-    is tested exactly.  Over R and C a word is proven nontrivial when its
+    counterexample in length-then-lexicographic order.  The exact letters
+    are the stored values of the generators, with exact adjugates as
+    inverses.  Over Q_p the words are products of these letters scaled to
+    ints, a scaling that keeps the projective action, and each layer is
+    tested exactly.  Over R and C a word is proven nontrivial when its
     float product is off scalar by more than the componentwise error bound
     of the product (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., sections 3.5-3.6); the first word of a layer that is not
-    proven is rechecked exactly in dyadic rationals, from the input letters
-    with exact adjugates as inverses.  If it is not exactly scalar either,
-    UndecidedError reports decided_len = L - 1, as it does when the next
-    layer would exceed the word budget.
+    proven is rechecked as the exact product of its letters.  If it is not
+    exactly scalar either, UndecidedError reports decided_len = L - 1, as
+    it does when the next layer would exceed the word budget.
     """
     if max_len < 1:
         raise DomainError(f"need max_len >= 1, got {max_len}")
@@ -487,13 +494,6 @@ def freeness_falsifier(gens, max_len: int):
     if not gens:
         raise DomainError("need at least one generator")
     fld = gens[0].field
-    letters = letter_stack(gens)
-    if fld.is_padic:
-        for layer in word_layers(letters, max_len):
-            hits = np.flatnonzero(_scalar_words(layer.products, 1))
-            if hits.size:
-                return Word(layer.letters(int(hits[0])))
-        return None
     exact = []  # in letter order, as letter_stack; adj = det a^-1 inverts projectively
     for i, g in enumerate(gens):
         x = exact_form(g.entries)
@@ -501,10 +501,16 @@ def freeness_falsifier(gens, max_len: int):
         if inverse is None:
             raise DomainError(f"generator {i} is exactly singular")
         exact += [x, det * inverse]
-    block = 2 if fld.kind is Kind.COMPLEX else 1
-    mags, rho = _magnitudes(letters, exact, block)
+    if fld.is_padic:
+        for layer in word_layers(np.array([_integral(x) for x in exact]), max_len):
+            hits = np.flatnonzero(_scalar_words(layer.products))
+            if hits.size:
+                return Word(layer.letters(int(hits[0])))
+        return None
+    letters = letter_stack(gens)
+    mags, rho = _magnitudes(letters, exact)
     n = gens[0].n
-    width = n + 2 if block == 2 else n  # Higham's complex inner products: gamma_(n+2)
+    width = n + 2 if fld.kind is Kind.COMPLEX else n  # Higham's complex inner products: gamma_(n+2)
     spread = max(1.0, float(mags.sum(axis=-1).max()))
     for layer in word_layers(letters, max_len, mags):
         length = layer.length
@@ -515,13 +521,13 @@ def freeness_falsifier(gens, max_len: int):
              * (1 + _gamma(2 * length + 2 * (length - 1) * n + 23)))
         with np.errstate(over="ignore"):
             eta = float(math.ldexp(16 * n * (length + 1), -1074) * np.float64(spread) ** length)
-        open_words = np.flatnonzero(~_decided(layer, c, eta))
-        if not open_words.size:
+        first = _first_open(layer, c, eta)
+        if first is None:
             continue
-        word = Word(layer.letters(int(open_words[0])))
+        word = Word(layer.letters(first))
         product = functools.reduce(operator.matmul,
                                    [exact[2 * i + (1 - e) // 2] for i, e in word.letters])
-        if _scalar_words(product[None], block)[0]:
+        if _scalar_words(product[None])[0]:
             return word
         raise UndecidedError(
             f"cannot decide past length {length - 1}: {word} is not proven "

@@ -1,7 +1,9 @@
 """Shared random-matrix generators and small oracles for the test suite."""
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +76,18 @@ def fraction_det(rows):
             term = rows[0][j] * fraction_det(minor)
             total += term if j % 2 == 0 else -term
     return total
+
+
+def leibniz_det(rows):
+    """Exact determinant by the Leibniz formula, with +, * and unary - only
+    (tiny matrices of any exact scalars)."""
+    n = len(rows)
+    terms = []
+    for perm in itertools.permutations(range(n)):
+        term = functools.reduce(operator.mul, (rows[i][perm[i]] for i in range(n)))
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        terms.append(-term if inversions % 2 else term)
+    return functools.reduce(operator.add, terms)
 
 
 def adjugate_oracle(rows):

@@ -15,12 +15,14 @@ from helpers import (
     bilip_constant_by_smith,
     wedge_coordinates,
     fraction_det,
+    leibniz_det,
     power_iteration_norm,
     random_sl_arch,
     random_sl_padic,
     smith_valuations_oracle,
 )
 from pingpong.cartan import (
+    GaussianRational,
     SLMatrix,
     _adjugate,
     apply_hyperplane,
@@ -28,6 +30,7 @@ from pingpong.cartan import (
     bilip_constant,
     cartan_decompose,
     diagonal,
+    exact_form,
     exterior_power,
     gauss_jordan,
     identity,
@@ -70,7 +73,7 @@ def test_wide_determinant_gate_refuses_a_stored_determinant_far_from_one():
     # but its stored entries give det 2, which no rounding of the entries explains
     with pytest.raises(DomainError, match="stored entries is 2, not 1"):
         SLMatrix(REAL, [[1e8, 1e8], [0.0, 2e-8]])
-    with pytest.raises(DomainError, match="squared modulus .* is 4, not 1"):
+    with pytest.raises(DomainError, match=r"stored entries is 2\+0j, not 1"):
         SLMatrix(COMPLEX, [[1e8, 1e8], [0.0, 2e-8]])
     # float-computed det-1 matrices at large scale stay accepted
     rng = np.random.default_rng(11)
@@ -80,6 +83,20 @@ def test_wide_determinant_gate_refuses_a_stored_determinant_far_from_one():
         g = q @ np.diag([scale, 1 / scale]) @ q.T
         for power in (g, g @ g, g @ g @ g):
             SLMatrix(REAL, power)
+
+
+def test_wide_determinant_gate_sees_the_phase_of_a_complex_determinant():
+    # det = 1e8 * 1e-8 i is i: its modulus is 1, its phase is not
+    with pytest.raises(DomainError, match=r"stored entries is 0\+1j, not 1"):
+        SLMatrix(COMPLEX, [[1e8, 1e8], [0.0, 1e-8j]])
+    # float-computed unitary conjugates u diag(s, 1/s) u* stay accepted
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        scale = 10.0 ** rng.uniform(4, 9)
+        g = u @ np.diag([scale, 1 / scale]) @ u.conj().T
+        for power in (g, g @ g, g @ g @ g):
+            SLMatrix(COMPLEX, power)
 
 
 _SMALL_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=4)
@@ -97,6 +114,33 @@ def test_gauss_jordan_over_q(rows):
         return
     assert (a @ inverse == np.eye(len(rows), dtype=int)).all()
     assert (det * inverse == np.array(adjugate_oracle(rows), dtype=object)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.lists(st.tuples(_SMALL_FRACTIONS, _SMALL_FRACTIONS), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_gauss_jordan_over_gaussian_rationals(rows):
+    a = np.array([[GaussianRational(x, y) for x, y in row] for row in rows], dtype=object)
+    det, inverse = gauss_jordan(a)
+    assert det == leibniz_det(a.tolist())
+    if not det:
+        assert inverse is None
+        return
+    n = len(rows)
+    eye = np.array([[GaussianRational(int(i == j)) for j in range(n)] for i in range(n)],
+                   dtype=object)
+    assert (a @ inverse == eye).all()
+
+
+def test_exact_form_of_a_complex_matrix_is_its_n_by_n_gaussian_rationals():
+    entries = np.array([[0.1 + 2j, -3.0], [1e-300j, 0.25 - 0.5j]])
+    exact = exact_form(entries)
+    assert exact.shape == (2, 2)
+    assert all(x.real == Fraction(z.real) and x.imag == Fraction(z.imag)
+               for x, z in zip(exact.flat, entries.flat))
+    # abs is |a| + |b|, an upper bound on the modulus, exact in Fraction
+    assert abs(exact[0, 0]) == Fraction(0.1) + 2 >= abs(entries[0, 0])
 
 
 def test_adjugate_stack_matches_cofactor_loop_and_exact_oracle():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (condition_distances, first_by_scalar_reference, random_sl_arch,
                      random_sl_padic, scalar_dist_to_hyperplane)
@@ -604,6 +605,65 @@ def test_falsifier_padic_exactness():
     S = SLMatrix(Q5, [[1, 1], [0, 1]])
     T = SLMatrix(Q5, [[1, 0], [1, 1]])
     assert freeness_falsifier([S, T], 3) is None
+
+
+def stored_values(g):
+    """The stored rationals of a p-adic g, as an object array of Fractions."""
+    return np.array([[x.value for x in row] for row in g.entries], dtype=object)
+
+
+def test_falsifier_decides_low_precision_padic_pairs_for_their_stored_values():
+    # the words are exact ints whatever the digits held: precision 3-6 gives
+    # the verdict of precision 40 on the same rationals, where PadicScalar
+    # words ran out of digits on 61 of these 80 pairs
+    rng = random.Random(0)
+    for precision in (3, 4, 5, 6):
+        field = padic(5, precision)
+        for k in range(20):
+            g, h = (random_sl_padic(rng, field, 2, val_range=1) for _ in range(2))
+            if k % 4 == 0:  # planted: h = g^2, the relation g0 g0 g1^-1
+                h = SLMatrix(field, (stored_values(g) @ stored_values(g)).tolist())
+            word = freeness_falsifier([g, h], 6)
+            full = [SLMatrix(padic(5), stored_values(x).tolist()) for x in (g, h)]
+            assert word == freeness_falsifier(full, 6)
+            assert (word == Word(((0, 1), (0, 1), (1, -1)))) == (k % 4 == 0)
+
+
+def integer_sl2(shears):
+    """The product of the integer shears [[1, k], [0, 1]] (upper) and
+    [[1, 0], [k, 1]], as an object array of Python ints."""
+    m = np.eye(2, dtype=int).astype(object)
+    for upper, k in shears:
+        m = m @ np.array([[1, k], [0, 1]] if upper else [[1, 0], [k, 1]], dtype=object)
+    return m
+
+
+_SHEARS = st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), min_size=1, max_size=4)
+# h for each g: free choice, g^2, g^3, -g (projectively g); or g conjugate to
+# an element of projective order 2 or 3, with a free choice of h
+_PLANTS = ["none", "square", "cube", "negative", "order-2", "order-3"]
+_TORSION = {"order-2": [[0, -1], [1, 0]], "order-3": [[0, -1], [1, 1]]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SHEARS, _SHEARS, st.sampled_from(_PLANTS))
+def test_falsifier_verdicts_agree_across_r_c_and_q5(g_shears, h_shears, plant):
+    # integer SL_2 pairs are exact over every field: Q_5 decides exactly, and
+    # R and C give its verdict or say how far they decided, short of its word
+    g, h = integer_sl2(g_shears), integer_sl2(h_shears)
+    if plant in _TORSION:
+        inverse = integer_sl2([(upper, -k) for upper, k in reversed(g_shears)])
+        g = g @ np.array(_TORSION[plant], dtype=object) @ inverse
+    h = {"square": g @ g, "cube": g @ g @ g, "negative": -g}.get(plant, h)
+    want = freeness_falsifier([SLMatrix(padic(5), x.tolist()) for x in (g, h)], 5)
+    assert (want is None) <= (plant == "none")
+    for field in (REAL, COMPLEX):
+        try:
+            got = freeness_falsifier([SLMatrix(field, x.tolist()) for x in (g, h)], 5)
+        except UndecidedError as exc:
+            assert want is None or exc.decided_len < len(want)
+            continue
+        assert got == want
 
 
 # soundness chain: verified certificates never produce falsifier hits

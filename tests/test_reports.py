@@ -33,6 +33,8 @@ CASES = {
     "cartan-q5-short-digits": ["cartan", "--in", "g_q5_short_digits.json"],
     "cartan-bad-shape": ["cartan", "--in", "g_bad_shape.json"],
     "cartan-singular-real": ["cartan", "--in", "g_singular_real.json"],
+    # det = 1e8 * 1e-8 i is i; the real 2n x 2n form saw only |det| = 1 (exit 0)
+    "cartan-complex-phase": ["cartan", "--in", "g_complex_phase.json"],
     "contract-real": ["contract-analyze", "--in", "g_real_contracting.json",
                       "--samples", "2000", "--seed", "7"],
     "contract-real3": ["contract-analyze", "--in", "g_real3.json",
@@ -77,6 +79,8 @@ CASES = {
     "falsify-sanov-complex": ["falsify", "--gens", "sanov_complex.json", "--max-len", "4"],
     "falsify-free-q5": ["falsify", "--gens", "free_q5.json", "--max-len", "4"],
     "falsify-planted-q5": ["falsify", "--gens", "planted_q5.json", "--max-len", "3"],
+    # PadicScalar words ran out of digits at precision 3 here (exit 3)
+    "falsify-lowprec-q5": ["falsify", "--gens", "lowprec_q5.json", "--max-len", "6"],
     "dense-real": ["dense-check", "--gens", "near_identity_real.json"],
     "dense-complex": ["dense-check", "--gens", "near_identity_complex.json"],
     "dense-diagonal-real": ["dense-check", "--gens", "diagonal_real.json"],
