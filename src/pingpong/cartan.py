@@ -10,15 +10,15 @@ off the entries of g and of its inverse and makes no decomposition.
 
 Exact linear algebra has one implementation, gauss_jordan: the determinant
 gate on input (over Q_p, and over R and C on the stored dyadic entries when
-the float gate is too wide to decide det = 1), the p-adic inverse, the p-adic
-minors of exterior_power and the falsifier's exact adjugates.  Where only
-the determinant is wanted (the Q_p gate and the minors) it runs forward
-only.  Its exact input is exact_form, the n x n matrix of the stored values
-for every field: Fractions over R and Q_p, and over C GaussianRationals,
-whose real and imaginary parts are Fractions, so the complex gate sees the
-phase of a determinant as well as its modulus.  The Smith form keeps its own
-loop: it pivots on the whole remaining block rather than one column and
-records the row and column operations as k and k'.
+the float gate is too wide to decide det = 1), the falsifier's exact
+adjugates, and over Q_p _dets: the n >= 3 cofactors of the inverse, which is
+the adjugate for every field, and the minors of exterior_power.  Where only
+a determinant is wanted it runs forward only.  Its exact input is
+exact_form, the stored values for every field: Fractions over R and Q_p,
+and over C GaussianRationals, whose real and imaginary parts are Fractions,
+so the complex gate sees the phase of a determinant as well as its modulus.
+The Smith form keeps its own loop: it pivots on the whole remaining block
+rather than one column and records the row and column operations as k and k'.
 """
 
 import functools
@@ -234,16 +234,10 @@ class SLMatrix:
 
     def inverse(self) -> "SLMatrix":
         if self._inverse is None:
-            if self.field.is_padic:
-                _, inv = gauss_jordan(self.entries)
-                if inv is None:
-                    raise DecompositionError("matrix is singular to working precision")
-                inv = SLMatrix(self.field, inv, check=False)
-            else:
-                # adjugate, not LU: det = 1 makes it the inverse, and for
-                # n = 2 it stays exact however large the entries grow under
-                # composition, where LU sees a numerically singular matrix
-                inv = SLMatrix(self.field, _adjugate(self.entries), check=False)
+            # the adjugate over every field, which det = 1 makes the inverse:
+            # for n = 2 exact however large composition makes the entries, where
+            # LU sees a singular matrix, and over Q_p no cofactor divides by a pivot
+            inv = SLMatrix(self.field, _adjugate(self.entries), check=False)
             inv._inverse = self
             self._inverse = inv
         return self._inverse
@@ -257,6 +251,15 @@ class SLMatrix:
         return f"SLMatrix({self.field}, {rows!r})"
 
 
+def _dets(stack: np.ndarray) -> np.ndarray:
+    """Determinant of each matrix of a (..., m, m) stack: numpy's for float
+    and complex arrays, a forward gauss_jordan pass on each for p-adic ones."""
+    if stack.dtype != object:
+        return np.linalg.det(stack)
+    dets = [gauss_jordan(m, inverse=False)[0] for m in stack.reshape(-1, *stack.shape[-2:])]
+    return np.array(dets, dtype=object).reshape(stack.shape[:-2])
+
+
 def _adjugate(entries: np.ndarray) -> np.ndarray:
     n = entries.shape[0]
     if n == 2:
@@ -265,7 +268,7 @@ def _adjugate(entries: np.ndarray) -> np.ndarray:
     # keep[k] lists 0..n-1 without k; minors[i, j] drops row j and column i
     keep = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
     minors = entries[keep[None, :, :, None], keep[:, None, None, :]]
-    return (-1) ** np.add.outer(np.arange(n), np.arange(n)) * np.linalg.det(minors)
+    return (-1) ** np.add.outer(np.arange(n), np.arange(n)) * _dets(minors)
 
 
 def identity(field: FieldSpec, n: int) -> SLMatrix:
@@ -429,13 +432,10 @@ def exterior_power(g: SLMatrix, i: int) -> SLMatrix:
     n = g.n
     if not 1 <= i <= n - 1:
         raise DomainError(f"exterior power index must be in [1, {n - 1}], got {i}")
-    subsets = list(itertools.combinations(range(n), i))
-
-    def det(minor):
-        return gauss_jordan(minor, inverse=False)[0] if g.field.is_padic else np.linalg.det(minor)
-
-    rows = [[det(g.entries[np.ix_(S, T)]) for T in subsets] for S in subsets]
-    return SLMatrix(g.field, rows, check=False)
+    # minors[s, t] keeps the rows of the s-th subset and the columns of the t-th
+    subsets = np.array(list(itertools.combinations(range(n), i)))
+    minors = g.entries[subsets[:, None, :, None], subsets[None, :, None, :]]
+    return SLMatrix(g.field, _dets(minors), check=False)
 
 
 def bilip_constant(g: SLMatrix) -> float:

@@ -301,12 +301,12 @@ class PadicScalar:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for field arrays.  Object arrays (Q_p) multiply as the explicit
+    """a @ b for field arrays.  PadicScalar arrays multiply as the explicit
     sum (a[..., :, :, None] * b[..., None, :, :]).sum(-2), which adds in the
     order of numpy's object matmul but lets a PrecisionExhaustedError through:
     the object matmul keeps calling __mul__ after a sum has raised and ends in
-    a SystemError.  Float and complex arrays take @ itself."""
-    if a.dtype != object and b.dtype != object:
+    a SystemError.  Other arrays, ints and Fractions too, take @ itself."""
+    if not any(x.dtype == object and x.size and isinstance(x.flat[0], PadicScalar) for x in (a, b)):
         return a @ b
     if b.ndim == 1:
         return matmul(a, b[:, None])[..., 0]

@@ -247,14 +247,12 @@ def test_inverse():
     h = SLMatrix(Q5, [[2, 1], [1, 1]])
     prod = h @ h.inverse()
     assert [[c.value for c in row] for row in prod.entries] == [[1, 0], [0, 1]]
-    with pytest.raises(DecompositionError):
-        SLMatrix(Q5, [[5, 10], [1, 2]], check=False).inverse()
 
 
 def test_padic_inverse_pivots_on_least_valuation():
     # pivoting on the first nonzero entry, 25, would leave 1 known digit in place of 3
     g = SLMatrix(Q5, [[25, PadicScalar(Q5, 1, 3)], [1, PadicScalar(Q5, 1, 3)]], check=False)
-    inverse = g.inverse().entries
+    inverse = gauss_jordan(g.entries)[1]
     assert [[c.value for c in row] for row in inverse] == [
         [Fraction(1, 24), Fraction(-1, 24)], [Fraction(-1, 24), Fraction(25, 24)]]
     assert [[c.digits for c in row] for row in inverse] == [[3, 5], [3, 3]]
@@ -267,6 +265,50 @@ def test_padic_inverse_is_exact():
             g = random_sl_padic(rng, Q5, n)
             prod = (g @ g.inverse()).entries
             assert [[c.value for c in row] for row in prod] == np.eye(n, dtype=int).tolist()
+
+
+def test_padic_inverse_is_the_adjugate():
+    # the adjugate has the values of the elimination's inverse wherever the
+    # stored determinant is 1, and for n = 2 each entry is an entry of g up
+    # to sign, with its digits; entries cut to fewer digits included
+    def values(m):
+        return [[c.value for c in row] for row in m]
+
+    rng = random.Random(101)
+    seen = collections.Counter()
+    for k in range(240):
+        field = padic((3, 5, 7)[k % 3], 40 if k % 2 else rng.randint(4, 10))
+        n = 2 + k // 3 % 4
+        g = random_sl_padic(rng, field, n)
+        if k % 3 == 0:
+            g = SLMatrix(field, [[PadicScalar(field, c.value, rng.randint(2, field.precision))
+                                  for c in row] for row in g.entries], check=False)
+        try:
+            inverse = g.inverse().entries
+        except PrecisionExhaustedError:
+            assert n > 2
+            seen["adjugate raises"] += 1
+            continue
+        if n == 2:
+            (a, b), (c, d) = g.entries
+            assert values(inverse) == [[d.value, -b.value], [-c.value, a.value]]
+            assert [x.digits for x in inverse.flat] == [d.digits, b.digits, c.digits, a.digits]
+        try:
+            eliminated = gauss_jordan(g.entries)[1]
+        except PrecisionExhaustedError:
+            seen["elimination raises"] += 1
+        else:
+            assert values(inverse) == values(eliminated)
+            seen["same values"] += 1
+        try:
+            prod = (g @ g.inverse()).entries
+        except PrecisionExhaustedError:
+            assert k % 2 == 0 or k % 3 == 0  # only where digits are short
+            continue
+        assert values(prod) == np.eye(n, dtype=int).tolist()
+        seen["g g^-1 = I"] += 1
+    assert set(seen) == {"adjugate raises", "elimination raises", "same values",
+                         "g g^-1 = I"}, seen
 
 
 def test_cartan_of_descending_diagonal_is_trivial():

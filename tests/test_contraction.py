@@ -372,3 +372,32 @@ def test_contraction_cert_epsilon_range_enforced():
         ContractionCert(0.0, side.attracting, side.repelling, side.ratio)
     with pytest.raises(ConstructionError):
         ContractionCert(1.5, side.attracting, side.repelling, side.ratio)
+
+
+def test_contraction_data_threshold_is_one_quarter():
+    # a coefficient of 1/3 lies between 1/4 and 1/2: no certificate
+    g = diagonal(REAL, [3.0, 1 / 3])
+    assert contraction_coefficient(g) == pytest.approx(1 / 3)
+    with pytest.raises(NotContractingError):
+        contraction_data(g)
+
+
+def test_proximal_cert_flag_slack_boundary():
+    # a side whose flag distance d is r (1 - 1e-6) is refused; at r = d it is not
+    side = ContractionCert(0.01, ProjPoint(REAL, [1, 1]), ProjHyperplane(REAL, [1, 0]), 1e-4)
+    d = side.flag_distance()
+    assert d == pytest.approx(math.sqrt(0.5))
+    ProximalCert(d, 0.01, side, None)
+    with pytest.raises(ConstructionError, match="flag distance"):
+        ProximalCert(d / (1 - 1e-6), 0.01, side, None)
+
+
+def test_proximal_cert_without_a_backward_side():
+    # g^-1 = diag(0.01, 10, 10) has two equal top singular values, so only
+    # the forward side is certified: r is its flag distance 1, epsilon
+    # sqrt(0.1 / 100)
+    cert = proximal_cert(diagonal(REAL, [100.0, 0.1, 0.1]))
+    assert cert.backward is None
+    assert not cert.very
+    assert cert.r == pytest.approx(1.0)
+    assert cert.epsilon == pytest.approx(math.sqrt(1e-3))

@@ -153,6 +153,12 @@ def test_matmul_lets_precision_loss_through():
     assert matmul(v, c).tolist() == (v @ c).tolist()
     floats = np.arange(8.0).reshape(2, 2, 2)
     assert np.array_equal(matmul(floats, floats), floats @ floats)
+    # a stack of Python ints, as the falsifier's Q_p word layers hold, and an
+    # empty stack multiply as @ does
+    ints = np.arange(8, dtype=object).reshape(2, 2, 2) * 10 ** 30
+    assert matmul(ints, ints).tolist() == (ints @ ints).tolist()
+    empty = np.empty((0, 2, 2), dtype=object)
+    assert matmul(empty, ints[0]).shape == (0, 2, 2)
 
 
 def test_multiplication_keeps_the_weaker_digit_count():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (condition_distances, first_by_scalar_reference, random_sl_arch,
                      random_sl_padic, scalar_dist_to_hyperplane)
-from pingpong.cartan import SLMatrix, bilip_constant, identity
+from pingpong.cartan import SLMatrix, bilip_constant, diagonal, identity
 from pingpong.contraction import (
     ContractionCert,
     ProximalCert,
@@ -142,6 +142,16 @@ def test_make_proximal_precondition():
         make_proximal(g, cert, SeparatingSet([identity(REAL, 2)], 2, 0.01))
 
 
+def test_make_proximal_precondition_boundary():
+    # epsilon just inside r/(2C) passes and just outside raises
+    g = SLMatrix(REAL, [[100.0, 0.0], [0.0, 0.01]])
+    F = SeparatingSet([identity(REAL, 2), rotation(math.pi / 4)], 2, 0.5)
+    bound = F.r / (2 * F.C)
+    make_proximal(g, own_cert(g, bound * (1 - 1e-6)), F)
+    with pytest.raises(PreconditionError):
+        make_proximal(g, own_cert(g, bound * (1 + 1e-6)), F)
+
+
 # make_very_contracting
 
 
@@ -211,6 +221,22 @@ def test_make_very_proximal_precondition():
     bwd = own_cert(g.inverse(), 0.1)
     with pytest.raises(PreconditionError):
         make_very_proximal(g, fwd, bwd, F)
+
+
+def test_make_very_proximal_precondition_boundary():
+    # epsilon just inside r/(2C^2) passes and just outside raises; a last
+    # element of F with bi-Lipschitz constant 1.1^4 sets C, so C^2 and C differ
+    g = SLMatrix(REAL, [[1e3, 0.0], [0.0, 1e-3]])
+    F = SeparatingSet(rotation_set(0.05).elements + (diagonal(REAL, [1.1, 1 / 1.1]),), 2, 0.05)
+    assert F.C == pytest.approx(1.1 ** 4)
+    bound = F.r / (2 * F.C ** 2)
+    for eps, ok in ((bound * (1 - 1e-6), True), (bound * (1 + 1e-6), False)):
+        fwd, bwd = own_cert(g, eps), own_cert(g.inverse(), eps)
+        if ok:
+            assert make_very_proximal(g, fwd, bwd, F).cert.very
+        else:
+            with pytest.raises(PreconditionError):
+                make_very_proximal(g, fwd, bwd, F)
 
 
 def test_make_very_proximal_reports_each_rejecting_condition():
@@ -315,6 +341,22 @@ def test_build_precondition():
         build_pingpong_tuple([identity(REAL, 2)], F, gamma)
 
 
+def test_build_precondition_boundary():
+    # epsilon just inside r/(2c^4) passes and just outside raises; a base
+    # element of bi-Lipschitz constant 16 sets c, so c^4 and c^3 differ
+    F = rotation_set(0.05)
+    a = [SLMatrix(REAL, [[2.0, 0.0], [0.0, 0.5]])]
+    c = max([F.C] + [bilip_constant(x) for x in a])
+    assert c == pytest.approx(16)
+    bound = F.r / (2 * c ** 4)
+    gamma_mat = SLMatrix(REAL, [[1e6, 0.0], [0.0, 1e-6]])
+    with pytest.warns(UserWarning, match="bi-Lipschitz"):
+        cert = build_pingpong_tuple(a, F, hand_very_contracting(gamma_mat, bound * (1 - 1e-6)))
+    assert verify_pingpong(cert)
+    with pytest.raises(PreconditionError):
+        build_pingpong_tuple(a, F, hand_very_contracting(gamma_mat, bound * (1 + 1e-6)))
+
+
 def test_build_empty_base_list():
     F = rotation_set(0.05)
     gamma = hand_very_contracting(SLMatrix(REAL, [[1e6, 0.0], [0.0, 1e-6]]), 1e-6)
@@ -349,6 +391,21 @@ def test_verify_rejects_one_sided_certificates():
     pc2 = ProximalCert(0.2, 0.01, own_cert(h, 0.01), own_cert(h.inverse(), 0.01))
     cert = PingPongCert((g, h), (one_sided, pc2), 0.2, 0.01, ())
     assert not verify_pingpong(cert)
+
+
+def test_verify_threshold_boundary_over_r():
+    # the least cross-separation d of two conjugate diagonal elements: r with
+    # d at r - 2e-9 verifies, r with d strictly between r - 1e-9 and r + 1e-9
+    # does not, since archimedean distances must clear r + 1e-9
+    g = SLMatrix(REAL, [[100.0, 0.0], [0.0, 0.01]])
+    h = rotation(math.pi / 8) @ g @ rotation(-math.pi / 8)
+    certs = tuple(ProximalCert(0.9, 0.01, own_cert(x, 0.01), own_cert(x.inverse(), 0.01))
+                  for x in (g, h))
+    table = separation_table(certs)
+    d = min(entry[2] for entry in table)
+    assert d == pytest.approx(math.sin(math.pi / 8), rel=1e-12)
+    assert verify_pingpong(PingPongCert((g, h), certs, d - 2e-9, 0.01, table))
+    assert not verify_pingpong(PingPongCert((g, h), certs, d - 5e-10, 0.01, table))
 
 
 def test_pingpong_cert_structural_validation():

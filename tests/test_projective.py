@@ -337,3 +337,19 @@ def test_kernels_take_batch_axes_and_empty_inputs():
         [0.2, 1.0, 0.2], [0.2, 1.0, 0.2]]
     assert hyperplane_distances(REAL, np.empty((2, 0, 2)), np.ones((3, 2))).shape == (2, 0, 3)
     assert point_distances(Q5, np.empty((0, 2), dtype=object), forms[0]).shape == (0,)
+
+
+def test_archimedean_points_and_hyperplanes_compare_as_lines():
+    assert ProjPoint(REAL, [1, 2]) == ProjPoint(REAL, [-2, -4])
+    assert ProjPoint(REAL, [1, 2]) != ProjPoint(REAL, [1, 2.1])
+    assert ProjPoint(COMPLEX, [1, 1j]) == ProjPoint(COMPLEX, [1j, -1])
+    assert ProjHyperplane(REAL, [1, 3]) == ProjHyperplane(REAL, [-2, -6])
+    assert ProjHyperplane(REAL, [1, 3]) != ProjHyperplane(REAL, [1, 2])
+
+
+def test_real_field_array_reads_complex_values_with_zero_imaginary_part():
+    arr = as_field_array(REAL, [1 + 0j, 2], 1)
+    assert arr.dtype == np.float64
+    assert arr.tolist() == [1.0, 2.0]
+    with pytest.raises(DomainError):
+        as_field_array(REAL, [1 + 1e-3j, 2], 1)
