@@ -49,6 +49,11 @@ CASES = {
                          "--trials", "40", "--seed", "3"],
     "separate-complex": ["separate", "--set", "sep_complex.json", "--trials", "40",
                          "--seed", "3"],
+    # SL_3 with shears and diagonals among the rotations, so the constants are not all 1
+    "separate-real3": ["separate", "--set", "sep_real3.json", "--trials", "40",
+                       "--seed", "3"],
+    "separate-complex3": ["separate", "--set", "sep_complex3.json", "--trials", "40",
+                          "--seed", "3"],
     "separate-q5": ["separate", "--set", "sep_q5.json", "--trials", "8", "--seed", "1"],
     # numpy's object matmul turned this precision loss into a SystemError (exit 1)
     "separate-q5-low-precision": ["separate", "--set", "sep_q5_low_precision.json",
