@@ -4,9 +4,11 @@ Archimedean decompositions come from the singular value decomposition with a
 deterministic phase convention; non-archimedean ones from Smith normal form
 over Z_p with minimal-valuation pivoting.  Both produce g = k * diag(a) * k'
 with |a_1| >= ... >= |a_n|, k and k' in the maximal compact subgroup, and the
-norm identities ||g|| = |a_1|, ||wedge^2 g|| = |a_1 a_2|.  Over Q_p,
-bilip_constant needs only the first and ||g^(-1)|| = 1/|a_n|, so it reads both
-off the entries of g and of its inverse and makes no decomposition.
+norm identities ||g|| = |a_1|, ||wedge^2 g|| = |a_1 a_2|.  bilip_constants
+needs only |a_1| and |a_n| and makes no decomposition: over R and C one
+stacked SVD gives them for a whole set, over Q_p the entries of each g and
+of its inverse.  inverses fills the inverse of a whole set from one stacked
+_adjugate.
 
 Exact linear algebra has one implementation, gauss_jordan: the determinant
 gate on input (over Q_p, and over R and C on the stored dyadic entries when
@@ -233,14 +235,7 @@ class SLMatrix:
         return SLMatrix(self.field, matmul(self.entries, other.entries), check=False)
 
     def inverse(self) -> "SLMatrix":
-        if self._inverse is None:
-            # the adjugate over every field, which det = 1 makes the inverse:
-            # for n = 2 exact however large composition makes the entries, where
-            # LU sees a singular matrix, and over Q_p no cofactor divides by a pivot
-            inv = SLMatrix(self.field, _adjugate(self.entries), check=False)
-            inv._inverse = self
-            self._inverse = inv
-        return self._inverse
+        return self._inverse or inverses((self,))[0]
 
     def cartan(self) -> "CartanTriple":
         """Cached Cartan decomposition of this matrix."""
@@ -261,14 +256,31 @@ def _dets(stack: np.ndarray) -> np.ndarray:
 
 
 def _adjugate(entries: np.ndarray) -> np.ndarray:
-    n = entries.shape[0]
+    """Adjugate of each matrix of a (..., n, n) stack."""
+    n = entries.shape[-1]
     if n == 2:
-        (a, b), (c, d) = entries
-        return np.array([[d, -b], [-c, a]])
-    # keep[k] lists 0..n-1 without k; minors[i, j] drops row j and column i
+        out = np.empty_like(entries)
+        out[..., 0, 0], out[..., 1, 1] = entries[..., 1, 1], entries[..., 0, 0]
+        out[..., 0, 1], out[..., 1, 0] = -entries[..., 0, 1], -entries[..., 1, 0]
+        return out
+    # keep[k] lists 0..n-1 without k; minors[..., i, j, :, :] drops row j and column i
     keep = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
-    minors = entries[keep[None, :, :, None], keep[:, None, None, :]]
+    minors = entries[..., keep[None, :, :, None], keep[:, None, None, :]]
     return (-1) ** np.add.outer(np.arange(n), np.arange(n)) * _dets(minors)
+
+
+def inverses(matrices) -> list:
+    """The cached inverse of each SLMatrix of one field and size, every
+    missing one from one _adjugate call: det = 1 makes it the inverse, for
+    n = 2 exact however large the entries, and over Q_p with no pivot division."""
+    matrices = tuple(matrices)
+    missing = list(dict.fromkeys(g for g in matrices if g._inverse is None))
+    if missing:
+        adjugates = _adjugate(np.array([g.entries for g in missing]))
+        for g, entries in zip(missing, adjugates):
+            g._inverse = SLMatrix(g.field, entries, check=False)
+            g._inverse._inverse = g
+    return [g._inverse for g in matrices]
 
 
 def identity(field: FieldSpec, n: int) -> SLMatrix:
@@ -318,11 +330,16 @@ class CartanTriple:
         return ProjHyperplane(self.field, self.k_prime.entries[0])
 
 
-def _cartan_archimedean(g: SLMatrix) -> CartanTriple:
+def _svd(stack: np.ndarray) -> tuple:
+    # vectors computed: without them LAPACK rounds the singular values differently
     try:
-        u, s, vh = np.linalg.svd(g.entries)
+        return np.linalg.svd(stack)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
+
+
+def _cartan_archimedean(g: SLMatrix) -> CartanTriple:
+    u, s, vh = _svd(g.entries)
     u = u.astype(np.complex128)
     vh = vh.astype(np.complex128)
     # phase convention: first entry of largest magnitude in each of the
@@ -439,23 +456,33 @@ def exterior_power(g: SLMatrix, i: int) -> SLMatrix:
 
 
 def bilip_constant(g: SLMatrix) -> float:
-    """|a_1/a_n|^2, a Lipschitz constant for [g] and [g^(-1)] on all of P^(n-1).
+    """|a_1/a_n|^2, a Lipschitz constant for [g] and [g^(-1)] on all of
+    P^(n-1): bilip_constants of g alone."""
+    return bilip_constants((g,))[0]
 
-    It is (||g|| ||g^(-1)||)^2: |a_1| = ||g|| and 1/|a_n| = ||g^(-1)||.  Over
-    Q_p no decomposition is needed.  k and k' lie in GL_n(Z_p) and keep the
-    sup norm, so ||g|| = max |g_ij| and ||g^(-1)|| = max |(g^(-1))_ij|, and the
+
+def bilip_constants(matrices) -> list:
+    """|a_1/a_n|^2 of each SLMatrix of one field and size, with no Cartan
+    decomposition: (||g|| ||g^(-1)||)^2, as |a_1| = ||g||, 1/|a_n| = ||g^(-1)||.
+
+    Over R and C one SVD of the stack gives the singular values, and each
+    ratio is squared as a Python float, as the decomposition's are.  Over Q_p,
+    one by one, k and k' lie in GL_n(Z_p) and keep the sup norm, so the
     constant is p^(-2 (min v(g_ij) + min v((g^(-1))_ij))), read off g and its
-    cached inverse; that is the exponent 2 (v(a_n) - v(a_1)) of the Smith
-    form, so the float is the same.  The decomposition's digit floor still
-    applies.  Over R and C the singular values come from the SVD.
+    cached inverse: the Smith form's exponent 2 (v(a_n) - v(a_1)), so the
+    same float.  The decomposition's digit floor is checked before the inverse.
     """
-    if g.field.is_padic:
+    matrices = tuple(matrices)
+    if matrices and not matrices[0].field.is_padic:
+        s = _svd(np.array([g.entries for g in matrices]))[1]
+        return [(a / b) ** 2 for a, b in zip(s[:, 0].tolist(), s[:, -1].tolist())]
+    constants = []
+    for g in matrices:
         _check_digits(g)
         top = min(c.valuation for row in g.entries for c in row)
         inverse_top = min(c.valuation for row in g.inverse().entries for c in row)
-        return float(g.field.prime) ** (-2 * (top + inverse_top))
-    t = g.cartan()
-    return (t.a[0] / t.a[-1]) ** 2
+        constants.append(float(g.field.prime) ** (-2 * (top + inverse_top)))
+    return constants
 
 
 def operator_norm(g: SLMatrix) -> float:

@@ -132,7 +132,7 @@ def _run_cartan(args):
 def _run_contract_analyze(args):
     g = io.load_matrix(args.infile)
     if args.samples < 0:
-        raise InputError(f"--samples must be nonnegative, got {args.samples}")
+        raise InputError(f"must be nonnegative, got {args.samples}", path="--samples")
     cert = contraction_data(g)
     ok = verify_contracting(cert, g, samples=args.samples, seed=args.seed)
     payload = io.encode_contraction_cert(cert)
@@ -147,9 +147,9 @@ def _run_separate(args):
     F = io.load_separating_set(args.setfile)
     m = F.m if args.m is None else args.m
     if m < 1:
-        raise InputError(f"--m must be positive, got {m}")
+        raise InputError(f"must be positive, got {m}", path="--m")
     if args.trials < 1:
-        raise InputError(f"--trials must be positive, got {args.trials}")
+        raise InputError(f"must be positive, got {args.trials}", path="--trials")
     notes = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NotSeparatingWarning)
@@ -225,7 +225,7 @@ def _run_certify_free(args):
 
 def _run_falsify(args):
     if args.max_len < 1:
-        raise InputError(f"--max-len must be at least 1, got {args.max_len}")
+        raise InputError(f"must be at least 1, got {args.max_len}", path="--max-len")
     gens = io.load_generators(args.gens)
     word = freeness_falsifier(gens, args.max_len)
     payload = {

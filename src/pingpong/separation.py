@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as derived_field
 
 import numpy as np
 
-from .cartan import SLMatrix, bilip_constant
+from .cartan import SLMatrix, bilip_constants, inverses
 from .errors import ConstructionError, DomainError, UndecidedError
 from .fields import matmul
 from .projective import _norms, canonical_rows, hyperplane_distances
@@ -92,7 +92,7 @@ class SeparatingSet:
         for g in elements[1:]:
             if g.field != elements[0].field or g.n != elements[0].n:
                 raise ConstructionError("all separating-set elements must share one field and size")
-        bilips = tuple(bilip_constant(g) for g in elements)
+        bilips = tuple(bilip_constants(elements))
         object.__setattr__(self, "bilips", bilips)
         object.__setattr__(self, "C", max(bilips, default=1.0))
 
@@ -278,8 +278,10 @@ def _letter(k: int) -> tuple:
 
 
 def letter_stack(generators) -> np.ndarray:
-    """(2m, n, n) entries of the letters in order: g_0, g_0^-1, g_1, ..."""
-    return np.array([h.entries for g in generators for h in (g, g.inverse())])
+    """(2m, n, n) entries of the letters in order: g_0, g_0^-1, g_1, ...;
+    every missing inverse from one stacked adjugate (cartan.inverses)."""
+    generators = tuple(generators)
+    return np.array([h.entries for pair in zip(generators, inverses(generators)) for h in pair])
 
 
 @dataclass(frozen=True)

@@ -193,16 +193,19 @@ def padic_rdiv_by_init(x, y):
 
 
 def power_iteration_norm(m, iters=400):
-    """Largest singular value of a numpy matrix, independent of the SVD."""
+    """Largest singular value of a numpy matrix, independent of the SVD: a
+    float for one (n, n) matrix, a list of floats for a (k, n, n) stack,
+    whose matrices iterate together."""
     m = np.asarray(m)
-    x = np.ones(m.shape[1], dtype=m.dtype) / math.sqrt(m.shape[1])
+    mh = m.conj().swapaxes(-1, -2)
+    x = np.ones(m.shape[:-1] + (1,), dtype=m.dtype) / math.sqrt(m.shape[-1])
     for _ in range(iters):
-        y = m.conj().T @ (m @ x)
-        nrm = np.linalg.norm(y)
-        if nrm == 0:
-            return 0.0
-        x = y / nrm
-    return float(math.sqrt(np.linalg.norm(m.conj().T @ (m @ x))))
+        y = mh @ (m @ x)
+        nrm = np.linalg.norm(y, axis=-2, keepdims=True)
+        # a zero matrix keeps x = 0, and its norm comes out 0
+        x = np.divide(y, nrm, out=np.zeros_like(y), where=nrm > 0)
+    norms = np.sqrt(np.linalg.norm(mh @ (m @ x), axis=(-2, -1)))
+    return norms.tolist() if m.ndim == 3 else float(norms)
 
 
 def wedge_coordinates(v, w):

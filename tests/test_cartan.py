@@ -28,12 +28,14 @@ from pingpong.cartan import (
     apply_hyperplane,
     apply_point,
     bilip_constant,
+    bilip_constants,
     cartan_decompose,
     diagonal,
     exact_form,
     exterior_power,
     gauss_jordan,
     identity,
+    inverses,
     operator_norm,
     wedge_operator_norm,
 )
@@ -157,6 +159,61 @@ def test_adjugate_stack_matches_cofactor_loop_and_exact_oracle():
                          dtype=object).astype(float)
         tol = 1e-12 * (n * np.abs(real).max()) ** (n - 1)
         assert np.abs(_adjugate(real) - exact).max() <= tol
+
+
+def _same_entries(a, b):
+    """Bytes over R and C, values and digits over Q_p."""
+    if a.dtype == object:
+        return [(c.value, c.digits) for c in a.flat] == [(c.value, c.digits) for c in b.flat]
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_adjugate_of_a_stack_is_the_adjugate_of_each_matrix():
+    # bytes over R and C; over Q_5 values and digits, as PadicScalar has no bytes
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 4, 5):
+        for shape in ((1,), (7,), (3, 4)):
+            scale = 10.0 ** rng.integers(-3, 4, size=shape + (1, 1))
+            real = rng.normal(size=shape + (n, n)) * scale
+            for stack in (real, real + 1j * rng.normal(size=real.shape)):
+                stacked = _adjugate(stack)
+                assert stacked.shape == stack.shape and stacked.dtype == stack.dtype
+                singles = [_adjugate(m) for m in stack.reshape(-1, n, n)]
+                assert stacked.tobytes() == np.array(singles).tobytes()
+    prng = random.Random(17)
+    for n in (2, 3, 4):
+        for count in (1, 5):
+            stack = np.array([random_sl_padic(prng, Q5, n).entries for _ in range(count)])
+            stacked = _adjugate(stack)
+            assert all(_same_entries(got, _adjugate(m)) for got, m in zip(stacked, stack))
+
+
+def test_inverses_fill_every_missing_cache_from_one_adjugate(monkeypatch):
+    calls = []
+    original = _adjugate
+
+    def spy(entries):
+        calls.append(entries.shape)
+        return original(entries)
+
+    monkeypatch.setattr("pingpong.cartan._adjugate", spy)
+    rng, prng = np.random.default_rng(19), random.Random(19)
+    for field in (REAL, COMPLEX, Q5):
+        for n in (2, 3):
+            gs = ([random_sl_padic(prng, field, n) for _ in range(3)]
+                  if field.is_padic else [random_sl_arch(rng, field, n) for _ in range(3)])
+            cached = gs[1].inverse()
+            calls.clear()
+            got = inverses([gs[0], gs[1], gs[2], gs[0]])
+            # one call for the two missing inverses; a repeated matrix is inverted once
+            assert calls == [(2, n, n)]
+            assert got[1] is cached and got[0] is got[3]
+            for g, inv in zip(gs, got):
+                assert g.inverse() is inv and inv.inverse() is g
+                assert _same_entries(inv.entries, original(g.entries))
+            # every inverse() above was a cache hit
+            assert calls == [(2, n, n)]
+    assert inverses([]) == []
 
 
 def test_determinant_pass_keeps_every_digit_and_raises_no_more():
@@ -388,15 +445,20 @@ def test_reconstruction_padic():
 
 def test_operator_norm_identities_archimedean():
     rng = np.random.default_rng(43)
+    corpus = []
     for _ in range(40):
         n = int(rng.integers(2, 5))
         field = REAL if rng.integers(2) else COMPLEX
-        g = random_sl_arch(rng, field, n)
-        assert operator_norm(g) == pytest.approx(power_iteration_norm(g.entries, 2000), rel=1e-6)
+        corpus.append(random_sl_arch(rng, field, n))
+    # the oracle iterates on all matrices of one field and size at once
+    for field, n in dict.fromkeys((g.field, g.n) for g in corpus):
+        gs = [g for g in corpus if (g.field, g.n) == (field, n)]
+        for g, norm in zip(gs, power_iteration_norm([g.entries for g in gs], 2000)):
+            assert operator_norm(g) == pytest.approx(norm, rel=1e-6)
         if n >= 3:
-            w = exterior_power(g, 2)
-            assert wedge_operator_norm(g) == pytest.approx(
-                power_iteration_norm(w.entries, 2000), rel=1e-6)
+            wedges = power_iteration_norm([exterior_power(g, 2).entries for g in gs], 2000)
+            for g, norm in zip(gs, wedges):
+                assert wedge_operator_norm(g) == pytest.approx(norm, rel=1e-6)
 
 
 def test_operator_norm_identities_padic():
@@ -433,6 +495,33 @@ def test_bilip_examples():
     assert bilip_constant(diagonal(REAL, [2, 0.5])) == pytest.approx(16)
     assert bilip_constant(SLMatrix(REAL, [[0, -1], [1, 0]])) == pytest.approx(1, rel=1e-9)
     assert bilip_constant(diagonal(Q5, [Fraction(1, 5), 5])) == 625.0
+
+
+def test_bilip_constants_are_the_singular_value_ratios_of_each_matrix():
+    # one stacked SVD gives each matrix the (s_1 / s_n)^2 of its own SVD and
+    # of its Cartan decomposition, bit for bit
+    rng = np.random.default_rng(71)
+    for k in range(120):
+        field = COMPLEX if k % 2 else REAL
+        n = 2 + k % 5
+        gs = []
+        for _ in range(1 + k % 30):
+            g = random_sl_arch(rng, field, n)
+            scale = 10.0 ** rng.uniform(-3, 3, size=n)
+            scale /= np.exp(np.log(scale).mean())
+            gs.append(SLMatrix(field, g.entries * scale, check=False))
+        got = bilip_constants(gs)
+        assert all(type(c) is float for c in got)
+        singles = []
+        for g in gs:
+            s = np.linalg.svd(g.entries)[1]
+            singles.append((float(s[0]) / float(s[-1])) ** 2)
+        assert got == singles
+        # fresh copies: the decomposition is not cached on gs
+        assert got == [(t.a[0] / t.a[-1]) ** 2
+                       for t in (SLMatrix(field, g.entries, check=False).cartan() for g in gs)]
+        assert got == [bilip_constant(g) for g in gs]
+    assert bilip_constants([]) == []
 
 
 def _outcome(f, g):

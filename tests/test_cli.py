@@ -183,9 +183,10 @@ def test_bad_flag_is_exit_2_without_a_document_path(tmp_path, capsys, command, d
     argv = [command, doc, write_doc(tmp_path, "doc.json", content), flag, value]
     code, report = run_json(capsys, argv + ([] if command == "falsify" else ["--seed", "0"]))
     assert code == 2
-    # a flag has no place in a document
-    assert "path" not in report["payload"]
-    assert report["payload"]["error"].startswith(f"{flag} must be ")
+    # the path is the flag, which no document holds, and prefixes the message once
+    assert report["payload"]["path"] == flag
+    assert report["payload"]["error"].startswith(f"{flag}: must be ")
+    assert report["payload"]["error"].count(flag) == 1
 
 
 def test_noncontracting_input_is_exit_3(tmp_path, capsys):
@@ -263,26 +264,27 @@ def test_padic_separate_runs_no_smith_form(capsys, monkeypatch):
 
 
 def test_separate_takes_each_bilip_constant_once(capsys, monkeypatch):
-    # the payload's constants and C come from the one SeparatingSet built at
-    # load, and --m does not rebuild it
+    # the payload's constants and C come from one bilip_constants call on all
+    # of the SeparatingSet built at load, and --m does not rebuild it
     calls = []
-    original = cartan.bilip_constant
+    original = cartan.bilip_constants
 
-    def spy(g):
-        calls.append(g)
-        return original(g)
+    def spy(matrices):
+        calls.append(tuple(matrices))
+        return original(calls[-1])
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("pingpong") and getattr(module, "bilip_constant", None) is original:
-            monkeypatch.setattr(module, "bilip_constant", spy)
+        if name.startswith("pingpong") and getattr(module, "bilip_constants", None) is original:
+            monkeypatch.setattr(module, "bilip_constants", spy)
     code, doc = run_json(capsys, ["separate", "--set",
                                   str(Path(__file__).parent / "data" / "sep_f_q5.json"),
                                   "--m", "2", "--trials", "4", "--seed", "1"])
     assert code in (0, 1)
     assert doc["payload"]["m"] == doc["parameters"]["m"] == 2
     bilips = [e["bilip"]["value"] for e in doc["payload"]["elements"]]
-    assert len(calls) == len(bilips) == 16
-    assert bilips == [original(g) for g in calls]
+    assert len(calls) == 1
+    assert len(calls[0]) == len(bilips) == 16
+    assert bilips == [cartan.bilip_constant(g) for g in calls[0]]
     assert doc["payload"]["C"]["value"] == max(bilips)
 
 

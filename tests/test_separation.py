@@ -70,6 +70,11 @@ def test_separating_set_validation():
         SeparatingSet((I2, identity(Q5, 2)), 1, 0.5)
 
 
+def test_empty_separating_set_has_constant_one():
+    F = SeparatingSet((), 1, 0.5)
+    assert F.bilips == () and F.C == 1.0
+
+
 def test_separating_set_bilip_bound():
     F = SeparatingSet((identity(REAL, 2), diagonal(REAL, [2.0, 0.5])), 1, 0.1)
     assert F.C == pytest.approx(16.0, rel=1e-9)
