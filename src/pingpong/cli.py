@@ -264,6 +264,10 @@ _RUNNERS = {
 def run(argv) -> int:
     args = _parser().parse_args(argv)
     try:
+        # bad input over every field: the R and C streams refuse a negative
+        # seed, and over Q_p random.Random would replay its absolute value's
+        if getattr(args, "seed", 0) < 0:
+            raise InputError(f"must be nonnegative, got {args.seed}", path="--seed")
         payload, passed, inputs, parameters = _RUNNERS[args.command](args)
     except InputError as exc:
         failure = {"error": str(exc)}

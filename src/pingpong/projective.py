@@ -44,7 +44,10 @@ def as_field_array(field: FieldSpec, values, ndim: int) -> np.ndarray:
         else:
             arr = np.array([[scalar(x) for x in row] for row in values], dtype=object)
     else:
-        arr = np.array(list(values) if ndim == 1 else [list(row) for row in values])
+        if isinstance(values, np.ndarray) and values.dtype.kind in "biufc":
+            arr = values  # the astype below makes the private copy
+        else:
+            arr = np.array(list(values) if ndim == 1 else [list(row) for row in values])
         if field.kind is Kind.COMPLEX:
             arr = arr.astype(np.complex128)
         else:

@@ -40,7 +40,7 @@ from pingpong.cartan import (
     wedge_operator_norm,
 )
 from pingpong.errors import DecompositionError, DomainError, PrecisionExhaustedError
-from pingpong.fields import COMPLEX, REAL, PadicScalar, padic, valuation
+from pingpong.fields import COMPLEX, REAL, PadicScalar, padic, relative_tolerance, valuation
 from pingpong.projective import ProjHyperplane, ProjPoint, as_field_array, proj_dist
 
 Q5 = padic(5)
@@ -99,6 +99,60 @@ def test_wide_determinant_gate_sees_the_phase_of_a_complex_determinant():
         g = u @ np.diag([scale, 1 / scale]) @ u.conj().T
         for power in (g, g @ g, g @ g @ g):
             SLMatrix(COMPLEX, power)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["R", "C"])
+@pytest.mark.parametrize("side, fits", [(1 - 1e-6, True), (1 + 1e-6, False)],
+                         ids=["inside", "outside"])
+def test_wide_determinant_gate_reach_is_the_relative_tolerance(field, side, fits):
+    # at entry scale 2^25 the float gate is 4 wide, so the stored entries
+    # decide: det(diag(x, w)) = xw may miss 1 by tol (|x||w| + |w||x|)
+    x = 2.0 ** 25
+    w = (1 + 2 * relative_tolerance() * side) / x
+    det = Fraction(x) * Fraction(w)
+    reach = Fraction(relative_tolerance()) * 2 * det
+    assert (abs(det - 1) <= reach) is fits
+    if fits:
+        SLMatrix(field, [[x, 0.0], [0.0, w]])
+    else:
+        with pytest.raises(DomainError, match="stored entries"):
+            SLMatrix(field, [[x, 0.0], [0.0, w]])
+
+
+@pytest.mark.parametrize("digits", [3, 6])
+def test_padic_determinant_slack_is_the_fewest_digits_held(digits):
+    # an entry known to `digits` digits cannot tell 1 + 5^digits from 1, but it
+    # does tell 1 + 5^(digits - 1)
+    for k, fits in ((digits, True), (digits - 1, False)):
+        rows = [[PadicScalar(Q5, 1 + 5 ** k, digits), 0], [0, 1]]
+        if fits:
+            SLMatrix(Q5, rows)
+        else:
+            with pytest.raises(DomainError, match="determinant is"):
+                SLMatrix(Q5, rows)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["R", "C"])
+def test_an_ndarray_input_is_copied_once_and_checked(field):
+    rows = np.array([[2.0, 3.0], [1.0, 2.0]])
+    g = SLMatrix(field, rows)
+    rows[0, 0] = 5.0
+    assert g.entries[0, 0] == 2.0
+    assert not g.entries.flags.writeable
+    assert g.entries.dtype == (np.float64 if field is REAL else np.complex128)
+    with pytest.raises(DomainError, match="square"):
+        SLMatrix(field, np.eye(3)[:2], check=False)
+    with pytest.raises(DomainError, match="square"):
+        SLMatrix(field, np.ones(4), check=False)
+
+
+def test_a_real_matrix_refuses_complex_ndarray_entries():
+    with pytest.raises(DomainError, match="complex entries"):
+        SLMatrix(REAL, np.array([[1, 1j], [0, 1]]), check=False)
+    # a complex dtype with zero imaginary parts holds real entries
+    g = SLMatrix(REAL, np.array([[1, 2], [0, 1]], dtype=np.complex128))
+    assert g.entries.dtype == np.float64
+    assert g.entries.tolist() == [[1.0, 2.0], [0.0, 1.0]]
 
 
 _SMALL_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=4)

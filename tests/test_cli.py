@@ -175,18 +175,36 @@ def test_certify_free_mixed_documents_are_exit_2_with_path(tmp_path, capsys, mod
     ("separate", "--set", "--m", "0"),
     ("separate", "--set", "--trials", "0"),
     ("falsify", "--gens", "--max-len", "0"),
+    ("separate", "--set", "--seed", "-1"),
+    ("contract-analyze", "--in", "--seed", "-1"),
 ])
 def test_bad_flag_is_exit_2_without_a_document_path(tmp_path, capsys, command, doc, flag, value):
     ident = identity(REAL, 2)
     content = {"--in": matrix_doc(ident), "--set": sep_doc([ident], 1, 0.1),
                "--gens": gens_doc([ident])}[doc]
-    argv = [command, doc, write_doc(tmp_path, "doc.json", content), flag, value]
-    code, report = run_json(capsys, argv + ([] if command == "falsify" else ["--seed", "0"]))
+    argv = [command, doc, write_doc(tmp_path, "doc.json", content)]
+    # a valid seed first, so that the flag under test, given last, is the one read
+    argv += [] if command == "falsify" else ["--seed", "0"]
+    code, report = run_json(capsys, argv + [flag, value])
     assert code == 2
     # the path is the flag, which no document holds, and prefixes the message once
     assert report["payload"]["path"] == flag
     assert report["payload"]["error"].startswith(f"{flag}: must be ")
     assert report["payload"]["error"].count(flag) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["separate", "--set", "sep_q5.json", "--trials", "2"],
+    ["contract-analyze", "--in", "g_q5_contracting.json"],
+    ["certify-free", "--gens", "built_q5.json", "--sep", "sep_q5.json",
+     "--gamma", "gamma_q5.json"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_exit_2_over_q5(capsys, argv):
+    # random.Random(-1) would silently replay the stream of seed 1
+    argv = [str(REPORT_INPUTS / a) if a.endswith(".json") else a for a in argv]
+    code, report = run_json(capsys, argv + ["--seed", "-1"])
+    assert code == 2
+    assert report["payload"] == {"error": "--seed: must be nonnegative, got -1", "path": "--seed"}
 
 
 def test_noncontracting_input_is_exit_3(tmp_path, capsys):

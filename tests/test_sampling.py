@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pingpong import sampling
 from pingpong.fields import COMPLEX, REAL, padic
-from pingpong.sampling import padic_unit_coords, stream_rows
+from pingpong.sampling import (CHUNK_SIZE, archimedean_unit_chunks, padic_unit_coords,
+                               stream_rows)
 
 Q5 = padic(5)
 SEEDS = [0, 1, 7, 2**32, 2**63 + 5]
@@ -36,12 +38,91 @@ def test_stream_rows_are_the_direct_draws(field, n, count):
         assert block.tobytes() == want.tobytes()
 
 
+def _numpy_rows(field, n, seed, count):
+    # the stream of seed as numpy seeds it: the real block, then the imaginary one
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(count, n))
+    return rows + 1j * rng.normal(size=(count, n)) if field is COMPLEX else rows
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["R", "C"])
+@pytest.mark.parametrize("boundary", [2**32, 2**64, 2**128], ids=["2^32", "2^64", "2^128"])
+def test_a_batch_across_a_word_boundary_draws_numpys_streams(field, boundary):
+    # one call holds seeds of one, two or four words and the next count up
+    seeds = [boundary - 2, 5, boundary - 1, boundary, boundary + 3, 0]
+    rows = stream_rows(field, 3, seeds, 4)
+    assert rows.shape == (len(seeds), 4, 3)
+    for s, block in zip(seeds, rows):
+        want = _numpy_rows(field, 3, s, 4)
+        assert block.dtype == want.dtype
+        assert block.tobytes() == want.tobytes()
+
+
+def _numpy_state(seed) -> tuple:
+    state = np.random.default_rng(seed).bit_generator.state
+    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+    return state["state"]["state"], state["state"]["inc"]
+
+
+def test_stacked_hash_gives_numpys_pcg64_states():
+    # numpy 2.4's SeedSequence -> PCG64 seeding; a release that changes it fails here
+    seeds = list(range(3000)) + [2**32 - 1, 2**32, 2**40 + 7, 2**63 + 5, 2**64 + 3]
+    assert sampling._pcg64_states(seeds) == [_numpy_state(s) for s in seeds]
+
+
+def test_stacked_hash_mixes_words_past_the_pool_per_seed():
+    # seeds of more than four words mix their extra words in; shorter seeds
+    # of the same batch must not
+    seeds = [7, 2**127 + 1, 2**128, 2**160 - 1, 2**200 + 11, 2**64, 2**300 + 5, 0]
+    assert sampling._pcg64_states(seeds) == [_numpy_state(s) for s in seeds]
+    assert sampling._pcg64_states([]) == []
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["R", "C"])
+def test_unit_chunks_are_the_per_chunk_streams(field):
+    count, seed = 2 * CHUNK_SIZE + 37, 40
+    chunks = list(archimedean_unit_chunks(field, 2, count, seed))
+    assert [len(x) for x in chunks] == [CHUNK_SIZE, CHUNK_SIZE, 37]
+    for k, chunk in enumerate(chunks):
+        x = _numpy_rows(field, 2, seed + k, len(chunk))
+        assert chunk.tobytes() == (x / np.linalg.norm(x, axis=1)[:, None]).tobytes()
+
+
+def test_chunks_hash_every_chunk_seed_in_one_pass(monkeypatch):
+    calls = []
+    original = sampling._pcg64_states
+
+    def counting(seeds):
+        calls.append(list(seeds))
+        return original(seeds)
+
+    monkeypatch.setattr(sampling, "_pcg64_states", counting)
+    chunks = archimedean_unit_chunks(REAL, 3, 3 * CHUNK_SIZE + 1, 9)
+    next(chunks)
+    assert calls == [[9, 10, 11, 12]]
+    assert len(list(chunks)) == 3
+    assert calls == [[9, 10, 11, 12]]
+
+
+def test_a_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        stream_rows(REAL, 2, [3, -1], 1)
+    with pytest.raises(ValueError, match="nonnegative, got -2"):
+        next(archimedean_unit_chunks(COMPLEX, 2, 10, -2))
+    with pytest.raises(TypeError):
+        stream_rows(REAL, 2, [1.5], 1)
+
+
+def test_no_module_seeds_through_numpys_default_rng():
+    assert not [path.name for path in SOURCE.glob("*.py") if "default_rng" in path.read_text()]
+
+
 def _generator_uses(path: Path) -> list:
-    """The default_rng and Random names one source file calls or passes on."""
+    """The generator names one source file calls or passes on."""
     names = []
     for node in ast.walk(ast.parse(path.read_text())):
         name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-        if name in ("default_rng", "Random"):
+        if name in ("default_rng", "Generator", "PCG64", "SeedSequence", "Random"):
             names.append(name)
     return names
 
