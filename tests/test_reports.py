@@ -117,13 +117,18 @@ def _argv(name):
     return [str(INPUTS / arg) if arg.endswith(".json") else arg for arg in CASES[name]]
 
 
-def _run_case(name):
-    """(exit code, report) of one case, the report read back from --out."""
+def _run_case_text(name):
+    """(exit code, report text) of one case, the text read back from --out."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
         code = run(_argv(name) + ["--out", str(out)])
-        report = json.loads(out.read_text())
-    return code, report
+        return code, out.read_text()
+
+
+def _run_case(name):
+    """(exit code, report) of one case, the report read back from --out."""
+    code, text = _run_case_text(name)
+    return code, json.loads(text)
 
 
 def _comparable(report) -> str:
@@ -140,6 +145,26 @@ def test_report_matches_recording(name):
     code, report = _run_case(name)
     assert code == expected["exit"]
     assert _comparable(report) == _comparable(expected["report"])
+
+
+def _written_by_json(text) -> str:
+    # the text json.dumps(..., indent=2) gives for the same report, with the
+    # one newline every report ends with
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_text_is_json_indent_2(name):
+    # _comparable reads both sides back, so this is what pins the bytes written
+    _, text = _run_case_text(name)
+    assert text == _written_by_json(text)
+
+
+def test_a_report_to_stdout_is_json_indent_2(capsys):
+    code = run(_argv("separate-real3"))
+    text = capsys.readouterr().out
+    assert code == json.loads((EXPECTED / "separate-real3.json").read_text())["exit"]
+    assert text == _written_by_json(text)
 
 
 def test_an_installed_distribution_leaves_the_reports_alone(tmp_path):
