@@ -8,7 +8,9 @@ norm identities ||g|| = |a_1|, ||wedge^2 g|| = |a_1 a_2|.  bilip_constants
 needs only |a_1| and |a_n| and makes no decomposition: over R and C one
 stacked SVD gives them for a whole set, over Q_p the entries of each g and
 of its inverse.  inverses fills the inverse of a whole set from one stacked
-_adjugate.
+_adjugate.  determinant_failure is the one determinant gate: it checks a
+whole stack, over R and C with one stacked np.linalg.det, and
+SLMatrix._check_det runs it on a stack of one.
 
 Exact linear algebra has one implementation, gauss_jordan: the determinant
 gate on input (over Q_p, and over R and C on the stored dyadic entries when
@@ -180,48 +182,11 @@ class SLMatrix:
             self._check_det()
 
     def _check_det(self):
-        """DomainError unless det = 1 as far as the stored entries tell: over
-        Q_p to the digits held; over R and C by the float gate, and where that
-        gate reaches 1 by the exact det d of the dyadic entries A.  d must be
-        nonzero with |d - 1| <= tol sum_ij |a_ij| |adj(A)_ji|, the first-order
-        move of d when each entry is off by a relative tol = relative_tolerance()
-        (over C, |a + bi| is read as |a| + |b|, GaussianRational's abs).  One
-        rounding per entry, u = 2^-53, would be too tight: the generators that
-        build_pingpong_tuple multiplies out need up to about 2e3 u for tol."""
-        if self.field.is_padic:
-            det, _ = gauss_jordan(exact_form(self.entries), inverse=False)
-            if det != 1:
-                # digit-truncated input may miss 1 by something beyond its precision
-                slack = min(c.digits for row in self.entries for c in row)
-                if valuation(det - 1, self.field) < slack:
-                    raise DomainError(f"determinant is {det}, not 1")
-        else:
-            det = complex(np.linalg.det(self.entries))
-            # a det-1 matrix stored at entry scale s cannot carry a float
-            # det closer to 1 than ~s^n * eps, so the gate widens with the
-            # scale; it still catches every actually-unnormalized input
-            n = len(self.entries)
-            scale = float(np.max(np.abs(self.entries)))
-            if not math.isfinite(scale):
-                raise DomainError("matrix entries must be finite")
-            try:
-                drift = max(1.0, scale) ** n * n * 8 * np.finfo(float).eps
-            except OverflowError:  # s^n beyond the float range: any det is in the gate
-                drift = math.inf
-            gate = max(relative_tolerance(), drift)
-            if not abs(det - 1) <= gate:
-                raise DomainError(f"determinant is {det:.12g}, not 1")
-            if gate < 1:
-                return
-            # a gate this wide admits det = 0 and det = 2: the stored entries decide
-            a = exact_form(self.entries)
-            det, inverse = gauss_jordan(a)
-            if not det:
-                raise DomainError("determinant is exactly 0, not 1")
-            reach = Fraction(relative_tolerance()) * (abs(a) * abs(det * inverse).T).sum()
-            if abs(det - 1) > reach:
-                raise DomainError(f"determinant of the stored entries is "
-                                  f"{self.field.scalar(det):.12g}, not 1")
+        """DomainError unless det = 1 as far as the stored entries tell: the
+        gate of determinant_failure on this matrix alone."""
+        failure = determinant_failure(self.field, self.entries[None])
+        if failure is not None:
+            raise DomainError(failure[1])
 
     @property
     def n(self) -> int:
@@ -244,6 +209,76 @@ class SLMatrix:
     def __repr__(self):
         rows = [list(r) for r in self.entries]
         return f"SLMatrix({self.field}, {rows!r})"
+
+
+def determinant_failure(field: FieldSpec, stack: np.ndarray):
+    """(index, message) of the first matrix of a (k, n, n) stack whose det is
+    not 1 as far as its stored entries tell, or None when every one passes.
+
+    Over Q_p, matrix by matrix, det = 1 to the digits held.  Over R and C
+    one stacked np.linalg.det gives the float det of each matrix, which must
+    lie within _float_gates' width of 1; where that width reaches 1, the exact
+    det d of the dyadic entries A decides: d must be nonzero with
+    |d - 1| <= tol sum_ij |a_ij| |adj(A)_ji|, the first-order move of d when
+    each entry is off by a relative tol = relative_tolerance() (over C,
+    |a + bi| is read as |a| + |b|, GaussianRational's abs).  One rounding per
+    entry, u = 2^-53, would be too tight: the generators that
+    build_pingpong_tuple multiplies out need up to about 2e3 u for tol.
+    """
+    if field.is_padic:
+        for index, entries in enumerate(stack):
+            det, _ = gauss_jordan(exact_form(entries), inverse=False)
+            if det != 1:
+                # digit-truncated input may miss 1 by something beyond its precision
+                slack = min(c.digits for row in entries for c in row)
+                if valuation(det - 1, field) < slack:
+                    return index, f"determinant is {det}, not 1"
+        return None
+    for index, (det, gate) in enumerate(_float_gates(stack)):
+        if gate is None:
+            return index, "matrix entries must be finite"
+        if not abs(det - 1) <= gate:
+            return index, f"determinant is {det:.12g}, not 1"
+        if gate >= 1:
+            # a gate this wide admits det = 0 and det = 2: the stored entries decide
+            a = exact_form(stack[index])
+            det, inverse = gauss_jordan(a)
+            if not det:
+                return index, "determinant is exactly 0, not 1"
+            reach = Fraction(relative_tolerance()) * (abs(a) * abs(det * inverse).T).sum()
+            if abs(det - 1) > reach:
+                return index, (f"determinant of the stored entries is "
+                               f"{field.scalar(det):.12g}, not 1")
+    return None
+
+
+def _float_gates(stack: np.ndarray) -> list:
+    """(det, gate) of each matrix of a (k, n, n) float or complex stack: its
+    float det as a complex, from one stacked np.linalg.det, and the gate
+    max(tol, max(1, s)^n n 8 eps) at entry scale s; the gate is None for a
+    matrix with an entry that is not finite.
+
+    A det-1 matrix stored at entry scale s cannot carry a float det closer to
+    1 than ~s^n eps, so the gate widens with the scale; it still catches
+    every actually-unnormalized input.  Each gate is a Python float
+    expression, so s^n beyond the float range raises OverflowError, not a
+    numpy warning, and makes the gate infinite: any det is in it.
+    """
+    n = stack.shape[-1]
+    tol = relative_tolerance()
+    eps = float(np.finfo(float).eps)
+    gates = []
+    dets = np.linalg.det(stack).tolist()
+    for det, scale in zip(dets, np.abs(stack).max(axis=(1, 2)).tolist()):
+        if not math.isfinite(scale):
+            gates.append((complex(det), None))
+            continue
+        try:
+            drift = max(1.0, scale) ** n * n * 8 * eps
+        except OverflowError:
+            drift = math.inf
+        gates.append((complex(det), max(tol, drift)))
+    return gates
 
 
 def _dets(stack: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ past its reported decided_len.
 import argparse
 import datetime
 import functools
-import json
 import sys
 import warnings
 
@@ -104,7 +103,7 @@ def _report(args, inputs: dict, parameters: dict, payload: dict, passed: bool) -
 
 
 def _emit(args, report: dict) -> None:
-    text = json.dumps(report, indent=2)
+    text = io.report_text(report)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
@@ -264,8 +263,7 @@ _RUNNERS = {
 def run(argv) -> int:
     args = _parser().parse_args(argv)
     try:
-        # bad input over every field: the R and C streams refuse a negative
-        # seed, and over Q_p random.Random would replay its absolute value's
+        # bad input over every field, refused before the streams raise ValueError
         if getattr(args, "seed", 0) < 0:
             raise InputError(f"must be nonnegative, got {args.seed}", path="--seed")
         payload, passed, inputs, parameters = _RUNNERS[args.command](args)

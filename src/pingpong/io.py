@@ -7,17 +7,32 @@ Scalars encode as plain numbers over R, [re, im] pairs over C, and either
 (little-endian base-p digits).  Schema violations raise InputError with a
 dotted path to the offending location, e.g. "generators[1][0][2]".
 
+Every list of matrices, and a single matrix as a list of one, is read into
+one (k, n, n) stack in one pass: over R and C, matrices of plain JSON
+numbers are taken as they are, with one np.isfinite over the stack, and
+decode_scalar, the one definition of a valid scalar, reads every other
+matrix and names the first bad entry; over Q_p it reads every entry.  One
+cartan.determinant_failure call gates the whole stack.  The first error in
+list order is the one raised, with the message and path of a matrix read
+alone.
+
 Report numerics are wrapped in {"value", "provenance"} pairs so a reader
 can tell exact arithmetic from toleranced checks and Monte-Carlo
-estimates without consulting the code that produced them.
+estimates without consulting the code that produced them.  report_text
+writes a report as json.dumps(report, indent=2) does, character for
+character, without json's slower indented encoder.
 """
 
 import hashlib
+import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
-from .cartan import SLMatrix
+import numpy as np
+
+from .cartan import SLMatrix, determinant_failure
 from .contraction import ContractionCert, ProximalCert
 from .errors import CertificationError, InputError
 from .fields import COMPLEX, DEFAULT_PADIC_PRECISION, REAL, FieldSpec, Kind, PadicScalar, padic
@@ -41,6 +56,7 @@ __all__ = [
     "load_matrix",
     "load_separating_set",
     "parse_field",
+    "report_text",
     "tagged",
 ]
 
@@ -164,20 +180,7 @@ def encode_scalar(field: FieldSpec, x):
 
 
 def decode_matrix(field: FieldSpec, obj, where: str) -> SLMatrix:
-    if not isinstance(obj, list) or not obj:
-        raise InputError("matrix must be a nonempty array of rows", path=where)
-    n = len(obj)
-    rows = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != n:
-            raise InputError(f"row {i} must be an array of {n} scalars",
-                             path=f"{where}[{i}]")
-        rows.append([decode_scalar(field, entry, f"{where}[{i}][{j}]")
-                     for j, entry in enumerate(row)])
-    try:
-        return SLMatrix(field, rows)
-    except CertificationError as exc:
-        raise InputError(str(exc), path=where)
+    return _decode_matrices(field, [obj], [where])[0]
 
 
 def encode_matrix(g: SLMatrix) -> list:
@@ -192,16 +195,125 @@ def load_matrix(path) -> SLMatrix:
     return decode_matrix(field, doc["matrix"], "matrix")
 
 
-def _decode_matrices(field: FieldSpec, obj: list, where: str) -> list:
-    """The matrices of a document's list; each must have the size of entry 0."""
-    out = []
-    for i, entry in enumerate(obj):
-        g = decode_matrix(field, entry, f"{where}[{i}]")
-        if out and g.n != out[0].n:
-            raise InputError(f"a {g.n}x{g.n} matrix, but {where}[0] is {out[0].n}x{out[0].n}",
+def _decode_rows(field: FieldSpec, obj, where: str) -> list:
+    """The rows of one matrix, scalar by scalar through decode_scalar; the
+    InputError of the first bad row or entry, in reading order."""
+    if not isinstance(obj, list) or not obj:
+        raise InputError("matrix must be a nonempty array of rows", path=where)
+    n = len(obj)
+    rows = []
+    for i, row in enumerate(obj):
+        if not isinstance(row, list) or len(row) != n:
+            raise InputError(f"row {i} must be an array of {n} scalars",
                              path=f"{where}[{i}]")
-        out.append(g)
-    return out
+        rows.append([decode_scalar(field, entry, f"{where}[{i}][{j}]")
+                     for j, entry in enumerate(row)])
+    return rows
+
+
+_PLAIN = {float, int}
+
+
+def _plain_entries(field: FieldSpec, obj, n: int):
+    """The n * n entries of obj, row by row, when it is n >= 2 rows of n plain
+    JSON numbers over R, or over C of plain numbers and [re, im] pairs of them,
+    each entry as a pair; None when any of it needs decode_scalar to judge.
+    An int must lie in the float range; a float may still be non-finite."""
+    if (n < 2 or type(obj) is not list or len(obj) != n
+            or not all(type(row) is list and len(row) == n for row in obj)):
+        return None
+    entries = list(itertools.chain.from_iterable(obj))
+    numbers = entries
+    if field.kind is Kind.COMPLEX:
+        entries = [x if type(x) is list else [x, 0.0] for x in entries]
+        if set(map(len, entries)) != {2}:
+            return None
+        numbers = list(itertools.chain.from_iterable(entries))
+    types = set(map(type, numbers))
+    if not types <= _PLAIN or int in types and not all(
+            abs(x) <= sys.float_info.max for x in numbers if type(x) is int):
+        return None
+    return entries
+
+
+def _stack(field: FieldSpec, entries: list, n: int) -> np.ndarray:
+    """The (k, n, n) field array of k matrices' entries from _entries."""
+    if field.is_padic:
+        return np.array(entries, dtype=object).reshape(len(entries), n, n)
+    stack = np.array(entries, dtype=np.float64)
+    if field.kind is Kind.COMPLEX:
+        stack = stack.view(np.complex128)
+    return stack.reshape(len(entries), n, n)
+
+
+def _entries(field: FieldSpec, rows: list) -> list:
+    """decode_scalar's rows as _plain_entries gives them: over C as pairs."""
+    entries = list(itertools.chain.from_iterable(rows))
+    if field.kind is Kind.COMPLEX:
+        return [[z.real, z.imag] for z in entries]
+    return entries
+
+
+def _read(field: FieldSpec, matrix, where: str, n, first: str) -> list:
+    """The entries of one matrix of a list, as _plain_entries gives them; n is
+    the size of the list's matrix 0, at the path first, and None for matrix 0
+    itself.  A matrix of another size passes its determinant gate first."""
+    size = n if n is not None else len(matrix) if type(matrix) is list else 0
+    entries = None if field.is_padic else _plain_entries(field, matrix, size)
+    if entries is not None:
+        return entries
+    rows = _decode_rows(field, matrix, where)
+    m = len(rows)
+    if m < 2:
+        raise InputError("matrix must be square of size at least 2", path=where)
+    entries = _entries(field, rows)
+    if n is not None and m != n:
+        bad = determinant_failure(field, _stack(field, [entries], m))
+        raise InputError(bad[1] if bad else f"a {m}x{m} matrix, but {first} is {n}x{n}",
+                         path=where)
+    return entries
+
+
+def _decode_matrices(field: FieldSpec, obj: list, paths: list) -> list:
+    """The SLMatrix of each matrix of a nonempty list, all of the size of the
+    first; paths[i] is where matrix i sits in its document.
+
+    One pass over the list reads every matrix into one (k, n, n) stack: over
+    R and C a matrix of plain JSON numbers is taken as it is and checked for
+    finiteness with the whole stack by one np.isfinite, and any other matrix
+    is read scalar by scalar through decode_scalar, the one definition of a
+    valid scalar, which also names the first bad entry, and the NaN or
+    infinite plain float of the first matrix that is not finite.  Over Q_p
+    every matrix is read scalar by scalar.  One determinant_failure call then
+    gates the stack.  The first error in list order is raised; within one
+    matrix the shape comes first, then the entries, then the size of at least
+    2, the determinant and the size of matrix 0.
+    """
+    read, failure = [], None
+    for matrix, where in zip(obj, paths):
+        try:
+            read.append(_read(field, matrix, where, len(obj[0]) if read else None, paths[0]))
+        except InputError as exc:
+            failure = exc
+            break
+    if not read:
+        raise failure
+    stack = _stack(field, read, len(obj[0]))
+    if not field.is_padic:
+        nonfinite = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2))).tolist()
+        if nonfinite:
+            index = nonfinite[0]
+            stack = stack[:index]
+            try:
+                _decode_rows(field, obj[index], paths[index])
+            except InputError as exc:
+                failure = exc
+    bad = determinant_failure(field, stack) if len(stack) else None
+    if bad is not None:
+        raise InputError(bad[1], path=paths[bad[0]])
+    if failure is not None:
+        raise failure
+    return [SLMatrix(field, entries, check=False) for entries in stack]
 
 
 def load_generators(path):
@@ -211,7 +323,7 @@ def load_generators(path):
     if not isinstance(gens, list) or not gens:
         raise InputError('document needs a nonempty "generators" array',
                          path="generators")
-    return _decode_matrices(field, gens, "generators")
+    return _decode_matrices(field, gens, [f"generators[{i}]" for i in range(len(gens))])
 
 
 def load_separating_set(path) -> SeparatingSet:
@@ -220,7 +332,8 @@ def load_separating_set(path) -> SeparatingSet:
     elements = doc.get("elements")
     if not isinstance(elements, list) or not elements:
         raise InputError('document needs a nonempty "elements" array', path="elements")
-    decoded = _decode_matrices(field, elements, "elements")
+    decoded = _decode_matrices(field, elements,
+                               [f"elements[{i}]" for i in range(len(elements))])
     m, r = doc.get("m"), doc.get("r")
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputError('document needs an integer "m"', path="m")
@@ -231,6 +344,101 @@ def load_separating_set(path) -> SeparatingSet:
     if not r > 0:
         raise InputError(f"separation radius must be positive, got {r}", path="r")
     return SeparatingSet(decoded, m, float(r))
+
+
+def report_text(report) -> str:
+    """json.dumps(report, indent=2), character for character, written directly.
+
+    json's indented output comes from its pure-Python encoder; this is the
+    same walk with fewer steps, appending to one list: the type tests in
+    json's order, strings through json's encode_basestring_ascii, floats by
+    float.__repr__ with NaN, Infinity and -Infinity where json writes them,
+    ints by int.__repr__, keys converted as json converts them, and a
+    TypeError wherever json raises one.  Unlike json it does not look for
+    circular references: a report never holds one.
+    """
+    out = []
+    _write(report, out, "\n")
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar_text(value):
+    """json's text of a str, None, bool, int or float, else None."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    return None
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return _escape(key)
+    if isinstance(key, float):
+        return _escape(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _escape(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(value, out: list, newline: str) -> None:
+    """Append json's indent=2 text of value, whose lines start with newline."""
+    text = _scalar_text(value)
+    if text is not None:
+        out.append(text)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            _write(item, out, inner)
+            out.append(",")
+        out[-1] = newline + "]"
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for key, item in value.items():
+            out.append(inner)
+            out.append(_key_text(key))
+            out.append(": ")
+            _write(item, out, inner)
+            out.append(",")
+        out[-1] = newline + "}"
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _row(field: FieldSpec, row) -> list:

@@ -85,14 +85,21 @@ def _generator():
     return np.random.Generator(np.random.PCG64(0))
 
 
+def _nonnegative(seeds) -> list:
+    """The seeds as Python ints; ValueError for a negative one, as numpy's
+    SeedSequence raises, and since random.Random would replay its absolute value."""
+    seeds = [operator.index(s) for s in seeds]
+    if seeds and min(seeds) < 0:
+        raise ValueError(f"a seed must be nonnegative, got {min(seeds)}")
+    return seeds
+
+
 def _pcg64_states(seeds) -> list:
     """(state, inc) of np.random.PCG64(np.random.SeedSequence(s)) for each
     nonnegative int s, all from one stacked hash over the seeds' uint32 words."""
-    seeds = [operator.index(s) for s in seeds]
+    seeds = _nonnegative(seeds)
     if not seeds:
         return []
-    if min(seeds) < 0:
-        raise ValueError(f"a seed must be nonnegative, got {min(seeds)}")
     width = max(_POOL, -(-max(seeds).bit_length() // 32))
     words = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds),
                           dtype="<u4").reshape(len(seeds), width).T
@@ -142,10 +149,11 @@ def stream_rows(field: FieldSpec, n: int, seeds: list, count: int) -> np.ndarray
     over R and C the normal draws of PCG64 seeded by SeedSequence(s), the
     real parts, then over C the imaginary parts, all from one reused
     generator whose state is set from each seed; over Q_p count
-    padic_unit_coords draws of random.Random(s), as a field array."""
+    padic_unit_coords draws of random.Random(s), as a field array.  A
+    negative seed raises ValueError over every field."""
     if field.is_padic:
         coords = [padic_unit_coords(rng, field, n)
-                  for rng in map(random.Random, seeds) for _ in range(count)]
+                  for rng in map(random.Random, _nonnegative(seeds)) for _ in range(count)]
         return as_field_array(field, coords, 2).reshape(len(seeds), count, n)
     return np.array(list(_normal_blocks(field, n, seeds, [count] * len(seeds))))
 
@@ -197,7 +205,7 @@ def probe_offset(field: FieldSpec, n: int, seed: int) -> np.ndarray:
     p^max(precision - 2, 1) from random.Random(seed) over Q_p, 1e-2 times
     the row of stream seed over R and C."""
     if field.is_padic:
-        rng = random.Random(seed)
+        rng = random.Random(_nonnegative([seed])[0])
         span = field.prime ** max(field.precision - 2, 1)
         return as_field_array(field, [field.prime ** 2 * rng.randrange(span) for _ in range(n)], 1)
     return stream_rows(field, n, [seed], 1)[0, 0] * 1e-2

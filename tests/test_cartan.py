@@ -25,11 +25,13 @@ from pingpong.cartan import (
     GaussianRational,
     SLMatrix,
     _adjugate,
+    _float_gates,
     apply_hyperplane,
     apply_point,
     bilip_constant,
     bilip_constants,
     cartan_decompose,
+    determinant_failure,
     diagonal,
     exact_form,
     exterior_power,
@@ -130,6 +132,77 @@ def test_padic_determinant_slack_is_the_fewest_digits_held(digits):
         else:
             with pytest.raises(DomainError, match="determinant is"):
                 SLMatrix(Q5, rows)
+
+
+def _scaled_sl(rng, field, n, scale):
+    """A float-computed u diag(scale, 1, ..., 1, 1/scale) v with random
+    unitary u and v, det 1 up to rounding, over R or C."""
+    def unitary():
+        m = rng.normal(size=(n, n))
+        if field is COMPLEX:
+            m = m + 1j * rng.normal(size=(n, n))
+        q = np.linalg.qr(m)[0]
+        if field is COMPLEX:
+            return q / complex(np.linalg.det(q)) ** (1 / n)
+        q[:, 0] *= np.sign(np.linalg.det(q))
+        return q
+    return unitary() @ np.diag([scale] + [1.0] * (n - 2) + [1 / scale]) @ unitary()
+
+
+def _bits(z) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["R", "C"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_gates_are_the_gates_of_each_matrix(field, n):
+    # the det and gate of each matrix, as the gate of one matrix computed them
+    # before the stack, bit for bit; scales 1 .. 1e6 reach the exact arm
+    rng = np.random.default_rng(21 + n)
+    stack = np.array([_scaled_sl(rng, field, n, 10.0 ** (k % 7)) for k in range(21)])
+    stack[3] *= 2.0 ** (1 / n)  # det 2
+    eps = np.finfo(float).eps
+    want_failure = None
+    for index, (m, (det, gate)) in enumerate(zip(stack, _float_gates(stack))):
+        want_det = complex(np.linalg.det(m))
+        want_gate = max(relative_tolerance(), max(1.0, float(np.max(np.abs(m)))) ** n * n * 8 * eps)
+        assert (_bits(det), gate.hex()) == (_bits(want_det), float(want_gate).hex())
+        alone = determinant_failure(field, m[None])
+        if want_failure is None and alone is not None:
+            want_failure = index, alone[1]
+    assert determinant_failure(field, stack) == want_failure
+    assert want_failure[0] == 3
+    # from n = 3 on, scale 1e6 puts the gate past 1
+    assert any(gate >= 1 for _, gate in _float_gates(stack)) is (n >= 3)
+
+
+def test_the_exact_arm_runs_only_on_wide_gates(monkeypatch):
+    seen = []
+    original = gauss_jordan
+
+    def spy(a, inverse=True):
+        seen.append(a.shape)
+        return original(a, inverse)
+
+    monkeypatch.setattr("pingpong.cartan.gauss_jordan", spy)
+    narrow = [[1.0, 2.0], [0.0, 1.0]]
+    wide = [[1e8, 1e8 + 1], [1e8 - 1, 1e8]]
+    assert determinant_failure(REAL, np.array([narrow, wide, narrow, wide, narrow])) is None
+    assert seen == [(2, 2), (2, 2)]
+
+
+def test_a_stack_reports_its_first_failure():
+    ok, bad, singular = [[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 1.0]], [[1e8, 1e8], [1e8, 1e8]]
+    assert determinant_failure(REAL, np.array([ok, singular, bad])) == (
+        1, "determinant is exactly 0, not 1")
+    assert determinant_failure(REAL, np.array([ok, bad, singular])) == (
+        1, "determinant is 2+0j, not 1")
+    with np.errstate(invalid="ignore"):
+        assert determinant_failure(REAL, np.array([ok, [[math.inf, 0.0], [0.0, 1.0]], bad])) == (
+            1, "matrix entries must be finite")
+    q5 = np.array([[[Q5.scalar(x) for x in row] for row in m] for m in ([[1, 1], [0, 1]],
+                                                                        [[1, 1], [0, 2]])])
+    assert determinant_failure(Q5, q5) == (1, "determinant is 2, not 1")
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["R", "C"])

@@ -1,8 +1,11 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pingpong import io
 from pingpong.cartan import SLMatrix, identity
@@ -213,3 +216,188 @@ def test_bad_document_is_exit_2_with_its_path(tmp_path, capsys, command, doc, pa
     assert payload["path"] == want
     # the root's empty path prefixes nothing
     assert payload["error"].startswith(f"{want}: " if want else f"{file}: ")
+
+
+# the stacked decode: each list is read as one stack and gated by one det call
+
+SHEAR = [[1.0, 2.0], [0.0, 1.0]]
+NOT_SL = [[2.0, 0.0], [0.0, 1.0]]
+# at entry scale 1e8 the float gate admits it; its stored entries give det 2
+WIDE_NOT_SL = [[1e8, 1e8], [0.0, 2e-8]]
+WIDE_SL = [[1e8, 1e8 + 1], [1e8 - 1, 1e8]]  # det exactly 1
+
+
+def elements_doc(elements, kind="real"):
+    return {"field": {"kind": kind}, "elements": elements, "m": 1, "r": 0.1}
+
+
+def load_error(tmp_path, doc, load=io.load_separating_set) -> InputError:
+    with pytest.raises(InputError) as err:
+        load(write(tmp_path, "doc.json", doc))
+    return err.value
+
+
+@pytest.mark.parametrize("bad_entry", ["x", True, math.nan, None])
+def test_a_bad_determinant_before_a_bad_entry_is_reported_first(tmp_path, bad_entry):
+    later = [[1.0, bad_entry], [0.0, 1.0]]
+    for doc in (elements_doc([SHEAR, NOT_SL, later]),
+                elements_doc([SHEAR, WIDE_NOT_SL, later])):
+        err = load_error(tmp_path, doc)
+        assert err.path == "elements[1]"
+        assert "determinant" in str(err)
+    # alone, the bad entry is what is reported
+    err = load_error(tmp_path, elements_doc([SHEAR, SHEAR, later]))
+    assert err.path == "elements[2][0][1]"
+
+
+def test_a_bad_entry_before_a_bad_determinant_is_reported_first(tmp_path):
+    err = load_error(tmp_path, elements_doc([SHEAR, [[1.0, "x"], [0.0, 1.0]], NOT_SL]))
+    assert err.path == "elements[1][0][1]"
+
+
+def test_a_size_mismatch_with_a_bad_determinant_reports_the_determinant(tmp_path):
+    three = [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    err = load_error(tmp_path, elements_doc([SHEAR, SHEAR, three]))
+    assert (err.path, str(err)) == ("elements[2]", "elements[2]: determinant is 2+0j, not 1")
+    three[0][0] = 1.0
+    err = load_error(tmp_path, elements_doc([SHEAR, SHEAR, three]))
+    assert str(err) == "elements[2]: a 3x3 matrix, but elements[0] is 2x2"
+    err = load_error(tmp_path, elements_doc([SHEAR, [[1.0]]]))
+    assert str(err) == "elements[1]: matrix must be square of size at least 2"
+
+
+def test_wide_gate_matrices_in_a_list(tmp_path, capsys):
+    path = write(tmp_path, "F.json", elements_doc([SHEAR, WIDE_NOT_SL]))
+    assert run(["separate", "--set", str(path), "--seed", "0"]) == EXIT_INPUT
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload == {"error": "elements[1]: determinant of the stored entries is 2, not 1",
+                       "path": "elements[1]"}
+    F = io.load_separating_set(write(tmp_path, "F.json", elements_doc([SHEAR, WIDE_SL, SHEAR])))
+    assert [g.entries.tolist() for g in F.elements] == [SHEAR, WIDE_SL, SHEAR]
+
+
+BIG = 10 ** 400
+# an int just past the float range rounds to the largest float, but is refused
+PAST_MAX = int(sys.float_info.max) + 1
+
+
+@pytest.mark.parametrize("kind, entry, message", [
+    ("real", True, "expected a finite real number, got True"),
+    ("real", "1.5", "expected a finite real number, got '1.5'"),
+    ("real", math.nan, "expected a finite real number, got nan"),
+    ("real", math.inf, "expected a finite real number, got inf"),
+    ("real", BIG, f"expected a finite real number, got {BIG!r}"),
+    ("real", PAST_MAX, f"expected a finite real number, got {PAST_MAX!r}"),
+    ("real", [1.0, 0.0], "expected a finite real number, got [1.0, 0.0]"),
+    ("complex", False, "expected a finite number or [re, im], got False"),
+    ("complex", "1", "expected a finite number or [re, im], got '1'"),
+    ("complex", [0.5, math.nan], "expected a finite number or [re, im], got [0.5, nan]"),
+    ("complex", math.nan, "expected a finite number or [re, im], got nan"),
+    ("complex", [BIG, 0.0], f"expected a finite number or [re, im], got [{BIG!r}, 0.0]"),
+    ("complex", [1.0, 0.0, 0.0], "expected a finite number or [re, im], got [1.0, 0.0, 0.0]"),
+    ("complex", [True, 0.0], "expected a finite number or [re, im], got [True, 0.0]"),
+], ids=lambda v: repr(v)[:20])
+def test_a_bad_entry_in_a_list_keeps_its_message(tmp_path, kind, entry, message):
+    ident = [[1.0, 0.0], [0.0, 1.0]]
+    doc = {"field": {"kind": kind}, "generators": [ident, [[1.0, 0.0], [entry, 1.0]], ident]}
+    err = load_error(tmp_path, doc, io.load_generators)
+    assert (err.path, str(err)) == ("generators[1][1][0]", f"generators[1][1][0]: {message}")
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["R", "C"])
+def test_the_stack_holds_what_decode_scalar_reads(field):
+    # ints past 2^53, -0.0, the largest float, and over C bare numbers beside pairs
+    big = 2 ** 53 + 1
+    rows = [[big, -0.0, 0.0], [0, 1, 0.0], [0.0, 0, 1.0 / big]]
+    if field is COMPLEX:
+        rows = [[big, [-0.0, -0.0], 0.0], [[0, 3], 1, 0.0], [0.0, 0, [1.0 / big, 0]]]
+    got = io._decode_matrices(field, [rows, rows], ["m[0]", "m[1]"])
+    want = np.array([[io.decode_scalar(field, x, "") for x in row] for row in rows])
+    for g in got:
+        assert g.entries.dtype == (np.complex128 if field is COMPLEX else np.float64)
+        assert g.entries.tobytes() == want.tobytes()
+        assert not g.entries.flags.writeable
+
+
+def test_one_determinant_call_per_list(tmp_path, monkeypatch):
+    calls = []
+    det = np.linalg.det
+
+    def spy(a):
+        calls.append(a.shape)
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", spy)
+    for kind, mats in (("real", [SHEAR] * 5 + [WIDE_SL]),
+                       ("complex", [[[[x, 0.0] for x in row] for row in SHEAR]] * 4)):
+        calls.clear()
+        gens = io.load_generators(write(tmp_path, "gens.json",
+                                        {"field": {"kind": kind}, "generators": mats}))
+        assert calls == [(len(mats), 2, 2)]
+        assert len(gens) == len(mats)
+
+
+def test_decode_matrix_is_a_list_of_one(monkeypatch):
+    seen = []
+    decode = io._decode_matrices
+    monkeypatch.setattr(io, "_decode_matrices",
+                        lambda *args: seen.append(args) or decode(*args))
+    g = io.decode_matrix(REAL, SHEAR, "matrix")
+    assert seen == [(REAL, [SHEAR], ["matrix"])]
+    assert g.entries.tolist() == SHEAR
+
+
+def test_padic_lists_decode_every_entry(tmp_path):
+    doc = {"field": {"kind": "padic", "prime": 5},
+           "generators": [[[1, {"rat": "1/5"}], [0, 1]], [[5, 0], [0, {"rat": "1/5"}]],
+                          [[1, 0], [0, 2]]]}
+    err = load_error(tmp_path, doc, io.load_generators)
+    assert str(err) == "generators[2]: determinant is 2, not 1"
+    doc["generators"][2] = [[1, 0.5], [0, 1]]
+    err = load_error(tmp_path, doc, io.load_generators)
+    assert err.path == "generators[2][0][1]"
+    doc["generators"].pop()
+    gens = io.load_generators(write(tmp_path, "gens.json", doc))
+    assert [[x.value for x in row] for row in gens[1].entries] == [[5, 0], [0, Fraction(1, 5)]]
+
+
+# the report writer: json.dumps(obj, indent=2), written directly
+
+_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_leaves = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40) | st.sampled_from([10 ** 400, -2 ** 64]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf]),
+    st.text() | st.sampled_from(["é中", "\x00\x1f\x7f", "\ud800", "a\udfffb", "\"\\/"]))
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_keys, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents)
+def test_report_text_is_json_dumps_indent_2(obj):
+    assert io.report_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": []}, [{}], {1: 2, 1.5: None, True: False, None: "x", False: 0.0},
+    {"nan": math.nan, "inf": [math.inf, -math.inf], "z": -0.0}, "top", 3, None,
+])
+def test_report_text_edge_cases(obj):
+    assert io.report_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    {1, 2}, b"bytes", {"a": [1, {2}]}, [b"x"], {(1, 2): 3}, {"a": {b"k": 1}},
+    np.float32(1.0), [np.int64(3)],
+])
+def test_report_text_raises_where_json_does(obj):
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as got:
+        io.report_text(obj)
+    assert str(got.value) == str(want.value)

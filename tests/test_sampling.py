@@ -2,15 +2,18 @@
 
 import ast
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pingpong import sampling
+from pingpong.cartan import SLMatrix
+from pingpong.contraction import contraction_data, verify_contracting
 from pingpong.fields import COMPLEX, REAL, padic
-from pingpong.sampling import (CHUNK_SIZE, archimedean_unit_chunks, padic_unit_coords,
-                               stream_rows)
+from pingpong.sampling import (CHUNK_SIZE, archimedean_unit_chunks, padic_point_chunks,
+                               padic_unit_coords, probe_offset, stream_rows)
 
 Q5 = padic(5)
 SEEDS = [0, 1, 7, 2**32, 2**63 + 5]
@@ -111,6 +114,19 @@ def test_a_negative_seed_is_refused():
         next(archimedean_unit_chunks(COMPLEX, 2, 10, -2))
     with pytest.raises(TypeError):
         stream_rows(REAL, 2, [1.5], 1)
+
+
+def test_a_negative_seed_is_refused_over_q5():
+    # random.Random hashes abs(seed), so seed -1 would replay seed 1's stream
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        stream_rows(Q5, 2, [-1], 2)
+    with pytest.raises(ValueError, match="nonnegative, got -7"):
+        probe_offset(Q5, 2, -7)
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        next(padic_point_chunks(Q5, 2, 10, -1))
+    g = SLMatrix(Q5, [[5, 0], [0, Fraction(1, 5)]])
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        verify_contracting(contraction_data(g), g, samples=10, seed=-1)
 
 
 def test_no_module_seeds_through_numpys_default_rng():
