@@ -268,16 +268,14 @@ def _float_gates(stack: np.ndarray) -> list:
     tol = relative_tolerance()
     eps = float(np.finfo(float).eps)
     gates = []
-    dets = np.linalg.det(stack).tolist()
-    for det, scale in zip(dets, np.abs(stack).max(axis=(1, 2)).tolist()):
-        if not math.isfinite(scale):
-            gates.append((complex(det), None))
-            continue
-        try:
-            drift = max(1.0, scale) ** n * n * 8 * eps
-        except OverflowError:
-            drift = math.inf
-        gates.append((complex(det), max(tol, drift)))
+    for det, scale in zip(np.linalg.det(stack).tolist(), np.abs(stack).max(axis=(1, 2)).tolist()):
+        gate = None
+        if math.isfinite(scale):
+            try:
+                gate = max(tol, max(1.0, scale) ** n * n * 8 * eps)
+            except OverflowError:
+                gate = math.inf
+        gates.append((complex(det), gate))
     return gates
 
 
