@@ -361,6 +361,29 @@ def test_padic_lists_decode_every_entry(tmp_path):
     assert [[x.value for x in row] for row in gens[1].entries] == [[5, 0], [0, Fraction(1, 5)]]
 
 
+# {"rat": ...}: Fraction's grammar is the definition of a valid rational
+
+@pytest.mark.parametrize("text", ["-12", "+7", "007", " 7 ", "7/1", "1_000", "٧", "-0",
+                                  "1e3", "7.0", "-3/15", "\xa07", 7])
+def test_a_rat_string_decodes_to_the_value_fraction_gives(text):
+    field = padic(5)
+    x = io.decode_scalar(field, {"rat": text}, "x")
+    want = io.PadicScalar(field, Fraction(text))
+    assert (x.value, x.digits, x.valuation) == (want.value, want.digits, want.valuation)
+    assert type(x.value) is Fraction
+
+
+@pytest.mark.parametrize("text", ["--7", "-", "", "1__0", "_1", "7_", "0x10", "1/0", "7 7",
+                                  "٧/0", None])
+def test_a_bad_rat_string_keeps_its_message_and_path(text):
+    with pytest.raises((ValueError, ZeroDivisionError, TypeError)) as want:
+        Fraction(text)
+    with pytest.raises(InputError) as err:
+        io.decode_scalar(padic(5), {"rat": text}, "m[0][1]")
+    assert (err.value.path, str(err.value)) == (
+        "m[0][1]", f"m[0][1]: bad rational {text!r}: {want.value}")
+
+
 # the report writer: json.dumps(obj, indent=2), written directly
 
 _keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())

@@ -55,6 +55,9 @@ CASES = {
     "separate-complex3": ["separate", "--set", "sep_complex3.json", "--trials", "40",
                           "--seed", "3"],
     "separate-q5": ["separate", "--set", "sep_q5.json", "--trials", "8", "--seed", "1"],
+    # sep_q5 with elements[3][1][1] = 26, so det = 1 + 5^2: the Q_p determinant gate
+    "separate-q5-bad-det": ["separate", "--set", "sep_q5_bad_det.json", "--trials", "8",
+                            "--seed", "1"],
     # numpy's object matmul turned this precision loss into a SystemError (exit 1)
     "separate-q5-low-precision": ["separate", "--set", "sep_q5_low_precision.json",
                                   "--trials", "6", "--seed", "0"],
