@@ -227,7 +227,7 @@ def determinant_failure(field: FieldSpec, stack: np.ndarray):
     """
     if field.is_padic:
         for index, entries in enumerate(stack):
-            det, _ = gauss_jordan(exact_form(entries), inverse=False)
+            det = _padic_det(entries)
             if det != 1:
                 # digit-truncated input may miss 1 by something beyond its precision
                 slack = min(c.digits for row in entries for c in row)
@@ -250,6 +250,20 @@ def determinant_failure(field: FieldSpec, stack: np.ndarray):
                 return index, (f"determinant of the stored entries is "
                                f"{field.scalar(det):.12g}, not 1")
     return None
+
+
+def _padic_det(entries: np.ndarray):
+    """The exact det of the values of a p-adic matrix, the rational that
+    gauss_jordan(exact_form(entries)) gives: for n = 2 on ints, over the
+    common denominator D of the entries, as det D^2 = ad - bc, and the int 1
+    when that is D^2; for n >= 3 one forward gauss_jordan."""
+    if len(entries) != 2:
+        return gauss_jordan(exact_form(entries), inverse=False)[0]
+    (a, b), (c, d) = entries.tolist()
+    den = math.lcm(a.den, b.den, c.den, d.den)
+    scaled = (a.num * (den // a.den) * d.num * (den // d.den)
+              - b.num * (den // b.den) * c.num * (den // c.den))
+    return 1 if scaled == den * den else Fraction(scaled, den * den)
 
 
 def _float_gates(stack: np.ndarray) -> list:
@@ -299,7 +313,10 @@ def _adjugate(entries: np.ndarray) -> np.ndarray:
     # keep[k] lists 0..n-1 without k; minors[..., i, j, :, :] drops row j and column i
     keep = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
     minors = entries[..., keep[None, :, :, None], keep[:, None, None, :]]
-    return (-1) ** np.add.outer(np.arange(n), np.arange(n)) * _dets(minors)
+    out = _dets(minors)
+    odd = np.add.outer(np.arange(n), np.arange(n)) % 2 == 1
+    out[..., odd] = -out[..., odd]
+    return out
 
 
 def inverses(matrices) -> list:
@@ -443,13 +460,13 @@ def _cartan_padic(g: SLMatrix) -> CartanTriple:
             swap_cols(t, bj)
         pivot = m[t][t]
         for i in range(t + 1, n):
-            if m[i][t].value:
+            if m[i][t]:
                 f = m[i][t] / pivot
                 m[i] = [a - f * b for a, b in zip(m[i], m[t])]
                 for r in range(n):
                     k[r][t] = k[r][t] + f * k[r][i]
         for j in range(t + 1, n):
-            if m[t][j].value:
+            if m[t][j]:
                 f = m[t][j] / pivot
                 for i in range(t, n):
                     m[i][j] = m[i][j] - f * m[i][t]
@@ -509,13 +526,25 @@ def bilip_constants(matrices) -> list:
     if matrices and not matrices[0].field.is_padic:
         s = _svd(np.array([g.entries for g in matrices]))[1]
         return [(a / b) ** 2 for a, b in zip(s[:, 0].tolist(), s[:, -1].tolist())]
-    constants = []
+    # the digit floor element by element, then every inverse before the first
+    # failure from one inverses call, so the first error is the loop's
+    checked, failure = [], None
     for g in matrices:
-        _check_digits(g)
-        top = min(c.valuation for row in g.entries for c in row)
-        inverse_top = min(c.valuation for row in g.inverse().entries for c in row)
-        constants.append(float(g.field.prime) ** (-2 * (top + inverse_top)))
-    return constants
+        try:
+            _check_digits(g)
+        except PrecisionExhaustedError as exc:
+            failure = exc
+            break
+        checked.append(g)
+    inverses(checked)
+    if failure is not None:
+        raise failure
+    return [float(g.field.prime) ** (-2 * (_top(g) + _top(g._inverse))) for g in matrices]
+
+
+def _top(g: SLMatrix):
+    """The least valuation of an entry of the p-adic g."""
+    return min(c.valuation for row in g.entries for c in row)
 
 
 def operator_norm(g: SLMatrix) -> float:

@@ -91,7 +91,7 @@ class FieldSpec:
         """Coerce x into this field's scalar type."""
         if self.kind is Kind.PADIC:
             if isinstance(x, PadicScalar):
-                if x.field != self:
+                if x.field is not self and x.field != self:
                     raise DomainError(f"scalar belongs to {x.field}, not {self}")
                 return x
             return PadicScalar(self, x)
@@ -120,21 +120,24 @@ def padic(prime: int, precision: int = DEFAULT_PADIC_PRECISION) -> FieldSpec:
     return FieldSpec(Kind.PADIC, prime, precision)
 
 
-def _vp(x: Fraction, p: int):
-    """Exact p-adic valuation of a rational; +inf for zero."""
-    if not x:
+def _vp(x, p: int):
+    """Exact p-adic valuation of an int or a Fraction; +inf for zero."""
+    return _valuation(x.numerator, x.denominator, p)
+
+
+def _valuation(num: int, den: int, p: int):
+    """Exact p-adic valuation of num/den in lowest terms; +inf for zero."""
+    if not num:
         return math.inf
-    n = x.numerator
-    if n % p == 0:
+    if num % p == 0:
         v = 0
-        while n % p == 0:
-            n //= p
+        while num % p == 0:
+            num //= p
             v += 1
         return v
-    d = x.denominator
     v = 0
-    while d % p == 0:
-        d //= p
+    while den % p == 0:
+        den //= p
         v -= 1
     return v
 
@@ -142,39 +145,53 @@ def _vp(x: Fraction, p: int):
 class PadicScalar:
     """Element of Q_p: an exact rational plus known-digit bookkeeping.
 
-    ``digits`` counts known significant base-p digits; a full-precision
-    scalar has ``field.precision`` of them.  Addition can destroy digits
-    through cancellation, multiplication keeps the minimum of the two
-    counts.  Instances are immutable.
+    The rational is two plain ints, ``num`` and ``den`` > 0 in lowest terms
+    (an exact zero is 0/1); ``value`` reads it as a Fraction.  ``digits``
+    counts known significant base-p digits; a full-precision scalar has
+    ``field.precision`` of them.  Addition can destroy digits through
+    cancellation, multiplication keeps the minimum of the two counts.
+    Instances are immutable.
 
-    __init__ reads any int or Fraction and finds its valuation.  The
-    operators +, -, *, / and unary - build their results with _known
-    instead: v(xy) = v(x) + v(y), v(x/y) = v(x) - v(y), v(-x) = v(x), and
-    v(x + y) = min(v(x), v(y)) when v(x) != v(y); only a sum of equal
-    valuations reads the valuation off its value.  Each result has the
-    value, digits and valuation __init__ would give it.
+    __init__ reads an int as num/1 and anything else through Fraction, and
+    finds the valuation.  The operators +, -, *, / and unary - do the int
+    arithmetic themselves, reducing by a gcd only where a denominator is not
+    1, and build their results with _known: v(xy) = v(x) + v(y),
+    v(x/y) = v(x) - v(y), v(-x) = v(x), and v(x + y) = min(v(x), v(y)) when
+    v(x) != v(y); only a sum of equal valuations reads the valuation off its
+    value.  Each result has the value, digits and valuation __init__ would
+    give it.
     """
 
-    __slots__ = ("field", "value", "digits", "valuation")
+    __slots__ = ("field", "num", "den", "digits", "valuation")
 
     def __init__(self, field: FieldSpec, value, digits: int | None = None):
         if not field.is_padic:
             raise DomainError("PadicScalar needs a p-adic field")
-        if isinstance(value, float):
-            raise DomainError("floats cannot be read as p-adic scalars; use ints or Fractions")
-        try:
-            value = Fraction(value)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"cannot read {value!r} as a p-adic scalar") from exc
-        if digits is None or not value:
+        if type(value) is int:
+            num, den = value, 1
+        else:
+            if isinstance(value, float):
+                raise DomainError("floats cannot be read as p-adic scalars; use ints or Fractions")
+            try:
+                value = Fraction(value)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"cannot read {value!r} as a p-adic scalar") from exc
+            num, den = value.numerator, value.denominator
+        if digits is None or not num:
             digits = field.precision
         if digits < 1:
             raise PrecisionExhaustedError(
                 f"p-adic scalar with {digits} known digits (need at least 1)")
         self.field = field
-        self.value = value
+        self.num = num
+        self.den = den
         self.digits = digits
-        self.valuation = _vp(value, field.prime)
+        self.valuation = _valuation(num, den, field.prime)
+
+    @property
+    def value(self) -> Fraction:
+        """The exact rational num/den."""
+        return Fraction(self.num, self.den)
 
     @classmethod
     def from_unit_digits(cls, field: FieldSpec, val: int, unit_digits: list[int]) -> "PadicScalar":
@@ -183,17 +200,19 @@ class PadicScalar:
         if not unit_digits or unit_digits[0] % p == 0:
             raise DomainError("unit digits must start with a nonzero digit mod p")
         unit = sum(d % p * p ** i for i, d in enumerate(unit_digits))
-        return cls(field, Fraction(unit) * Fraction(p) ** val, len(unit_digits))
+        return cls(field, unit * p ** val if val >= 0 else unit / Fraction(p) ** -val,
+                   len(unit_digits))
 
     @classmethod
-    def _known(cls, field: FieldSpec, value: Fraction, digits: int, valuation) -> "PadicScalar":
-        """An operator's result, built from what its operands tell: value is
-        already a Fraction and valuation is exact.  A zero gets full digits
-        and valuation +inf, as __init__ gives it."""
+    def _known(cls, field: FieldSpec, num: int, den: int, digits: int, valuation) -> "PadicScalar":
+        """An operator's result, built from what its operands tell: num/den
+        is already in lowest terms and valuation is exact.  A zero gets full
+        digits and valuation +inf, as __init__ gives it."""
         x = object.__new__(cls)
         x.field = field
-        x.value = value
-        if value:
+        x.num = num
+        x.den = den
+        if num:
             x.digits, x.valuation = digits, valuation
         else:
             x.digits, x.valuation = field.precision, math.inf
@@ -209,14 +228,24 @@ class PadicScalar:
         raise DomainError(f"cannot treat {type(other).__name__} as a p-adic scalar")
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not PadicScalar or other.field is not self.field:
+            other = self._coerce(other)
         field = self.field
-        value = self.value + other.value
-        if not value:
-            return PadicScalar._known(field, value, field.precision, math.inf)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        # a/b + c/d is in lowest terms as it stands when b or d is 1
+        if b == 1:
+            num, den = a * d + c, d
+        elif d == 1:
+            num, den = a + c * b, b
+        else:
+            num, den = a * d + c * b, b * d
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+        if not num:
+            return PadicScalar._known(field, 0, 1, field.precision, math.inf)
         # |x + y| = max(|x|, |y|) unless the two valuations are equal
         if self.valuation == other.valuation:
-            v = _vp(value, field.prime)
+            v = _valuation(num, den, field.prime)
         else:
             v = min(self.valuation, other.valuation)
         # abs_prec = valuation + digits of the least precisely known operand
@@ -226,12 +255,12 @@ class PadicScalar:
             raise PrecisionExhaustedError(
                 f"cancellation left a result of valuation {v} known only modulo "
                 f"{field.prime}^{abs_prec}")
-        return PadicScalar._known(field, value, min(digits, field.precision), v)
+        return PadicScalar._known(field, num, den, min(digits, field.precision), v)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PadicScalar._known(self.field, -self.value, self.digits, self.valuation)
+        return PadicScalar._known(self.field, -self.num, self.den, self.digits, self.valuation)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -240,41 +269,55 @@ class PadicScalar:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return PadicScalar._known(self.field, self.value * other.value,
-                                  min(self.digits, other.digits),
+        if other.__class__ is not PadicScalar or other.field is not self.field:
+            other = self._coerce(other)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == 1 and d == 1:
+            num, den = a * c, 1
+        else:
+            g, h = math.gcd(a, d), math.gcd(c, b)
+            num, den = (a // g) * (c // h), (b // h) * (d // g)
+        return PadicScalar._known(self.field, num, den, min(self.digits, other.digits),
                                   self.valuation + other.valuation)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        if not other.value:
+        if not other.num:
             raise DomainError("division by zero")
-        return PadicScalar._known(self.field, self.value / other.value,
-                                  min(self.digits, other.digits),
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g, h = math.gcd(a, c), math.gcd(b, d)
+        num, den = (a // g) * (d // h), (b // h) * (c // g)
+        if den < 0:
+            num, den = -num, -den
+        return PadicScalar._known(self.field, num, den, min(self.digits, other.digits),
                                   self.valuation - other.valuation)
 
     def __rtruediv__(self, other):
-        if not self.value:
+        if not self.num:
             raise DomainError("division by zero")
         return self._coerce(other) / self
 
     def __eq__(self, other):
         if isinstance(other, PadicScalar):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == other
+            return ((self.field is other.field or self.field == other.field)
+                    and self.num == other.num and self.den == other.den)
+        if isinstance(other, int):
+            return self.den == 1 and self.num == other
+        if isinstance(other, Fraction):
+            return self.num == other.numerator and self.den == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.value))
+        # an integral Fraction hashes as its int
+        return hash((self.field, self.num if self.den == 1 else self.value))
 
     def __bool__(self):
-        return bool(self.value)
+        return bool(self.num)
 
     def abs(self) -> float:
-        if not self.value:
+        if not self.num:
             return 0.0
         return float(self.field.prime) ** (-self.valuation)
 
@@ -282,14 +325,19 @@ class PadicScalar:
 
     def unit_digits(self, count: int | None = None) -> list[int]:
         """Little-endian base-p digits of the unit part, to ``count`` places."""
-        if not self.value:
+        if not self.num:
             raise DomainError("zero has no unit part")
         if count is None:
             count = self.digits
         p = self.field.prime
-        unit = self.value / Fraction(p) ** self.valuation
+        # the unit num/den divided by p^valuation: the power leaves num or den
+        num, den, v = self.num, self.den, self.valuation
+        if v >= 0:
+            num //= p ** v
+        else:
+            den //= p ** -v
         m = p ** count
-        u = unit.numerator * pow(unit.denominator, -1, m) % m
+        u = num * pow(den, -1, m) % m
         out = []
         for _ in range(count):
             out.append(u % p)

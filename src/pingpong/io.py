@@ -149,8 +149,12 @@ def decode_scalar(field: FieldSpec, obj, where: str):
     if isinstance(obj, int) and not isinstance(obj, bool):
         return field.scalar(obj)
     if isinstance(obj, dict) and set(obj) == {"rat"}:
+        text = obj["rat"]
         try:
-            return field.scalar(Fraction(obj["rat"]))
+            # an ASCII integer is read by int, which gives the value Fraction would
+            if type(text) is str and text.isascii() and text.removeprefix("-").isdigit():
+                return PadicScalar(field, int(text))
+            return field.scalar(Fraction(text))
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise InputError(f"bad rational {obj['rat']!r}: {exc}", path=where)
     if isinstance(obj, dict) and set(obj) == {"val", "unit_digits"}:
@@ -176,7 +180,7 @@ def encode_scalar(field: FieldSpec, x):
     if field.kind is Kind.COMPLEX:
         z = complex(x)
         return [z.real, z.imag]
-    return {"rat": str(Fraction(x.value))}
+    return {"rat": str(x.value)}
 
 
 def decode_matrix(field: FieldSpec, obj, where: str) -> SLMatrix:

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PrecisionExhaustedError
-from .fields import FieldSpec, Kind, relative_tolerance, valuation
+from .fields import FieldSpec, Kind, PadicScalar, _vp, relative_tolerance
 
 # coordinates this much below the largest one are treated as zero when
 # picking the archimedean phase pivot
@@ -36,10 +36,15 @@ _PIVOT_CUTOFF = 1e-12
 
 def as_field_array(field: FieldSpec, values, ndim: int) -> np.ndarray:
     """Read-only array of field scalars nested ``ndim`` deep, shape unchecked:
-    float64 over R, complex128 over C, PadicScalar objects over Q_p."""
+    float64 over R, complex128 over C, PadicScalar objects over Q_p.  An
+    ndarray already in that form is taken as one copy."""
     if field.is_padic:
         scalar = field.scalar
-        if ndim == 1:
+        if (isinstance(values, np.ndarray) and values.dtype == object and values.ndim == ndim
+                and all(isinstance(x, PadicScalar) and (x.field is field or x.field == field)
+                        for x in values.flat)):
+            arr = values.copy()
+        elif ndim == 1:
             arr = np.array([scalar(x) for x in values], dtype=object)
         else:
             arr = np.array([[scalar(x) for x in row] for row in values], dtype=object)
@@ -96,8 +101,8 @@ def canonical_rows(field: FieldSpec, rows) -> np.ndarray:
             raise DomainError("projective representative must be nonzero")
         # dividing a row by a pivot of exactly 1 known to at least each
         # nonzero entry's digits would change no value and no digit count
-        todo = np.array([not (pivot.value == 1 and all(not c or c.digits <= pivot.digits
-                                                        for c in row))
+        todo = np.array([not (pivot == 1 and all(not c or c.digits <= pivot.digits
+                                                  for c in row))
                          for row, pivot in zip(flat, pivots)], dtype=bool)
         out = flat.copy()
         out[todo] = flat[todo] / pivots[todo, None]
@@ -289,11 +294,10 @@ def _padic_rows(field: FieldSpec, arr, axes: int) -> tuple:
     blocks = arr.reshape(-1, math.prod(arr.shape[arr.ndim - axes:]))
     ints, vals, digits, shifts = [], [], [], []
     for block in blocks.tolist():
-        values = [c.value for c in block]
-        den = math.lcm(*[v.denominator for v in values])
-        shift = -valuation(den, field)
-        ints.append([v.numerator * (den // v.denominator) for v in values])
-        vals.append([c.valuation - shift if v else 0 for c, v in zip(block, values)])
+        den = math.lcm(*[c.den for c in block])
+        shift = -_vp(den, field.prime)
+        ints.append([c.num * (den // c.den) for c in block])
+        vals.append([c.valuation - shift if c.num else 0 for c in block])
         digits.append([c.digits for c in block])
         shifts.append(shift)
     ints = np.array(ints, dtype=object).reshape(arr.shape)

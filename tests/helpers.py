@@ -10,7 +10,7 @@ import numpy as np
 
 from pingpong.cartan import SLMatrix, _cartan_padic, apply_point
 from pingpong.errors import DomainError, PrecisionExhaustedError
-from pingpong.fields import Kind, PadicScalar, _vp, matmul, valuation
+from pingpong.fields import FieldSpec, Kind, PadicScalar, _vp, matmul, valuation
 from pingpong.projective import _norms, canonical_rows
 from pingpong.sampling import padic_point_chunks
 from pingpong.separation import SeparatingSet, best_separator, sample_configuration
@@ -360,3 +360,168 @@ def deflate_row(field, u, w, vanishing):
         f[k1] = field.one()
         f[k0] = -u[k1] / u[k0]
     return f
+
+
+# PadicScalar as it stood on fractions.Fraction, before it held two ints:
+# the class verbatim, renamed, an oracle for the int arithmetic of
+# pingpong.fields.PadicScalar.
+
+class FractionPadicScalar:
+    """Element of Q_p: an exact rational plus known-digit bookkeeping.
+
+    ``digits`` counts known significant base-p digits; a full-precision
+    scalar has ``field.precision`` of them.  Addition can destroy digits
+    through cancellation, multiplication keeps the minimum of the two
+    counts.  Instances are immutable.
+
+    __init__ reads any int or Fraction and finds its valuation.  The
+    operators +, -, *, / and unary - build their results with _known
+    instead: v(xy) = v(x) + v(y), v(x/y) = v(x) - v(y), v(-x) = v(x), and
+    v(x + y) = min(v(x), v(y)) when v(x) != v(y); only a sum of equal
+    valuations reads the valuation off its value.  Each result has the
+    value, digits and valuation __init__ would give it.
+    """
+
+    __slots__ = ("field", "value", "digits", "valuation")
+
+    def __init__(self, field: FieldSpec, value, digits: int | None = None):
+        if not field.is_padic:
+            raise DomainError("PadicScalar needs a p-adic field")
+        if isinstance(value, float):
+            raise DomainError("floats cannot be read as p-adic scalars; use ints or Fractions")
+        try:
+            value = Fraction(value)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"cannot read {value!r} as a p-adic scalar") from exc
+        if digits is None or not value:
+            digits = field.precision
+        if digits < 1:
+            raise PrecisionExhaustedError(
+                f"p-adic scalar with {digits} known digits (need at least 1)")
+        self.field = field
+        self.value = value
+        self.digits = digits
+        self.valuation = _vp(value, field.prime)
+
+    @classmethod
+    def from_unit_digits(cls, field: FieldSpec, val: int, unit_digits: list[int]) -> "FractionPadicScalar":
+        """Rebuild p^val * (sum of unit_digits[i] * p^i) from little-endian digits."""
+        p = field.prime
+        if not unit_digits or unit_digits[0] % p == 0:
+            raise DomainError("unit digits must start with a nonzero digit mod p")
+        unit = sum(d % p * p ** i for i, d in enumerate(unit_digits))
+        return cls(field, Fraction(unit) * Fraction(p) ** val, len(unit_digits))
+
+    @classmethod
+    def _known(cls, field: FieldSpec, value: Fraction, digits: int, valuation) -> "FractionPadicScalar":
+        """An operator's result, built from what its operands tell: value is
+        already a Fraction and valuation is exact.  A zero gets full digits
+        and valuation +inf, as __init__ gives it."""
+        x = object.__new__(cls)
+        x.field = field
+        x.value = value
+        if value:
+            x.digits, x.valuation = digits, valuation
+        else:
+            x.digits, x.valuation = field.precision, math.inf
+        return x
+
+    def _coerce(self, other) -> "FractionPadicScalar":
+        if isinstance(other, FractionPadicScalar):
+            if other.field is not self.field and other.field != self.field:
+                raise DomainError(f"mixed fields: {self.field} and {other.field}")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionPadicScalar(self.field, other)
+        raise DomainError(f"cannot treat {type(other).__name__} as a p-adic scalar")
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        field = self.field
+        value = self.value + other.value
+        if not value:
+            return FractionPadicScalar._known(field, value, field.precision, math.inf)
+        # |x + y| = max(|x|, |y|) unless the two valuations are equal
+        if self.valuation == other.valuation:
+            v = _vp(value, field.prime)
+        else:
+            v = min(self.valuation, other.valuation)
+        # abs_prec = valuation + digits of the least precisely known operand
+        abs_prec = min(self.valuation + self.digits, other.valuation + other.digits)
+        digits = abs_prec - v
+        if digits < 1:
+            raise PrecisionExhaustedError(
+                f"cancellation left a result of valuation {v} known only modulo "
+                f"{field.prime}^{abs_prec}")
+        return FractionPadicScalar._known(field, value, min(digits, field.precision), v)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPadicScalar._known(self.field, -self.value, self.digits, self.valuation)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        return FractionPadicScalar._known(self.field, self.value * other.value,
+                                  min(self.digits, other.digits),
+                                  self.valuation + other.valuation)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if not other.value:
+            raise DomainError("division by zero")
+        return FractionPadicScalar._known(self.field, self.value / other.value,
+                                  min(self.digits, other.digits),
+                                  self.valuation - other.valuation)
+
+    def __rtruediv__(self, other):
+        if not self.value:
+            raise DomainError("division by zero")
+        return self._coerce(other) / self
+
+    def __eq__(self, other):
+        if isinstance(other, FractionPadicScalar):
+            return self.field == other.field and self.value == other.value
+        if isinstance(other, (int, Fraction)):
+            return self.value == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.value))
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def abs(self) -> float:
+        if not self.value:
+            return 0.0
+        return float(self.field.prime) ** (-self.valuation)
+
+    __abs__ = abs
+
+    def unit_digits(self, count: int | None = None) -> list[int]:
+        """Little-endian base-p digits of the unit part, to ``count`` places."""
+        if not self.value:
+            raise DomainError("zero has no unit part")
+        if count is None:
+            count = self.digits
+        p = self.field.prime
+        unit = self.value / Fraction(p) ** self.valuation
+        m = p ** count
+        u = unit.numerator * pow(unit.denominator, -1, m) % m
+        out = []
+        for _ in range(count):
+            out.append(u % p)
+            u //= p
+        return out
+
+    def __repr__(self):
+        return f"PadicScalar({self.value}, p={self.field.prime}, digits={self.digits})"

@@ -21,10 +21,13 @@ from helpers import (
     random_sl_padic,
     smith_valuations_oracle,
 )
+from pingpong import io
 from pingpong.cartan import (
     GaussianRational,
     SLMatrix,
     _adjugate,
+    _check_digits,
+    _dets,
     _float_gates,
     apply_hyperplane,
     apply_point,
@@ -217,6 +220,23 @@ def test_an_ndarray_input_is_copied_once_and_checked(field):
         SLMatrix(field, np.eye(3)[:2], check=False)
     with pytest.raises(DomainError, match="square"):
         SLMatrix(field, np.ones(4), check=False)
+
+
+def test_a_padic_ndarray_input_is_copied_once(monkeypatch):
+    g = random_sl_padic(random.Random(5), Q5, 3)
+    calls = []
+    scalar = type(Q5).scalar
+    monkeypatch.setattr(type(Q5), "scalar", lambda self, x: calls.append(x) or scalar(self, x))
+    h = SLMatrix(padic(5), g.entries, check=False)  # an equal FieldSpec, not the same one
+    assert calls == []
+    assert h.entries is not g.entries and not h.entries.flags.writeable
+    assert all(x is y for x, y in zip(h.entries.flat, g.entries.flat))
+    # anything else is read entry by entry, and fails as it did
+    SLMatrix(Q5, np.array([[1, 0], [0, 1]], dtype=object))
+    assert calls == [1, 0, 0, 1]
+    foreign = np.array([[padic(7).scalar(1), 0], [0, 1]], dtype=object)
+    with pytest.raises(DomainError, match="scalar belongs to Q_7"):
+        SLMatrix(Q5, foreign)
 
 
 def test_a_real_matrix_refuses_complex_ndarray_entries():
@@ -827,3 +847,195 @@ def test_padic_cartan_refuses_worn_entries():
     g = SLMatrix(f, [[worn, f.zero()], [f.zero(), f.one() / worn]])
     with pytest.raises(PrecisionExhaustedError):
         cartan_decompose(g)
+
+
+# The Q_p determinant gate: n = 2 on ints, n >= 3 one forward gauss_jordan each
+
+def _padic_gate_by_gauss_jordan(field, stack):
+    """The gate matrix by matrix as it stood on gauss_jordan alone: the exact
+    det of the values, with slack the fewest digits an entry holds."""
+    for index, entries in enumerate(stack):
+        det, _ = gauss_jordan(exact_form(entries), inverse=False)
+        if det != 1:
+            slack = min(c.digits for row in entries for c in row)
+            if valuation(det - 1, field) < slack:
+                return index, f"determinant is {det}, not 1"
+    return None
+
+
+def _truncated(field, g, digits):
+    """g with each nonzero entry read back from {"val", "unit_digits"} to
+    `digits` places: a truncation, so the values move by p^(valuation + digits)."""
+    def entry(x):
+        if not x:
+            return x
+        return io.decode_scalar(field, {"val": x.valuation, "unit_digits": x.unit_digits(digits)},
+                                "x")
+    return np.array([[entry(x) for x in row] for row in g], dtype=object)
+
+
+def _gate_cases(rng, field, n):
+    """Matrices for the gate: SL_n, det 1 + p^k on truncated entries at the
+    slack and one below it, exactly singular, non-integral with p in the
+    denominators, and det 1 times a unit or a power of p."""
+    p = field.prime
+    integral = random_sl_padic(rng, field, n, integral=True).entries
+    digits = rng.randint(2, min(field.precision, 8))
+    cases = [random_sl_padic(rng, field, n).entries, integral]
+    for k in (digits, digits - 1):
+        scaled = integral.copy()
+        scaled[0] = scaled[0] * (1 + p ** k)
+        cases.append(_truncated(field, scaled, digits))
+    singular = integral.copy()
+    singular[1] = singular[0] * field.scalar(Fraction(rng.choice([1, -2, 3]), p))
+    cases.append(singular)
+    wide = random_sl_padic(rng, field, n, val_range=3).entries.copy()
+    wide[0] = wide[0] * field.scalar(Fraction(rng.choice([1, 2, 1 + p ** 3]), p ** rng.randint(0, 2)))
+    cases.append(wide)
+    return cases
+
+
+@pytest.mark.parametrize("prime", [5, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_padic_gate_is_the_gauss_jordan_gate(prime, n):
+    rng = random.Random(prime * 10 + n)
+    seen = collections.Counter()
+    for trial in range(40):
+        field = padic(prime, rng.choice([40, 6, 3]))
+        cases = _gate_cases(rng, field, n)
+        for m in cases:
+            want = _padic_gate_by_gauss_jordan(field, m[None])
+            assert determinant_failure(field, m[None]) == want
+            seen["fails" if want else "passes"] += 1
+            if want and want[1] == "determinant is 0, not 1":
+                seen["singular"] += 1
+        rng.shuffle(cases)
+        stack = np.array(cases[:rng.randint(1, len(cases))])
+        assert determinant_failure(field, stack) == _padic_gate_by_gauss_jordan(field, stack)
+    assert seen["fails"] and seen["passes"] and seen["singular"], seen
+
+
+@pytest.mark.parametrize("digits", [3, 6])
+def test_the_padic_gate_slack_on_truncated_entries(digits):
+    # det 1 + p^k read from unit digits to `digits` places: k = digits passes
+    # by the slack, k = digits - 1 fails
+    for n in (2, 3):
+        g = random_sl_padic(random.Random(digits + n), Q5, n, integral=True).entries.copy()
+        for k, fits in ((digits, True), (digits - 1, False)):
+            m = g.copy()
+            m[0] = m[0] * (1 + 5 ** k)
+            m = _truncated(Q5, m, digits)[None]
+            got = determinant_failure(Q5, m)
+            assert got == _padic_gate_by_gauss_jordan(Q5, m)
+            assert (got is None) is fits
+            assert gauss_jordan(exact_form(m[0]), inverse=False)[0] != 1
+
+
+def test_a_passing_2x2_padic_stack_makes_no_elimination(monkeypatch):
+    seen = []
+    original = gauss_jordan
+    monkeypatch.setattr("pingpong.cartan.gauss_jordan",
+                        lambda a, inverse=True: seen.append(a.shape) or original(a, inverse))
+    rng = random.Random(23)
+    stack = np.array([random_sl_padic(rng, Q5, 2).entries for _ in range(12)])
+    stack3 = np.array([random_sl_padic(rng, Q5, 3).entries for _ in range(2)])
+    seen.clear()
+    assert determinant_failure(Q5, stack) is None
+    assert seen == []
+    assert determinant_failure(Q5, stack3) is None
+    assert seen == [(3, 3), (3, 3)]
+
+
+def _bilip_by_element(matrices):
+    """bilip_constants over Q_p as it looped: the digit floor, then the
+    inverse, element by element."""
+    constants = []
+    for g in matrices:
+        _check_digits(g)
+        top = min(c.valuation for row in g.entries for c in row)
+        inverse_top = min(c.valuation for row in g.inverse().entries for c in row)
+        constants.append(float(g.field.prime) ** (-2 * (top + inverse_top)))
+    return constants
+
+
+def _fresh(matrices):
+    return [SLMatrix(g.field, g.entries, check=False) for g in matrices]
+
+
+def test_padic_bilip_constants_make_one_adjugate_call_per_set(monkeypatch):
+    calls = []
+    original = _adjugate
+    monkeypatch.setattr("pingpong.cartan._adjugate",
+                        lambda entries: calls.append(entries.shape) or original(entries))
+    rng = random.Random(29)
+    for n in (2, 3):
+        gs = [random_sl_padic(rng, Q5, n) for _ in range(6)]
+        calls.clear()
+        got = bilip_constants(gs + gs[:2])
+        assert calls == [(6, n, n)]
+        assert got == _bilip_by_element(_fresh(gs + gs[:2]))
+
+
+def _worn(field, g, digits):
+    return SLMatrix(field, [[PadicScalar(field, c.value, digits) for c in row]
+                            for row in g.entries], check=False)
+
+
+def test_padic_bilip_constants_raise_the_first_error_of_the_loop():
+    rng = random.Random(31)
+    for n in (2, 3):
+        gs = [random_sl_padic(rng, Q5, n) for _ in range(4)]
+        gs[2] = _worn(Q5, gs[2], n)  # under the floor of n + 1 digits
+        with pytest.raises(PrecisionExhaustedError) as want:
+            _bilip_by_element(_fresh(gs))
+        fresh = _fresh(gs)
+        with pytest.raises(PrecisionExhaustedError) as got:
+            bilip_constants(fresh)
+        assert str(got.value) == str(want.value) == (
+            f"matrix entries carry {n} digits; decomposition in dimension {n} "
+            f"needs at least {n + 1}")
+        # the elements before the failure have their inverses, the rest none
+        assert [g._inverse is not None for g in fresh] == [True, True, False, False]
+    # an earlier element whose inverse runs out of digits raises first, as in the loop
+    field = padic(5, 4)
+    for _ in range(400):
+        g = random_sl_padic(rng, field, 3, val_range=3)
+        try:
+            _fresh([g])[0].inverse()
+        except PrecisionExhaustedError:
+            break
+    else:
+        pytest.fail("no matrix whose inverse runs out of digits")
+    worn = _worn(field, random_sl_padic(rng, field, 3), 3)
+    for gs in ([g, worn], [worn, g]):
+        with pytest.raises(PrecisionExhaustedError) as want:
+            _bilip_by_element(_fresh(gs))
+        with pytest.raises(PrecisionExhaustedError) as got:
+            bilip_constants(_fresh(gs))
+        assert str(got.value) == str(want.value)
+
+
+def _adjugate_by_sign_products(entries):
+    """_adjugate for n >= 3 as it multiplied each cofactor by (-1)^(i+j)."""
+    n = entries.shape[-1]
+    keep = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    minors = entries[..., keep[None, :, :, None], keep[:, None, None, :]]
+    return (-1) ** np.add.outer(np.arange(n), np.arange(n)) * _dets(minors)
+
+
+def test_negated_cofactors_are_the_sign_products():
+    # bytes over R, and over C on entries with no zero part: there a product
+    # by -1 + 0j or 1 + 0j can change the sign of a zero part, and negation
+    # does not; values and digits over Q_5
+    rng = np.random.default_rng(37)
+    for n in (3, 4, 5):
+        real = rng.normal(size=(6, n, n)) * 10.0 ** rng.integers(-3, 4, size=(6, 1, 1))
+        for stack in (real, real + 1j * rng.normal(size=real.shape)):
+            assert _adjugate(stack).tobytes() == _adjugate_by_sign_products(stack).tobytes()
+    exact = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [3.0, 0.0, 7.0]])
+    assert _adjugate(exact).tobytes() == _adjugate_by_sign_products(exact).tobytes()
+    prng = random.Random(37)
+    for n in (3, 4):
+        for field in (Q5, padic(5, 6)):
+            stack = np.array([random_sl_padic(prng, field, n).entries for _ in range(4)])
+            assert _same_entries(_adjugate(stack), _adjugate_by_sign_products(stack))

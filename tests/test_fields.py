@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    FractionPadicScalar,
     padic_add_by_init,
     padic_div_by_init,
     padic_mul_by_init,
@@ -280,3 +282,107 @@ def test_padic_operators_match_oracle_on_edge_cases():
         _assert_operators_match_init(x, y)
     assert (f.zero() / worn).digits == f.precision
     assert (PadicScalar(f, 1, 9) + PadicScalar(f, 5, 9)).digits == f.precision
+
+
+# PadicScalar on two ints against the class it replaced, which held a Fraction
+
+def _observed(op, *args):
+    """What an operation gives, for either class: the result's field, value,
+    digits and valuation, or the error's type and message."""
+    try:
+        r = op(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(r, PadicScalar):
+        # the ints are the value in lowest terms, an exact zero 0/1
+        assert r.den > 0 and math.gcd(r.num, r.den) == 1
+    elif not isinstance(r, FractionPadicScalar):
+        return r
+    return r.field, r.value, type(r.value), r.digits, r.valuation
+
+
+_ORACLE_OPERATORS = [
+    operator.add, lambda x, y: y + x, operator.sub, lambda x, y: y - x,
+    operator.mul, lambda x, y: y * x, operator.truediv, lambda x, y: y / x,
+]
+
+
+@st.composite
+def _padic_values(draw, prime):
+    """u p^v with u a p-adic unit and v in -6..6, or an exact zero."""
+    if draw(st.integers(0, 9)) == 0:
+        return Fraction(0)
+    num = draw(st.integers(0, 3000)) * prime + draw(st.integers(1, prime - 1))
+    den = draw(st.integers(0, 300)) * prime + draw(st.integers(1, prime - 1))
+    sign = draw(st.sampled_from([1, -1]))
+    return Fraction(sign * num, den) * Fraction(prime) ** draw(st.integers(-6, 6))
+
+
+@st.composite
+def _oracle_operands(draw):
+    """(field, x, y): x is (value, digits) of a scalar of field; y is one too,
+    of the field, of an equal FieldSpec or of a foreign one, or a scalar
+    that cancels x in part or exactly, or an int, a Fraction or a float."""
+    prime, precision = draw(st.sampled_from([(5, 3), (5, 40), (3, 3), (3, 40), (5, 7), (3, 12)]))
+    field = padic(prime, precision)
+    x = (draw(_padic_values(prime)), draw(st.integers(1, precision)))
+    kind = draw(st.sampled_from(["scalar", "equal field", "cancels", "foreign", "int",
+                                 "fraction", "float"]))
+    if kind in ("scalar", "equal field", "foreign"):
+        other = {"scalar": field, "equal field": padic(prime, precision),
+                 "foreign": padic(7 if prime == 5 else 5, precision)}[kind]
+        y = ("scalar", other, draw(_padic_values(other.prime)),
+             draw(st.integers(1, other.precision)))
+    elif kind == "cancels":
+        k = draw(st.integers(0, precision + 4))
+        y = ("scalar", field, draw(st.sampled_from([1, -1])) * x[0]
+             + draw(_padic_values(prime)) * Fraction(prime) ** k, draw(st.integers(1, precision)))
+    elif kind == "int":
+        y = ("plain", draw(st.sampled_from([0, 1, -1, prime, -prime ** 3]))
+             if draw(st.booleans()) else draw(st.integers(-10 ** 6, 10 ** 6)))
+    elif kind == "fraction":
+        y = ("plain", draw(_padic_values(prime)))
+    else:
+        y = ("plain", 0.5)
+    return field, x, y
+
+
+def _build(cls, field, x, y):
+    scalar = cls(field, *x)
+    other = cls(*y[1:]) if y[0] == "scalar" else y[1]
+    return scalar, other
+
+
+@settings(max_examples=800, deadline=None)
+@given(_oracle_operands())
+def test_padic_scalar_matches_the_fraction_oracle(operands):
+    new, old = _build(PadicScalar, *operands), _build(FractionPadicScalar, *operands)
+    assert _observed(operator.neg, new[0]) == _observed(operator.neg, old[0])
+    for op in _ORACLE_OPERATORS:
+        assert _observed(op, *new) == _observed(op, *old)
+    (x, y), (ox, oy) = new, old
+    assert (x == y, y == x, x != y) == (ox == oy, oy == ox, ox != oy)
+    assert (hash(x), bool(x), abs(x), repr(x)) == (hash(ox), bool(ox), abs(ox), repr(ox))
+    assert x.value == ox.value and type(x.value) is Fraction
+    for count in (None, 1, 5):
+        assert _observed(x.unit_digits, count) == _observed(ox.unit_digits, count)
+
+
+_ORACLE_FIELDS = [padic(5, 3), padic(5, 40), padic(3, 3), padic(3, 40)]
+
+
+@pytest.mark.parametrize("field", _ORACLE_FIELDS + [REAL])
+def test_padic_scalar_reads_what_the_fraction_oracle_reads(field):
+    values = [0, 1, -1, 7, -125, 3 ** 30 * 5 ** 9, True, Fraction(3, 25), Fraction(-250, 3),
+              "3/25", "-7", " 7 ", "x", "1/0", 0.5, None, 1 + 2j]
+    for value, digits in itertools.product(values, [None, 1, 2, 0, -1, 50]):
+        assert (_observed(PadicScalar, field, value, digits)
+                == _observed(FractionPadicScalar, field, value, digits))
+
+
+@pytest.mark.parametrize("field", _ORACLE_FIELDS)
+def test_from_unit_digits_matches_the_fraction_oracle(field):
+    for val, unit_digits in itertools.product(
+            [-6, -1, 0, 1, 6], [[1], [2, 4, 1], [1, 0, 0, 2], [7, -1], [0, 1], []]):
+        assert (_observed(PadicScalar.from_unit_digits, field, val, unit_digits)
+                == _observed(FractionPadicScalar.from_unit_digits, field, val, unit_digits))
