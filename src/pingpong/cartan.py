@@ -7,17 +7,19 @@ with |a_1| >= ... >= |a_n|, k and k' in the maximal compact subgroup, and the
 norm identities ||g|| = |a_1|, ||wedge^2 g|| = |a_1 a_2|.  bilip_constants
 needs only |a_1| and |a_n| and makes no decomposition: over R and C one
 stacked SVD gives them for a whole set, over Q_p the entries of each g and
-of its inverse.  inverses fills the inverse of a whole set from one stacked
-_adjugate.  determinant_failure is the one determinant gate: it checks a
-whole stack, over R and C with one stacked np.linalg.det, and
-SLMatrix._check_det runs it on a stack of one.
+of its inverse, every inverse of the set from one inverses call.  inverses
+fills the inverse of a whole set from one stacked _adjugate.
+determinant_failure is the one determinant gate: it checks a whole stack,
+over R and C with one stacked np.linalg.det, over Q_p matrix by matrix, a
+2 x 2 one on the ints of its entries (ad - bc against D^2, D their common
+denominator), and SLMatrix._check_det runs it on a stack of one.
 
 Exact linear algebra has one implementation, gauss_jordan: the determinant
-gate on input (over Q_p, and over R and C on the stored dyadic entries when
-the float gate is too wide to decide det = 1), the falsifier's exact
-adjugates, and over Q_p _dets: the n >= 3 cofactors of the inverse, which is
-the adjugate for every field, and the minors of exterior_power.  Where only
-a determinant is wanted it runs forward only.  Its exact input is
+gate on input (over Q_p for n >= 3, and over R and C on the stored dyadic
+entries when the float gate is too wide to decide det = 1), the falsifier's
+exact adjugates, and over Q_p _dets: the n >= 3 cofactors of the inverse,
+which is the adjugate for every field, and the minors of exterior_power.
+Where only a determinant is wanted it runs forward only.  Its exact input is
 exact_form, the stored values for every field: Fractions over R and Q_p,
 and over C GaussianRationals, whose real and imaginary parts are Fractions,
 so the complex gate sees the phase of a determinant as well as its modulus.
@@ -215,7 +217,8 @@ def determinant_failure(field: FieldSpec, stack: np.ndarray):
     """(index, message) of the first matrix of a (k, n, n) stack whose det is
     not 1 as far as its stored entries tell, or None when every one passes.
 
-    Over Q_p, matrix by matrix, det = 1 to the digits held.  Over R and C
+    Over Q_p, matrix by matrix, det = 1 to the digits held, the det from
+    _padic_det.  Over R and C
     one stacked np.linalg.det gives the float det of each matrix, which must
     lie within _float_gates' width of 1; where that width reaches 1, the exact
     det d of the dyadic entries A decides: d must be nonzero with
@@ -516,18 +519,19 @@ def bilip_constants(matrices) -> list:
     decomposition: (||g|| ||g^(-1)||)^2, as |a_1| = ||g||, 1/|a_n| = ||g^(-1)||.
 
     Over R and C one SVD of the stack gives the singular values, and each
-    ratio is squared as a Python float, as the decomposition's are.  Over Q_p,
-    one by one, k and k' lie in GL_n(Z_p) and keep the sup norm, so the
-    constant is p^(-2 (min v(g_ij) + min v((g^(-1))_ij))), read off g and its
-    cached inverse: the Smith form's exponent 2 (v(a_n) - v(a_1)), so the
-    same float.  The decomposition's digit floor is checked before the inverse.
+    ratio is squared as a Python float, as the decomposition's are.  Over Q_p
+    k and k' lie in GL_n(Z_p) and keep the sup norm, so the constant is
+    p^(-2 (min v(g_ij) + min v((g^(-1))_ij))), read off g and its cached
+    inverse: the Smith form's exponent 2 (v(a_n) - v(a_1)), so the same
+    float.  The decomposition's digit floor is checked element by element,
+    and one inverses call fills the inverses of the elements before the
+    first that fails, so the error raised is the one a loop over the
+    elements, floor then inverse, would raise first.
     """
     matrices = tuple(matrices)
     if matrices and not matrices[0].field.is_padic:
         s = _svd(np.array([g.entries for g in matrices]))[1]
         return [(a / b) ** 2 for a, b in zip(s[:, 0].tolist(), s[:, -1].tolist())]
-    # the digit floor element by element, then every inverse before the first
-    # failure from one inverses call, so the first error is the loop's
     checked, failure = [], None
     for g in matrices:
         try:

@@ -1,10 +1,12 @@
 """Scalar arithmetic over the local fields R, C and Q_p.
 
 Archimedean scalars are plain Python floats and complexes.  p-adic scalars
-are backed by exact rationals together with a count of known significant
-digits, mimicking a fixed-precision p-adic model: arithmetic propagates the
-digit count, and an operation whose nonzero result would retain less than
-one known digit raises PrecisionExhaustedError instead of returning noise.
+are exact rationals, held as two plain ints (numerator, and a positive
+denominator in lowest terms) and read as a Fraction through their value
+property, together with a count of known significant digits, mimicking a
+fixed-precision p-adic model: arithmetic propagates the digit count, and an
+operation whose nonzero result would retain less than one known digit
+raises PrecisionExhaustedError instead of returning noise.
 Exact cancellation yields an exact zero, so structural identities such as
 x - x = 0 hold on the nose.  The operators take each result's valuation from
 their operands: a product's is the sum, a quotient's the difference, a

@@ -234,7 +234,7 @@ def test_a_padic_ndarray_input_is_copied_once(monkeypatch):
     # anything else is read entry by entry, and fails as it did
     SLMatrix(Q5, np.array([[1, 0], [0, 1]], dtype=object))
     assert calls == [1, 0, 0, 1]
-    foreign = np.array([[padic(7).scalar(1), 0], [0, 1]], dtype=object)
+    foreign = np.array([[padic(7).scalar(x) for x in row] for row in ([1, 0], [0, 1])])
     with pytest.raises(DomainError, match="scalar belongs to Q_7"):
         SLMatrix(Q5, foreign)
 

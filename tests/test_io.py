@@ -374,7 +374,7 @@ def test_a_rat_string_decodes_to_the_value_fraction_gives(text):
 
 
 @pytest.mark.parametrize("text", ["--7", "-", "", "1__0", "_1", "7_", "0x10", "1/0", "7 7",
-                                  "٧/0", None,
+                                  "٧/0", "²", "-²", None,
                                   # past int's default limit on digit strings
                                   pytest.param("7" * 5000, id="5000-digits"),
                                   pytest.param("-" + "7" * 5000, id="minus-5000-digits")])
