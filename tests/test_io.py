@@ -304,6 +304,57 @@ def test_a_bad_entry_in_a_list_keeps_its_message(tmp_path, kind, entry, message)
     assert (err.path, str(err)) == ("generators[1][1][0]", f"generators[1][1][0]: {message}")
 
 
+def so3_elements(count=24, seed=3) -> list:
+    """count Haar-random rotations of R^3 as lists of floats."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(count):
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        mats.append(q.tolist())
+    return mats
+
+
+def so3_text(kind, index, entry, bad_det=False) -> str:
+    """A 24-matrix SO(3) separating set over R or C (as [re, im] pairs), with
+    entry [1][2] of matrix index written as the JSON text entry, and with
+    matrix 5's determinant 2 if bad_det."""
+    mats = so3_elements()
+    if bad_det:
+        mats[5][0] = [2 * x for x in mats[5][0]]
+    if kind == "complex":
+        mats = [[[[x, 0.0] for x in row] for row in g] for g in mats]
+    mats[index][1][2] = "BAD"
+    return json.dumps(elements_doc(mats, kind)).replace('"BAD"', entry)
+
+
+# json reads NaN, Infinity and 1e400 as the floats nan, inf and inf
+@pytest.mark.parametrize("text, value", [("NaN", "nan"), ("Infinity", "inf"), ("1e400", "inf")])
+@pytest.mark.parametrize("kind, form", [("real", "plain"), ("complex", "plain"),
+                                        ("complex", "pair")])
+@pytest.mark.parametrize("index", [0, 23])
+def test_a_non_finite_entry_of_a_long_list_keeps_its_message(tmp_path, text, value, kind, form,
+                                                              index):
+    entry, got = (text, value) if form == "plain" else (f"[0.5, {text}]", f"[0.5, {value}]")
+    path = tmp_path / "F.json"
+    path.write_text(so3_text(kind, index, entry))
+    with pytest.raises(InputError) as err:
+        io.load_separating_set(path)
+    want = ("expected a finite real number" if kind == "real"
+            else "expected a finite number or [re, im]") + f", got {got}"
+    where = f"elements[{index}][1][2]"
+    assert (err.value.path, str(err.value)) == (where, f"{where}: {want}")
+    if index:
+        # a bad determinant before it is reported first
+        path.write_text(so3_text(kind, index, entry, bad_det=True))
+        with pytest.raises(InputError) as err:
+            io.load_separating_set(path)
+        assert err.value.path == "elements[5]"
+        assert str(err.value).startswith("elements[5]: determinant")
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["R", "C"])
 def test_the_stack_holds_what_decode_scalar_reads(field):
     # ints past 2^53, -0.0, the largest float, and over C bare numbers beside pairs

@@ -91,6 +91,20 @@ def test_unit_chunks_are_the_per_chunk_streams(field):
         assert chunk.tobytes() == (x / np.linalg.norm(x, axis=1)[:, None]).tobytes()
 
 
+def test_padic_chunks_are_the_per_chunk_streams():
+    count, seed, n = 2 * CHUNK_SIZE + 37, 40, 2
+    chunks = list(padic_point_chunks(Q5, n, count, seed))
+    assert [len(x) for x in chunks] == [CHUNK_SIZE, CHUNK_SIZE, 37]
+    for k, chunk in enumerate(chunks):
+        want = stream_rows(Q5, n, [seed + k], len(chunk))[0]
+        assert chunk.shape == want.shape == (len(chunk), n)
+        assert ([[(x.value, x.digits) for x in row] for row in chunk]
+                == [[(x.value, x.digits) for x in row] for row in want])
+        rng = random.Random(seed + k)
+        assert [[x.value for x in row] for row in chunk] == [
+            list(padic_unit_coords(rng, Q5, n)) for _ in range(len(chunk))]
+
+
 def test_chunks_hash_every_chunk_seed_in_one_pass(monkeypatch):
     calls = []
     original = sampling._pcg64_states
