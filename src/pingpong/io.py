@@ -4,17 +4,18 @@ One document format everywhere: the field specification sits at the
 document root and every matrix, point and form inside inherits it.
 Scalars encode as plain numbers over R, [re, im] pairs over C, and either
 {"rat": "a/b"} or {"val": j, "unit_digits": [d0, d1, ...]} over Q_p
-(little-endian base-p digits).  Schema violations raise InputError with a
+(little-endian base-p digits, each in 0..p-1); a rat is a string or an
+int, never a float.  Schema violations raise InputError with a
 dotted path to the offending location, e.g. "generators[1][0][2]".
 
-Every list of matrices, and a single matrix as a list of one, is read into
-one (k, n, n) stack in one pass: over R and C, matrices of plain JSON
-numbers are taken as they are, with one np.isfinite over the stack, and
-decode_scalar, the one definition of a valid scalar, reads every other
-matrix and names the first bad entry; over Q_p it reads every entry.  One
-cartan.determinant_failure call gates the whole stack.  The first error in
-list order is the one raised, with the message and path of a matrix read
-alone.
+Every list of matrices, and a single matrix as a list of one, is read in
+one pass into one (k, n, n) stack of the field's own scalars: float,
+complex or PadicScalar.  Over R and C a matrix of finite plain JSON numbers
+is taken as it is; decode_scalar, the one definition of a valid scalar,
+reads every other matrix and names its first bad entry, and over Q_p it
+reads every entry.  One cartan.determinant_failure call gates the stack.
+The first error in list order is the one raised, with the message and path
+of a matrix read alone.
 
 Report numerics are wrapped in {"value", "provenance"} pairs so a reader
 can tell exact arithmetic from toleranced checks and Monte-Carlo
@@ -154,6 +155,8 @@ def decode_scalar(field: FieldSpec, obj, where: str):
             # an ASCII integer is read by int, which gives the value Fraction would
             if type(text) is str and text.isascii() and text.removeprefix("-").isdigit():
                 return PadicScalar(field, int(text))
+            if isinstance(text, (bool, float)):
+                raise TypeError(f"expected a string or an integer, got a {type(text).__name__}")
             return field.scalar(Fraction(text))
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise InputError(f"bad rational {obj['rat']!r}: {exc}", path=where)
@@ -167,9 +170,14 @@ def decode_scalar(field: FieldSpec, obj, where: str):
             raise InputError("unit_digits must be a nonempty list of integers",
                              path=where + ".unit_digits")
         try:
-            return PadicScalar.from_unit_digits(field, val, digits)
+            x = PadicScalar.from_unit_digits(field, val, digits)
         except CertificationError as exc:
             raise InputError(str(exc), path=where)
+        p = field.prime
+        if not all(0 <= d < p for d in digits):
+            raise InputError(f"unit_digits must be base-{p} digits 0..{p - 1}, got {digits!r}",
+                             path=where + ".unit_digits")
+        return x
     raise InputError(f'expected an integer, {{"rat": "a/b"}} or '
                      f'{{"val", "unit_digits"}}, got {obj!r}', path=where)
 
@@ -199,78 +207,69 @@ def load_matrix(path) -> SLMatrix:
     return decode_matrix(field, doc["matrix"], "matrix")
 
 
-def _decode_rows(field: FieldSpec, obj, where: str) -> list:
-    """The rows of one matrix, scalar by scalar through decode_scalar; the
+def _decode_entries(field: FieldSpec, obj, where: str) -> list:
+    """The entries of one matrix, row by row, each through decode_scalar; the
     InputError of the first bad row or entry, in reading order."""
     if not isinstance(obj, list) or not obj:
         raise InputError("matrix must be a nonempty array of rows", path=where)
     n = len(obj)
-    rows = []
+    entries = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != n:
             raise InputError(f"row {i} must be an array of {n} scalars",
                              path=f"{where}[{i}]")
-        rows.append([decode_scalar(field, entry, f"{where}[{i}][{j}]")
-                     for j, entry in enumerate(row)])
-    return rows
+        entries.extend(decode_scalar(field, entry, f"{where}[{i}][{j}]")
+                       for j, entry in enumerate(row))
+    return entries
 
 
 _PLAIN = {float, int}
+_DTYPES = {Kind.REAL: np.float64, Kind.COMPLEX: np.complex128, Kind.PADIC: object}
 
 
 def _plain_entries(field: FieldSpec, obj, n: int):
-    """The n * n entries of obj, row by row, when it is n >= 2 rows of n plain
-    JSON numbers over R, or over C of plain numbers and [re, im] pairs of them,
-    each entry as a pair; None when any of it needs decode_scalar to judge.
-    An int must lie in the float range; a float may still be non-finite."""
+    """The n * n entries of obj, row by row, when it is n >= 2 rows of n finite
+    plain JSON numbers over R, or over C of such numbers and [re, im] pairs of
+    them, each pair as a complex; None when any of it needs decode_scalar to
+    judge.  An int must lie in the float range before math.isfinite reads it."""
     if (n < 2 or type(obj) is not list or len(obj) != n
             or not all(type(row) is list and len(row) == n for row in obj)):
         return None
     entries = list(itertools.chain.from_iterable(obj))
+    pairs = [x for x in entries if type(x) is list] if field.kind is Kind.COMPLEX else []
     numbers = entries
-    if field.kind is Kind.COMPLEX:
-        entries = [x if type(x) is list else [x, 0.0] for x in entries]
-        if set(map(len, entries)) != {2}:
+    if pairs:
+        if any(len(x) != 2 for x in pairs):
             return None
-        numbers = list(itertools.chain.from_iterable(entries))
+        numbers = [x for x in entries if type(x) is not list] + list(
+            itertools.chain.from_iterable(pairs))
     types = set(map(type, numbers))
-    if not types <= _PLAIN or int in types and not all(
-            abs(x) <= sys.float_info.max for x in numbers if type(x) is int):
+    if (not types <= _PLAIN
+            or int in types and not all(
+                abs(x) <= sys.float_info.max for x in numbers if type(x) is int)
+            or not all(map(math.isfinite, numbers))):
         return None
-    return entries
+    return [complex(*x) if type(x) is list else x for x in entries] if pairs else entries
 
 
 def _stack(field: FieldSpec, entries: list, n: int) -> np.ndarray:
-    """The (k, n, n) field array of k matrices' entries from _entries."""
-    if field.is_padic:
-        return np.array(entries, dtype=object).reshape(len(entries), n, n)
-    stack = np.array(entries, dtype=np.float64)
-    if field.kind is Kind.COMPLEX:
-        stack = stack.view(np.complex128)
-    return stack.reshape(len(entries), n, n)
-
-
-def _entries(field: FieldSpec, rows: list) -> list:
-    """decode_scalar's rows as _plain_entries gives them: over C as pairs."""
-    entries = list(itertools.chain.from_iterable(rows))
-    if field.kind is Kind.COMPLEX:
-        return [[z.real, z.imag] for z in entries]
-    return entries
+    """The (k, n, n) field array of k matrices' entries, each a flat list of scalars."""
+    return np.array(entries, dtype=_DTYPES[field.kind]).reshape(len(entries), n, n)
 
 
 def _read(field: FieldSpec, matrix, where: str, n, first: str) -> list:
-    """The entries of one matrix of a list, as _plain_entries gives them; n is
-    the size of the list's matrix 0, at the path first, and None for matrix 0
-    itself.  A matrix of another size passes its determinant gate first."""
+    """The entries of one matrix of a list, row by row, as the field's
+    scalars; n is the size of the list's matrix 0, at the path first, and
+    None for matrix 0 itself.  A matrix of another size passes its
+    determinant gate first."""
     size = n if n is not None else len(matrix) if type(matrix) is list else 0
     entries = None if field.is_padic else _plain_entries(field, matrix, size)
     if entries is not None:
         return entries
-    rows = _decode_rows(field, matrix, where)
-    m = len(rows)
+    entries = _decode_entries(field, matrix, where)
+    m = len(matrix)
     if m < 2:
         raise InputError("matrix must be square of size at least 2", path=where)
-    entries = _entries(field, rows)
     if n is not None and m != n:
         bad = determinant_failure(field, _stack(field, [entries], m))
         raise InputError(bad[1] if bad else f"a {m}x{m} matrix, but {first} is {n}x{n}",
@@ -282,16 +281,15 @@ def _decode_matrices(field: FieldSpec, obj: list, paths: list) -> list:
     """The SLMatrix of each matrix of a nonempty list, all of the size of the
     first; paths[i] is where matrix i sits in its document.
 
-    One pass over the list reads every matrix into one (k, n, n) stack: over
-    R and C a matrix of plain JSON numbers is taken as it is and checked for
-    finiteness with the whole stack by one np.isfinite, and any other matrix
-    is read scalar by scalar through decode_scalar, the one definition of a
-    valid scalar, which also names the first bad entry, and the NaN or
-    infinite plain float of the first matrix that is not finite.  Over Q_p
-    every matrix is read scalar by scalar.  One determinant_failure call then
-    gates the stack.  The first error in list order is raised; within one
-    matrix the shape comes first, then the entries, then the size of at least
-    2, the determinant and the size of matrix 0.
+    One pass over the list reads every matrix into one (k, n, n) stack of the
+    field's scalars: over R and C a matrix of finite plain JSON numbers is
+    taken as it is, and any other matrix is read scalar by scalar through
+    decode_scalar, the one definition of a valid scalar, which also names the
+    first bad entry.  Over Q_p every matrix is read scalar by scalar.  The
+    pass stops at the first matrix in error, and one determinant_failure call
+    gates the matrices before it.  So the first error in list order is
+    raised; within one matrix the shape comes first, then the entries, then
+    the size of at least 2, the determinant and the size of matrix 0.
     """
     read, failure = [], None
     for matrix, where in zip(obj, paths):
@@ -303,16 +301,7 @@ def _decode_matrices(field: FieldSpec, obj: list, paths: list) -> list:
     if not read:
         raise failure
     stack = _stack(field, read, len(obj[0]))
-    if not field.is_padic:
-        nonfinite = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2))).tolist()
-        if nonfinite:
-            index = nonfinite[0]
-            stack = stack[:index]
-            try:
-                _decode_rows(field, obj[index], paths[index])
-            except InputError as exc:
-                failure = exc
-    bad = determinant_failure(field, stack) if len(stack) else None
+    bad = determinant_failure(field, stack)
     if bad is not None:
         raise InputError(bad[1], path=paths[bad[0]])
     if failure is not None:
@@ -320,24 +309,23 @@ def _decode_matrices(field: FieldSpec, obj: list, paths: list) -> list:
     return [SLMatrix(field, entries, check=False) for entries in stack]
 
 
-def load_generators(path):
+def _load_matrices(path, key: str):
+    """The document at path, and the SLMatrix list under its key."""
     doc = load_document(path)
     field = parse_field(doc)
-    gens = doc.get("generators")
-    if not isinstance(gens, list) or not gens:
-        raise InputError('document needs a nonempty "generators" array',
-                         path="generators")
-    return _decode_matrices(field, gens, [f"generators[{i}]" for i in range(len(gens))])
+    matrices = doc.get(key)
+    if not isinstance(matrices, list) or not matrices:
+        raise InputError(f'document needs a nonempty "{key}" array', path=key)
+    return doc, _decode_matrices(field, matrices,
+                                 [f"{key}[{i}]" for i in range(len(matrices))])
+
+
+def load_generators(path):
+    return _load_matrices(path, "generators")[1]
 
 
 def load_separating_set(path) -> SeparatingSet:
-    doc = load_document(path)
-    field = parse_field(doc)
-    elements = doc.get("elements")
-    if not isinstance(elements, list) or not elements:
-        raise InputError('document needs a nonempty "elements" array', path="elements")
-    decoded = _decode_matrices(field, elements,
-                               [f"elements[{i}]" for i in range(len(elements))])
+    doc, elements = _load_matrices(path, "elements")
     m, r = doc.get("m"), doc.get("r")
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputError('document needs an integer "m"', path="m")
@@ -347,7 +335,7 @@ def load_separating_set(path) -> SeparatingSet:
         raise InputError('document needs a numeric separation radius "r"', path="r")
     if not r > 0:
         raise InputError(f"separation radius must be positive, got {r}", path="r")
-    return SeparatingSet(decoded, m, float(r))
+    return SeparatingSet(elements, m, float(r))
 
 
 def report_text(report) -> str:

@@ -1,15 +1,17 @@
 """Seed-deterministic sample streams over projective spaces.
 
-Every generator of the package is built here.  stream_rows is the one
-stream definition, one stream per seed; its callers take seed + chunk
-index (the sample chunks), seed + trial (separation's configurations) and
-seed + attempt (the very-contracting step's probe noise).
+Every generator of the package is built here.  _blocks is the one stream
+definition, one stream per seed, over every field; stream_rows stacks its
+blocks, and its callers take seed + chunk index (the sample chunks), seed +
+trial (separation's configurations) and seed + attempt (the very-contracting
+step's probe noise over R and C).
 
 Over R and C the stream of seed s is numpy's PCG64 seeded through
 SeedSequence(s), bit for bit.  One reused Generator draws every stream: the
 PCG64 states of all seeds of a call come from one stacked SeedSequence hash
 (_pcg64_states), and each state is set on the generator before its draws.
-So two threads must not draw streams at the same time.
+So two threads must not draw streams at the same time.  Over Q_p the stream
+of seed s is random.Random(s).
 """
 
 import functools
@@ -130,10 +132,17 @@ def _pcg64_states(seeds) -> list:
     return states
 
 
-def _normal_blocks(field: FieldSpec, n: int, seeds: list, counts):
-    """Per seed s and count c, the (c, n) rows of stream s over R or C: its
-    normal draws, real parts, then over C the imaginary parts.  Every state
-    is hashed at the first block; each block sets its own on the generator."""
+def _blocks(field: FieldSpec, n: int, seeds: list, counts):
+    """Per Python int seed s and count c, the (c, n) rows of stream s: over R
+    and C its normal draws, real parts, then over C the imaginary parts; over
+    Q_p c padic_unit_coords draws of random.Random(s), as a field array.  Every
+    seed is checked, and over R and C hashed, at the first block; a negative
+    one raises ValueError."""
+    if field.is_padic:
+        for rng, count in zip(map(random.Random, _nonnegative(seeds)), counts):
+            coords = [padic_unit_coords(rng, field, n) for _ in range(count)]
+            yield as_field_array(field, coords, 2)
+        return
     generator = _generator()
     for (state, inc), count in zip(_pcg64_states(seeds), counts):
         generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
@@ -145,29 +154,14 @@ def _normal_blocks(field: FieldSpec, n: int, seeds: list, counts):
 
 
 def stream_rows(field: FieldSpec, n: int, seeds: list, count: int) -> np.ndarray:
-    """(S, count, n) rows, block s drawn by the stream of Python int seeds[s]:
-    over R and C the normal draws of PCG64 seeded by SeedSequence(s), the
-    real parts, then over C the imaginary parts, all from one reused
-    generator whose state is set from each seed; over Q_p count
-    padic_unit_coords draws of random.Random(s), as a field array.  A
-    negative seed raises ValueError over every field."""
-    if field.is_padic:
-        coords = [padic_unit_coords(rng, field, n)
-                  for rng in map(random.Random, _nonnegative(seeds)) for _ in range(count)]
-        return as_field_array(field, coords, 2).reshape(len(seeds), count, n)
-    return np.array(list(_normal_blocks(field, n, seeds, [count] * len(seeds))))
+    """(S, count, n) rows, block s the rows of stream seeds[s] (_blocks)."""
+    return np.array(list(_blocks(field, n, seeds, [count] * len(seeds))))
 
 
 def _chunks(field: FieldSpec, n: int, count: int, seed: int):
-    """Chunk k: CHUNK_SIZE rows (fewer in the last) of stream seed + k; over
-    R and C every chunk's state comes from one hash, drawn chunk by chunk."""
+    """Chunk k: CHUNK_SIZE rows (fewer in the last) of stream seed + k."""
     sizes = [min(CHUNK_SIZE, count - start) for start in range(0, count, CHUNK_SIZE)]
-    seeds = [seed + index for index in range(len(sizes))]
-    if field.is_padic:
-        for s, size in zip(seeds, sizes):
-            yield stream_rows(field, n, [s], size)[0]
-    else:
-        yield from _normal_blocks(field, n, seeds, sizes)
+    return _blocks(field, n, [seed + index for index in range(len(sizes))], sizes)
 
 
 def archimedean_unit_chunks(field: FieldSpec, n: int, count: int, seed: int):
@@ -208,4 +202,4 @@ def probe_offset(field: FieldSpec, n: int, seed: int) -> np.ndarray:
         rng = random.Random(_nonnegative([seed])[0])
         span = field.prime ** max(field.precision - 2, 1)
         return as_field_array(field, [field.prime ** 2 * rng.randrange(span) for _ in range(n)], 1)
-    return stream_rows(field, n, [seed], 1)[0, 0] * 1e-2
+    return next(_blocks(field, n, [seed], [1]))[0] * 1e-2

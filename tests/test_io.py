@@ -438,6 +438,34 @@ def test_a_bad_rat_string_keeps_its_message_and_path(text):
         "m[0][1]", f"m[0][1]: bad rational {text!r}: {want.value}")
 
 
+# json reads these as 0.1, True and inf: only a string or an int is a rational
+@pytest.mark.parametrize("text, value", [("0.1", 0.1), ("true", True), ("1e400", math.inf)])
+def test_a_rat_float_or_bool_is_exit_2_with_its_path(tmp_path, capsys, text, value):
+    path = tmp_path / "g.json"
+    path.write_text('{"field": {"kind": "padic", "prime": 5}, '
+                    f'"matrix": [[1, {{"rat": {text}}}], [0, 1]]}}')
+    assert run(["cartan", "--in", str(path)]) == EXIT_INPUT
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload == {"error": f"matrix[0][1]: bad rational {value!r}: expected a string or "
+                                f"an integer, got a {type(value).__name__}",
+                       "path": "matrix[0][1]"}
+
+
+@pytest.mark.parametrize("digits", [[7], [1, -1], [1, 5], [2, 0, 10]])
+def test_a_unit_digit_outside_0_to_p_minus_1_is_exit_2_with_its_path(tmp_path, capsys, digits):
+    path = write(tmp_path, "g.json", padic_entry({"val": 0, "unit_digits": digits}))
+    assert run(["cartan", "--in", str(path)]) == EXIT_INPUT
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    where = "matrix[0][0].unit_digits"
+    assert payload == {"error": f"{where}: unit_digits must be base-5 digits 0..4, got {digits!r}",
+                       "path": where}
+
+
+def test_unit_digits_in_range_decode_little_endian():
+    x = io.decode_scalar(padic(5), {"val": -1, "unit_digits": [4, 0, 1]}, "x")
+    assert (x.value, x.digits) == (Fraction(29, 5), 3)
+
+
 # the report writer: json.dumps(obj, indent=2), written directly
 
 _keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
