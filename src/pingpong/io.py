@@ -156,7 +156,8 @@ def decode_scalar(field: FieldSpec, obj, where: str):
             if type(text) is str and text.isascii() and text.removeprefix("-").isdigit():
                 return PadicScalar(field, int(text))
             if isinstance(text, (bool, float)):
-                raise TypeError(f"expected a string or an integer, got a {type(text).__name__}")
+                raise InputError(f"bad rational {text!r}: expected a string or an integer, "
+                                 f"got a {type(text).__name__}", path=where)
             return field.scalar(Fraction(text))
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise InputError(f"bad rational {obj['rat']!r}: {exc}", path=where)

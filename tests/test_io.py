@@ -196,14 +196,16 @@ def padic_entry(entry):
     ("cartan", padic_entry({"val": 1.5, "unit_digits": [1]}), "matrix[0][0].val"),
     ("cartan", padic_entry({"val": 0, "unit_digits": []}), "matrix[0][0].unit_digits"),
     ("cartan", padic_entry({"val": 0, "unit_digits": [10, 1]}), "matrix[0][0]"),
+    ("cartan", padic_entry({"val": 0, "unit_digits": [7]}), "matrix[0][0].unit_digits"),
+    ("cartan", padic_entry({"val": 0, "unit_digits": [1, -1]}), "matrix[0][0].unit_digits"),
     ("cartan", {"field": REAL_SPEC, "matrix": 5}, "matrix"),
     ("cartan", {"field": REAL_SPEC}, "matrix"),
     ("falsify", {"field": REAL_SPEC, "generators": []}, "generators"),
     ("separate", {"field": REAL_SPEC, "elements": [], "m": 1, "r": 0.1}, "elements"),
     ("separate", {"field": REAL_SPEC, "elements": [IDENTITY], "m": 1, "r": "0.1"}, "r"),
 ], ids=["unreadable", "root-list", "no-field", "prime-str", "prime-4", "rat-1/0", "val-float",
-        "digits-empty", "digits-p-multiple", "matrix-int", "no-matrix", "no-generators",
-        "no-elements", "r-str"])
+        "digits-empty", "digits-p-multiple", "digit-7", "digit-minus-1", "matrix-int",
+        "no-matrix", "no-generators", "no-elements", "r-str"])
 def test_bad_document_is_exit_2_with_its_path(tmp_path, capsys, command, doc, path):
     file = tmp_path / "doc.json"
     if doc is not None:
@@ -451,19 +453,13 @@ def test_a_rat_float_or_bool_is_exit_2_with_its_path(tmp_path, capsys, text, val
                        "path": "matrix[0][1]"}
 
 
-@pytest.mark.parametrize("digits", [[7], [1, -1], [1, 5], [2, 0, 10]])
-def test_a_unit_digit_outside_0_to_p_minus_1_is_exit_2_with_its_path(tmp_path, capsys, digits):
-    path = write(tmp_path, "g.json", padic_entry({"val": 0, "unit_digits": digits}))
-    assert run(["cartan", "--in", str(path)]) == EXIT_INPUT
-    payload = json.loads(capsys.readouterr().out)["payload"]
-    where = "matrix[0][0].unit_digits"
-    assert payload == {"error": f"{where}: unit_digits must be base-5 digits 0..4, got {digits!r}",
-                       "path": where}
-
-
-def test_unit_digits_in_range_decode_little_endian():
-    x = io.decode_scalar(padic(5), {"val": -1, "unit_digits": [4, 0, 1]}, "x")
-    assert (x.value, x.digits) == (Fraction(29, 5), 3)
+def test_a_unit_digit_outside_0_to_p_minus_1_keeps_its_message():
+    for digits in ([1, 5], [2, 0, 10]):
+        with pytest.raises(InputError) as err:
+            io.decode_scalar(padic(5), {"val": 0, "unit_digits": digits}, "m[0][1]")
+        assert (err.value.path, str(err.value)) == (
+            "m[0][1].unit_digits",
+            f"m[0][1].unit_digits: unit_digits must be base-5 digits 0..4, got {digits!r}")
 
 
 # the report writer: json.dumps(obj, indent=2), written directly
