@@ -37,7 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DecompositionError, DomainError, PrecisionExhaustedError
-from .fields import FieldSpec, Kind, PadicScalar, matmul, relative_tolerance, valuation
+from .fields import (FieldSpec, Kind, PadicScalar, _over_common_denominator, magnitude, matmul,
+                     relative_tolerance, valuation)
 from .projective import ProjHyperplane, ProjPoint, as_field_array
 
 
@@ -262,10 +263,8 @@ def _padic_det(entries: np.ndarray):
     when that is D^2; for n >= 3 one forward gauss_jordan."""
     if len(entries) != 2:
         return gauss_jordan(exact_form(entries), inverse=False)[0]
-    (a, b), (c, d) = entries.tolist()
-    den = math.lcm(a.den, b.den, c.den, d.den)
-    scaled = (a.num * (den // a.den) * d.num * (den // d.den)
-              - b.num * (den // b.den) * c.num * (den // c.den))
+    (a, b, c, d), den = _over_common_denominator(entries.ravel().tolist())
+    scaled = a * d - b * c
     return 1 if scaled == den * den else Fraction(scaled, den * den)
 
 
@@ -476,12 +475,9 @@ def _cartan_padic(g: SLMatrix) -> CartanTriple:
                 k2[t] = [a + f * b for a, b in zip(k2[t], k2[j])]
 
     # pull unit parts of the diagonal into k', leaving exact powers of p
-    a = []
-    p = field.prime
+    a = [field.scalar(Fraction(field.prime) ** m[t][t].valuation) for t in range(n)]
     for t in range(n):
-        val = m[t][t].valuation
-        unit = m[t][t] / field.scalar(Fraction(p) ** val)
-        a.append(field.scalar(Fraction(p) ** val))
+        unit = m[t][t] / a[t]
         k2[t] = [unit * x for x in k2[t]]
     return CartanTriple(SLMatrix(field, k, check=False), tuple(a),
                         SLMatrix(field, k2, check=False))
@@ -543,7 +539,7 @@ def bilip_constants(matrices) -> list:
     inverses(checked)
     if failure is not None:
         raise failure
-    return [float(g.field.prime) ** (-2 * (_top(g) + _top(g._inverse))) for g in matrices]
+    return [magnitude(g.field.prime, 2 * (_top(g) + _top(g._inverse))) for g in matrices]
 
 
 def _top(g: SLMatrix):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cartan import SLMatrix
 from .errors import ConstructionError, DomainError, NotContractingError
-from .fields import FieldSpec, relative_tolerance
+from .fields import FieldSpec, magnitude, relative_tolerance
 from .projective import (ProjHyperplane, ProjPoint, dist_to_hyperplane, hyperplane_distances,
                          point_distances)
 from .sampling import archimedean_unit_chunks, padic_point_chunks
@@ -77,7 +77,7 @@ def contraction_coefficient(g: SLMatrix) -> float:
     t = g.cartan()
     if g.field.is_padic:
         # one power of p, exact for an even valuation gap
-        return float(g.field.prime) ** ((t.a[0].valuation - t.a[1].valuation) / 2)
+        return magnitude(g.field.prime, (t.a[1].valuation - t.a[0].valuation) / 2)
     ratio = t.ratio
     # floating-point Cartan values of an isometry land within an ulp of 1
     if ratio >= 1.0 - relative_tolerance():

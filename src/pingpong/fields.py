@@ -1,17 +1,25 @@
-"""Scalar arithmetic over the local fields R, C and Q_p.
+"""Scalar arithmetic over the local fields R, C and Q_p, and the one home of
+the p-adic model.
 
-Archimedean scalars are plain Python floats and complexes.  p-adic scalars
-are exact rationals, held as two plain ints (numerator, and a positive
-denominator in lowest terms) and read as a Fraction through their value
-property, together with a count of known significant digits, mimicking a
-fixed-precision p-adic model: arithmetic propagates the digit count, and an
-operation whose nonzero result would retain less than one known digit
-raises PrecisionExhaustedError instead of returning noise.
-Exact cancellation yields an exact zero, so structural identities such as
-x - x = 0 hold on the nose.  The operators take each result's valuation from
-their operands: a product's is the sum, a quotient's the difference, a
-negation's the same, and a sum's the smaller one unless the two are equal,
-when only the exact value can tell.
+Archimedean scalars are plain Python floats and complexes.  A PadicScalar
+is an exact rational and a count of known significant digits, the
+capped-relative model of Caruso, Roe and Vaccon: arithmetic propagates the
+digit count, and an operation whose nonzero result would retain less than
+one known digit raises PrecisionExhaustedError instead of returning noise.
+Exact cancellation yields an exact zero, so x - x = 0 holds on the nose.
+The operators take each result's valuation from their operands (see
+PadicScalar).  |x|_p is magnitude(p, v) = p^-v as a float, and DomainError
+where that is not a finite positive float.
+
+No other module reads how a p-adic number is stored.  The projective
+distance kernels run on the int-term form of p-adic arrays defined here,
+_padic_rows to _padic_abs, under the same digit rule and magnitude.  A term
+is (ints, valuations, digits, zero), the valuations and digits int64; an
+entry is one int times a scale, one power of p and one unit per row or per
+whole matrix (never per row of a matrix, which would move the pivot of
+g v).  The scale cancels in a canonical row and shifts every valuation of
+one sum alike, so it changes no digit count; it is kept as a p-power shift
+only to report absolute valuations.
 
 Matrices and projective rows keep scalars of every field in numpy arrays,
 p-adic ones in object arrays, so one numpy expression serves R, C and Q_p.
@@ -122,11 +130,6 @@ def padic(prime: int, precision: int = DEFAULT_PADIC_PRECISION) -> FieldSpec:
     return FieldSpec(Kind.PADIC, prime, precision)
 
 
-def _vp(x, p: int):
-    """Exact p-adic valuation of an int or a Fraction; +inf for zero."""
-    return _valuation(x.numerator, x.denominator, p)
-
-
 def _valuation(num: int, den: int, p: int):
     """Exact p-adic valuation of num/den in lowest terms; +inf for zero."""
     if not num:
@@ -142,6 +145,24 @@ def _valuation(num: int, den: int, p: int):
         den //= p
         v -= 1
     return v
+
+
+def magnitude(p: int, v) -> float:
+    """|x|_p = float(p) ** -v for a valuation v; DomainError where that is
+    not a finite positive float (for p = 5, v outside -441..462)."""
+    try:
+        x = float(p) ** -v
+    except OverflowError:
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"p-adic absolute value {p}^{-v} is outside the float range")
+    return x
+
+
+def _cancellation(p: int, v, abs_prec) -> PrecisionExhaustedError:
+    """The error of a nonzero sum of valuation v known only modulo p^abs_prec."""
+    return PrecisionExhaustedError(
+        f"cancellation left a result of valuation {v} known only modulo {p}^{abs_prec}")
 
 
 class PadicScalar:
@@ -254,9 +275,7 @@ class PadicScalar:
         abs_prec = min(self.valuation + self.digits, other.valuation + other.digits)
         digits = abs_prec - v
         if digits < 1:
-            raise PrecisionExhaustedError(
-                f"cancellation left a result of valuation {v} known only modulo "
-                f"{field.prime}^{abs_prec}")
+            raise _cancellation(field.prime, v, abs_prec)
         return PadicScalar._known(field, num, den, min(digits, field.precision), v)
 
     __radd__ = __add__
@@ -321,7 +340,7 @@ class PadicScalar:
     def abs(self) -> float:
         if not self.num:
             return 0.0
-        return float(self.field.prime) ** (-self.valuation)
+        return magnitude(self.field.prime, self.valuation)
 
     __abs__ = abs
 
@@ -374,10 +393,108 @@ def valuation(x, field: FieldSpec):
     """Exponent j with |x| = p^(-j); +inf for zero.  p-adic fields only."""
     if not field.is_padic:
         raise DomainError(f"valuation is only defined over p-adic fields, not {field}")
-    if isinstance(x, PadicScalar):
-        if x.field != field:
-            raise DomainError(f"scalar belongs to {x.field}, not {field}")
-        return x.valuation
-    if isinstance(x, float):
-        raise DomainError("floats cannot be read as p-adic scalars; use ints or Fractions")
-    return _vp(Fraction(x), field.prime)
+    return field.scalar(x).valuation
+
+
+def _canonical_padic_rows(flat: np.ndarray) -> np.ndarray:
+    """Each row of a (k, n) PadicScalar array over its first entry of least valuation."""
+    pivots = np.array([min(row, key=lambda c: c.valuation) for row in flat], dtype=object)
+    if not all(pivots):
+        raise DomainError("projective representative must be nonzero")
+    # dividing a row by a pivot of exactly 1 known to at least each
+    # nonzero entry's digits would change no value and no digit count
+    todo = np.array([not (pivot == 1 and all(not c or c.digits <= pivot.digits for c in row))
+                     for row, pivot in zip(flat, pivots)], dtype=bool)
+    out = flat.copy()
+    out[todo] = flat[todo] / pivots[todo, None]
+    return out
+
+
+# the valuation and absolute precision of an exact zero
+_INF = np.iinfo(np.int64).max
+
+
+def _over_common_denominator(scalars: list) -> tuple:
+    """(ints, D): D the lcm of the scalars' denominators, ints their values times D."""
+    den = math.lcm(*[c.den for c in scalars])
+    return [c.num * (den // c.den) for c in scalars], den
+
+
+def _padic_rows(field: FieldSpec, arr, axes: int) -> tuple:
+    """(term, shift) of a p-adic field array: the term of its entries scaled
+    to ints per block of the last `axes` axes (1: rows, 2: matrices), and per
+    block the valuation of the scale the ints are divided by."""
+    blocks = arr.reshape(-1, math.prod(arr.shape[arr.ndim - axes:]))
+    ints, vals, digits, shifts = [], [], [], []
+    for block in blocks.tolist():
+        block_ints, den = _over_common_denominator(block)
+        shift = -_valuation(den, 1, field.prime)
+        ints.append(block_ints)
+        vals.append([c.valuation - shift if c.num else 0 for c in block])
+        digits.append([c.digits for c in block])
+        shifts.append(shift)
+    ints = np.array(ints, dtype=object).reshape(arr.shape)
+    term = (ints, np.array(vals, dtype=np.int64).reshape(arr.shape),
+            np.array(digits, dtype=np.int64).reshape(arr.shape), ints == 0)
+    return term, np.array(shifts, dtype=np.int64).reshape(arr.shape[:arr.ndim - axes])
+
+
+def _padic_product(a: tuple, b: tuple, at_a, at_b) -> tuple:
+    """The term of the products of a's entries at index at_a and b's at
+    at_b, broadcast: the valuations add, the digits are the fewer of the
+    two, and a product with a zero factor is an exact zero."""
+    (x, x_vals, x_digits, x_zero), (y, y_vals, y_digits, y_zero) = (
+        [part[at_a] for part in a], [part[at_b] for part in b])
+    return x * y, x_vals + y_vals, np.minimum(x_digits, y_digits), x_zero | y_zero
+
+
+def _padic_sum(field: FieldSpec, terms: list, shift) -> tuple:
+    """The term of the left-to-right sums of the terms under the digit rule
+    of PadicScalar.__add__: absolute precision is the min of the operands',
+    an exact zero has full digits, digits are capped at the precision, and a
+    nonzero sum known to less than one digit raises its error.  shift
+    broadcasts to the sums: the valuation of their scale, for the message."""
+    p = field.prime
+    total, vals, digits, zero = terms[0]
+    known = np.where(zero, _INF, vals + digits)
+    for ints, vals_k, digits_k, zero_k in terms[1:]:
+        precision = np.minimum(known, np.where(zero_k, _INF, vals_k + digits_k))
+        total = total + ints
+        zero = total == 0
+        # a loop: numpy's object-array int operations cost more per call
+        vals = np.array([_valuation(x, 1, p) if x and not x % p else 0
+                         for x in total.ravel().tolist()], dtype=np.int64).reshape(total.shape)
+        digits = precision - vals
+        short = ~zero & (digits < 1)
+        if short.any():
+            at = np.argmax(short)
+            moved = np.broadcast_to(shift, short.shape).flat[at]
+            raise _cancellation(p, vals.flat[at] + moved, precision.flat[at] + moved)
+        known = np.where(zero, _INF, vals + np.minimum(digits, field.precision))
+    return total, vals, known - vals, zero
+
+
+def _padic_canonical(term: tuple) -> tuple:
+    """(term, pivot valuations) of canonical rows: each row divided by its
+    first entry of least valuation, which leaves its ints as they are and
+    takes each entry's digits down to the pivot's; the valuations stay those
+    of the ints, and the pivot's is subtracted by the caller."""
+    ints, vals, digits, zero = term
+    key = np.where(zero, _INF, vals)
+    least = key.min(-1, initial=_INF)
+    if (least == _INF).any():
+        raise DomainError("projective representative must be nonzero")
+    pivot = key.argmin(-1).reshape(-1)
+    rows = digits.reshape(len(pivot), digits.shape[-1])
+    pivot_digits = rows[np.arange(len(pivot)), pivot].reshape(least.shape + (1,))
+    return (ints, vals, np.minimum(digits, pivot_digits), zero), least
+
+
+def _padic_abs(field: FieldSpec, vals, zero) -> np.ndarray:
+    """magnitude of each valuation, 0.0 where zero: the float power
+    PadicScalar.abs takes, which numpy's array power can miss by an ulp."""
+    vals = np.where(zero, 0, vals)
+    low, high = int(vals.min(initial=0)), int(vals.max(initial=0))
+    magnitude(field.prime, high)  # so that an error names a valuation that occurs
+    powers = [magnitude(field.prime, k) for k in range(low, high + 1)]
+    return np.where(zero, 0.0, np.array(powers)[vals - low])

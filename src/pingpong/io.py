@@ -35,8 +35,9 @@ import numpy as np
 
 from .cartan import SLMatrix, determinant_failure
 from .contraction import ContractionCert, ProximalCert
-from .errors import CertificationError, InputError
-from .fields import COMPLEX, DEFAULT_PADIC_PRECISION, REAL, FieldSpec, Kind, PadicScalar, padic
+from .errors import CertificationError, DomainError, InputError
+from .fields import (COMPLEX, DEFAULT_PADIC_PRECISION, REAL, FieldSpec, Kind, PadicScalar,
+                     magnitude, padic)
 from .pingpong import PingPongCert
 from .separation import SeparatingSet
 
@@ -148,24 +149,29 @@ def decode_scalar(field: FieldSpec, obj, where: str):
         raise InputError(f"expected a finite number or [re, im], got {obj!r}", path=where)
     # Q_p: exact encodings only, a float would smuggle in base-2 roundoff
     if isinstance(obj, int) and not isinstance(obj, bool):
-        return field.scalar(obj)
-    if isinstance(obj, dict) and set(obj) == {"rat"}:
+        x = field.scalar(obj)
+    elif isinstance(obj, dict) and set(obj) == {"rat"}:
         text = obj["rat"]
         try:
             # an ASCII integer is read by int, which gives the value Fraction would
             if type(text) is str and text.isascii() and text.removeprefix("-").isdigit():
-                return PadicScalar(field, int(text))
-            if isinstance(text, (bool, float)):
+                x = PadicScalar(field, int(text))
+            elif isinstance(text, (bool, float)):
                 raise InputError(f"bad rational {text!r}: expected a string or an integer, "
                                  f"got a {type(text).__name__}", path=where)
-            return field.scalar(Fraction(text))
+            else:
+                x = field.scalar(Fraction(text))
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise InputError(f"bad rational {obj['rat']!r}: {exc}", path=where)
-    if isinstance(obj, dict) and set(obj) == {"val", "unit_digits"}:
+    elif isinstance(obj, dict) and set(obj) == {"val", "unit_digits"}:
         val, digits = obj["val"], obj["unit_digits"]
         if not isinstance(val, int) or isinstance(val, bool):
             raise InputError(f"valuation must be an integer, got {val!r}",
                              path=where + ".val")
+        try:
+            magnitude(field.prime, val)  # before p ** val is built
+        except DomainError as exc:
+            raise InputError(str(exc), path=where + ".val")
         if (not isinstance(digits, list) or not digits
                 or not all(isinstance(d, int) and not isinstance(d, bool) for d in digits)):
             raise InputError("unit_digits must be a nonempty list of integers",
@@ -178,9 +184,14 @@ def decode_scalar(field: FieldSpec, obj, where: str):
         if not all(0 <= d < p for d in digits):
             raise InputError(f"unit_digits must be base-{p} digits 0..{p - 1}, got {digits!r}",
                              path=where + ".unit_digits")
-        return x
-    raise InputError(f'expected an integer, {{"rat": "a/b"}} or '
-                     f'{{"val", "unit_digits"}}, got {obj!r}', path=where)
+    else:
+        raise InputError(f'expected an integer, {{"rat": "a/b"}} or '
+                         f'{{"val", "unit_digits"}}, got {obj!r}', path=where)
+    try:
+        abs(x)  # |x|_p must be a float
+    except DomainError as exc:
+        raise InputError(str(exc), path=where)
+    return x
 
 
 def encode_scalar(field: FieldSpec, x):

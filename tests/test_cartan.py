@@ -1039,3 +1039,20 @@ def test_negated_cofactors_are_the_sign_products():
         for field in (Q5, padic(5, 6)):
             stack = np.array([random_sl_padic(prng, field, n).entries for _ in range(4)])
             assert _same_entries(_adjugate(stack), _adjugate_by_sign_products(stack))
+
+
+def test_a_matrix_product_needs_a_matrix_of_the_same_field_and_size():
+    g = SLMatrix(REAL, [[1.0, 1.0], [0.0, 1.0]])
+    assert g.__matmul__([[1.0, 0.0], [0.0, 1.0]]) is NotImplemented
+    with pytest.raises(TypeError):
+        g @ 2
+    with pytest.raises(DomainError, match="matching fields and sizes"):
+        g @ SLMatrix(Q5, [[1, 1], [0, 1]])
+
+
+def test_a_padic_bilip_constant_outside_the_float_range_raises():
+    # 5^920 overflows: an OverflowError (exit 1 from the CLI) before
+    g = SLMatrix(Q5, [[Fraction(1, 5 ** 230), 0], [0, 5 ** 230]])
+    with pytest.raises(DomainError, match=r"5\^920 is outside the float range"):
+        bilip_constant(g)
+    assert bilip_constant(SLMatrix(Q5, [[Fraction(1, 5 ** 110), 0], [0, 5 ** 110]])) == 5.0 ** 440

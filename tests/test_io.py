@@ -453,6 +453,46 @@ def test_a_rat_float_or_bool_is_exit_2_with_its_path(tmp_path, capsys, text, val
                        "path": "matrix[0][1]"}
 
 
+@pytest.mark.parametrize("val", [-442, 463, 10 ** 6, -10 ** 6])
+def test_a_valuation_whose_absolute_value_has_no_float_is_refused_at_val(val):
+    # refused before 5^val is built: 10^6 used to take minutes to decode
+    with pytest.raises(InputError) as err:
+        io.decode_scalar(padic(5), {"val": val, "unit_digits": [1]}, "m[0][1]")
+    assert (err.value.path, str(err.value)) == (
+        "m[0][1].val", f"m[0][1].val: p-adic absolute value 5^{-val} is outside the float range")
+
+
+@pytest.mark.parametrize("entry, v", [(5 ** 463, 463), ({"rat": str(5 ** 463)}, 463),
+                                      ({"rat": f"1/{5 ** 442}"}, -442)])
+def test_an_entry_whose_absolute_value_has_no_float_is_refused(entry, v):
+    with pytest.raises(InputError) as err:
+        io.decode_scalar(padic(5), entry, "m[0][1]")
+    assert (err.value.path, str(err.value)) == (
+        "m[0][1]", f"m[0][1]: p-adic absolute value 5^{-v} is outside the float range")
+
+
+@pytest.mark.parametrize("v", [-441, 462])
+def test_the_ends_of_the_float_range_decode(v):
+    x = io.decode_scalar(padic(5), {"val": v, "unit_digits": [1]}, "m[0][1]")
+    assert x.valuation == v
+    assert io.decode_scalar(padic(5), io.encode_scalar(padic(5), x), "m[0][1]") == x
+
+
+@pytest.mark.parametrize("command", [["cartan", "--in"], ["falsify", "--max-len", "2", "--gens"]])
+def test_a_matrix_past_the_float_range_is_exit_2(tmp_path, capsys, command):
+    # cartan ended in an OverflowError (exit 1); falsify, which forms no
+    # absolute value, accepted the matrix
+    matrix = [[{"rat": f"1/{5 ** 450}"}, 0], [0, {"rat": str(5 ** 450)}]]
+    key = "matrix" if command[0] == "cartan" else "generators"
+    path = write(tmp_path, "g.json", {"field": {"kind": "padic", "prime": 5},
+                                      key: matrix if key == "matrix" else [matrix]})
+    assert run(command + [str(path)]) == EXIT_INPUT
+    where = "matrix[0][0]" if key == "matrix" else "generators[0][0][0]"
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload == {"error": f"{where}: p-adic absolute value 5^450 is outside the float range",
+                       "path": where}
+
+
 def test_a_unit_digit_outside_0_to_p_minus_1_keeps_its_message():
     for digits in ([1, 5], [2, 0, 10]):
         with pytest.raises(InputError) as err:

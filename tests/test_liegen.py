@@ -35,6 +35,11 @@ def test_lie_element_rejects_padic_field():
         LieElement(padic(5, 20), [[0, 0], [0, 0]])
 
 
+def test_lie_element_rejects_a_non_square_matrix():
+    with pytest.raises(ConstructionError, match=r"square matrix, got shape \(2, 3\)"):
+        LieElement(REAL, [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+
+
 def test_subalgebra_basis_dimension_consistency():
     with pytest.raises(ConstructionError):
         SubalgebraBasis((E, F), 3, True)

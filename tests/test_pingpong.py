@@ -3,6 +3,7 @@
 import copy
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (condition_distances, first_by_scalar_reference, random_sl_arch,
                      random_sl_padic, scalar_dist_to_hyperplane)
-from pingpong.cartan import SLMatrix, bilip_constant, diagonal, identity
+from pingpong.cartan import SLMatrix, bilip_constant, bilip_constants, diagonal, identity
 from pingpong.contraction import (
     ContractionCert,
     ProximalCert,
@@ -362,6 +363,35 @@ def test_build_empty_base_list():
     gamma = hand_very_contracting(SLMatrix(REAL, [[1e6, 0.0], [0.0, 1e-6]]), 1e-6)
     with pytest.raises(DomainError):
         build_pingpong_tuple([], F, gamma)
+
+
+def test_build_takes_each_constant_once(monkeypatch):
+    # one bilip_constants call for the base elements, one bilip_constant for
+    # gamma, whose constant the warning reuses
+    import pingpong.pingpong as pp
+    calls = []
+    monkeypatch.setattr(pp, "bilip_constants",
+                        lambda ms: calls.append(len(ms)) or bilip_constants(ms))
+    monkeypatch.setattr(pp, "bilip_constant",
+                        lambda g: calls.append("gamma") or bilip_constant(g))
+    F = rotation_set(0.05)
+    a = [identity(REAL, 2), SLMatrix(REAL, [[2.0, 0.0], [0.0, 0.5]])]
+    gamma = hand_very_contracting(SLMatrix(REAL, [[1e6, 0.0], [0.0, 1e-6]]), 1e-9)
+    with pytest.warns(UserWarning, match=re.escape(f"constant {bilip_constant(gamma.matrix)} ")):
+        build_pingpong_tuple(a, F, gamma)
+    assert calls == [2, "gamma"]
+
+
+def test_build_refuses_a_base_element_of_another_space():
+    F = rotation_set(0.05)
+    gamma = hand_very_contracting(SLMatrix(REAL, [[1e6, 0.0], [0.0, 1e-6]]), 1e-6)
+    for a in (identity(padic(5), 2), identity(REAL, 3)):
+        with pytest.raises(DomainError, match="different spaces"):
+            build_pingpong_tuple([a], F, gamma)
+
+
+def test_an_empty_separation_table():
+    assert separation_table(()) == ()
 
 
 # verify_pingpong

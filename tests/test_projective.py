@@ -353,3 +353,25 @@ def test_real_field_array_reads_complex_values_with_zero_imaginary_part():
     assert arr.tolist() == [1.0, 2.0]
     with pytest.raises(DomainError):
         as_field_array(REAL, [1 + 1e-3j, 2], 1)
+
+
+def test_a_padic_distance_outside_the_float_range_raises():
+    # the exact distance 5^-470 has no float: it used to read 0.0, and contains True
+    P, H = ProjPoint(Q5, [5 ** 470, 1]), ProjHyperplane(Q5, [1, 0])
+    with pytest.raises(DomainError, match=r"5\^-470 is outside the float range"):
+        dist_to_hyperplane(P, H)
+    with pytest.raises(DomainError):
+        H.contains(P)
+
+
+def test_proj_dist_refuses_mixed_fields_and_dimensions():
+    with pytest.raises(DomainError, match="mixed fields"):
+        proj_dist(ProjPoint(REAL, [1.0, 0.0]), ProjPoint(Q5, [1, 0]))
+    with pytest.raises(DomainError, match="mixed dimensions"):
+        proj_dist(ProjPoint(REAL, [1.0, 0.0]), ProjPoint(REAL, [1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("field, coords", [(REAL, [1.0, 0.0]), (Q5, [1, 0])])
+def test_a_point_never_equals_a_hyperplane(field, coords):
+    assert ProjPoint(field, coords) != ProjHyperplane(field, coords)
+    assert ProjHyperplane(field, coords) != ProjPoint(field, coords)

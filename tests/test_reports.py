@@ -31,6 +31,8 @@ CASES = {
     "cartan-complex": ["cartan", "--in", "g_complex.json"],
     "cartan-q5-3": ["cartan", "--in", "g_q5_3.json"],
     "cartan-q5-short-digits": ["cartan", "--in", "g_q5_short_digits.json"],
+    # |5^(10^6)| has no float: refused at its val before 5^(10^6) is built
+    "cartan-q5-valuation-range": ["cartan", "--in", "g_q5_valuation_range.json"],
     "cartan-bad-shape": ["cartan", "--in", "g_bad_shape.json"],
     "cartan-singular-real": ["cartan", "--in", "g_singular_real.json"],
     # det = 1e8 * 1e-8 i is i; the real 2n x 2n form saw only |det| = 1 (exit 0)
@@ -61,6 +63,9 @@ CASES = {
     # numpy's object matmul turned this precision loss into a SystemError (exit 1)
     "separate-q5-low-precision": ["separate", "--set", "sep_q5_low_precision.json",
                                   "--trials", "6", "--seed", "0"],
+    # bilip_constants' 5^920 has no float: exit 3, where it was an OverflowError (exit 1)
+    "separate-q5-magnitude-range": ["separate", "--set", "sep_q5_magnitude_range.json",
+                                    "--trials", "8", "--seed", "1"],
     "separate-defeated-real": ["separate", "--set", "sep_pm_identity_real.json",
                                "--m", "1", "--trials", "12", "--seed", "3"],
     "certify-build-real": ["certify-free", "--gens", "ident2_real.json",

@@ -11,6 +11,7 @@ import pytest
 from pingpong import sampling
 from pingpong.cartan import SLMatrix
 from pingpong.contraction import contraction_data, verify_contracting
+from pingpong.errors import DomainError
 from pingpong.fields import COMPLEX, REAL, padic
 from pingpong.sampling import (CHUNK_SIZE, archimedean_unit_chunks, padic_point_chunks,
                                padic_unit_coords, probe_offset, stream_rows)
@@ -166,3 +167,10 @@ def test_sampling_is_the_only_module_that_builds_a_generator():
         assert not any(isinstance(node, (ast.Import, ast.ImportFrom))
                        and "random" in [a.name for a in node.names]
                        for node in ast.walk(ast.parse(text)))
+
+
+def test_each_chunk_stream_refuses_the_other_kind_of_field():
+    with pytest.raises(DomainError, match="archimedean sampling asked for a p-adic field"):
+        next(archimedean_unit_chunks(padic(5), 2, 4, 0))
+    with pytest.raises(DomainError, match="p-adic sampling asked for an archimedean field"):
+        next(padic_point_chunks(REAL, 2, 4, 0))

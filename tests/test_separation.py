@@ -456,3 +456,10 @@ def test_word_layers_match_the_gathered_product(field, monkeypatch):
                 if magnitudes is not None:
                     assert layer.magnitudes.tobytes() == grown.tobytes()
             before = layer
+
+
+def test_sampling_and_the_greedy_builder_need_candidates():
+    with pytest.raises(DomainError, match="at least one candidate"):
+        sample_configuration([], 2, 0, 0)
+    with pytest.raises(DomainError, match="word pool is empty"):
+        greedy_separating_set([], 2, 0.1, 4, 0)
