@@ -14,14 +14,14 @@ over R and C with one stacked np.linalg.det, over Q_p matrix by matrix, a
 2 x 2 one on the ints of its entries (ad - bc against D^2, D their common
 denominator), and SLMatrix._check_det runs it on a stack of one.
 
-Exact linear algebra has one implementation, gauss_jordan: the determinant
-gate on input (over Q_p for n >= 3, and over R and C on the stored dyadic
-entries when the float gate is too wide to decide det = 1), the falsifier's
-exact adjugates, and over Q_p _dets: the n >= 3 cofactors of the inverse,
+Exact det and adjugate are det_adjugate: the closed forms for n = 2, on
+ints as well, one gauss_jordan for n >= 3.  They serve the gate's exact arm
+over R and C, on the stored dyadic entries when the float gate is too wide
+to decide det = 1, and the falsifier's letters.  gauss_jordan also serves,
+over Q_p, the n >= 3 gate and _dets: the n >= 3 cofactors of the inverse,
 which is the adjugate for every field, and the minors of exterior_power.
-Where only a determinant is wanted it runs forward only.  Its exact input is
-exact_form, the stored values for every field: Fractions over R and Q_p,
-and over C GaussianRationals, whose real and imaginary parts are Fractions,
+Where only a determinant is wanted it runs forward only.  The exact values
+are exact_form's: Fractions over R and Q_p, and over C GaussianRationals,
 so the complex gate sees the phase of a determinant as well as its modulus.
 The Smith form keeps its own loop: it pivots on the whole remaining block
 rather than one column and records the row and column operations as k and k'.
@@ -58,7 +58,7 @@ def _operand(op):
 class GaussianRational:
     """a + bi with rational a and b, the exact value of a complex float entry.
 
-    It has the operators gauss_jordan and the falsifier use, and complex()
+    It has the operators det_adjugate and the falsifier use, and complex()
     for the determinant gate's message, and no more.
     abs is |a| + |b|: an upper bound on the modulus, within a factor sqrt(2)
     of it, and a Fraction, so that sums of abs values stay exact.
@@ -162,6 +162,17 @@ def gauss_jordan(a: np.ndarray, inverse: bool = True) -> tuple:
     return det, np.array([row[n:] for row in m], dtype=object)
 
 
+def det_adjugate(a: np.ndarray) -> tuple:
+    """(det, adj) of a square object array of exact scalars, adj = det a^-1:
+    for n = 2 ad - bc and [[d, -b], [-c, a]], on any scalars with + - *,
+    Python ints as well; for n >= 3 one gauss_jordan, adj None if det = 0."""
+    if len(a) == 2:
+        (p, q), (r, s) = a.tolist()
+        return p * s - q * r, _adjugate(a)
+    det, inverse = gauss_jordan(a)
+    return det, None if inverse is None else det * inverse
+
+
 class SLMatrix:
     """Square matrix of determinant one over a supported field.
 
@@ -183,6 +194,14 @@ class SLMatrix:
         self._cartan = None
         if check:
             self._check_det()
+
+    @classmethod
+    def _view(cls, field: FieldSpec, entries: np.ndarray) -> "SLMatrix":
+        """An unchecked SLMatrix on entries, not copied: a read-only square
+        array in as_field_array's form, such as one of a private stack."""
+        g = cls.__new__(cls)
+        g.field, g.entries, g._inverse, g._cartan = field, entries, None, None
+        return g
 
     def _check_det(self):
         """DomainError unless det = 1 as far as the stored entries tell: the
@@ -246,10 +265,10 @@ def determinant_failure(field: FieldSpec, stack: np.ndarray):
         if gate >= 1:
             # a gate this wide admits det = 0 and det = 2: the stored entries decide
             a = exact_form(stack[index])
-            det, inverse = gauss_jordan(a)
+            det, adj = det_adjugate(a)
             if not det:
                 return index, "determinant is exactly 0, not 1"
-            reach = Fraction(relative_tolerance()) * (abs(a) * abs(det * inverse).T).sum()
+            reach = Fraction(relative_tolerance()) * (abs(a) * abs(adj).T).sum()
             if abs(det - 1) > reach:
                 return index, (f"determinant of the stored entries is "
                                f"{field.scalar(det):.12g}, not 1")

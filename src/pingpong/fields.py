@@ -415,9 +415,13 @@ _INF = np.iinfo(np.int64).max
 
 
 def _over_common_denominator(scalars: list) -> tuple:
-    """(ints, D): D the lcm of the scalars' denominators, ints their values times D."""
-    den = math.lcm(*[c.den for c in scalars])
-    return [c.num * (den // c.den) for c in scalars], den
+    """(ints, D) of a nonempty list of exact scalars of one kind, PadicScalars
+    or ints, Fractions and floats, a float read as the dyadic rational it
+    holds: D the lcm of their denominators, ints their values times D."""
+    ratios = ([(c.num, c.den) for c in scalars] if type(scalars[0]) is PadicScalar
+              else [x.as_integer_ratio() for x in scalars])
+    den = math.lcm(*[d for _, d in ratios])
+    return [a * (den // d) for a, d in ratios], den
 
 
 def _padic_rows(field: FieldSpec, arr, axes: int) -> tuple:

@@ -265,8 +265,11 @@ def _plain_entries(field: FieldSpec, obj, n: int):
 
 
 def _stack(field: FieldSpec, entries: list, n: int) -> np.ndarray:
-    """The (k, n, n) field array of k matrices' entries, each a flat list of scalars."""
-    return np.array(entries, dtype=_DTYPES[field.kind]).reshape(len(entries), n, n)
+    """The read-only (k, n, n) field array of k matrices' entries, each a
+    flat list of scalars."""
+    flat = np.array(entries, dtype=_DTYPES[field.kind])
+    flat.setflags(write=False)
+    return flat.reshape(len(entries), n, n)
 
 
 def _read(field: FieldSpec, matrix, where: str, n, first: str) -> list:
@@ -301,7 +304,8 @@ def _decode_matrices(field: FieldSpec, obj: list, paths: list) -> list:
     pass stops at the first matrix in error, and one determinant_failure call
     gates the matrices before it.  So the first error in list order is
     raised; within one matrix the shape comes first, then the entries, then
-    the size of at least 2, the determinant and the size of matrix 0.
+    the size of at least 2, the determinant and the size of matrix 0.  Each
+    SLMatrix is a view of the read-only stack.
     """
     read, failure = [], None
     for matrix, where in zip(obj, paths):
@@ -318,7 +322,7 @@ def _decode_matrices(field: FieldSpec, obj: list, paths: list) -> list:
         raise InputError(bad[1], path=paths[bad[0]])
     if failure is not None:
         raise failure
-    return [SLMatrix(field, entries, check=False) for entries in stack]
+    return [SLMatrix._view(field, entries) for entries in stack]
 
 
 def _load_matrices(path, key: str):

@@ -11,13 +11,13 @@ d([f^side v], H) > r; _first scores it with one hyperplane_distances call.
 A valid certificate implies the x_i freely generate F_m; freeness_falsifier
 is the independent brute-force check of that conclusion.  It decides one
 word length at a time on the stacks of separation.word_layers, for the
-stored matrices: exact_form and the exact gauss_jordan adjugates give each
-letter's exact value.  Over Q_p each such letter, scaled to Python ints,
-builds the words, which are tested exactly, so no digit count can stop the
-search.  Over R and C the float words are decided by a rigorous
-componentwise bound on the rounding of each product, with an exact recheck
-of the first word the bound leaves open.  When that word is not exactly
-scalar, UndecidedError says how far the search was decided.
+stored matrices: _letters gives each letter's exact value, as Python ints
+over R and Q_p.  Over Q_p the int letters build the words, which are
+tested exactly, so no digit count can stop the search.  Over R and C the
+float words are decided by a rigorous componentwise bound on the rounding
+of each product, with an exact recheck of the first word the bound leaves
+open.  When that word is not exactly scalar, UndecidedError says how far
+the search was decided.
 """
 
 import functools
@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cartan import (SLMatrix, apply_hyperplane, apply_point, bilip_constant, bilip_constants,
-                     exact_form, gauss_jordan)
+                     det_adjugate, exact_form)
 from .contraction import (
     ContractionCert,
     ProximalCert,
@@ -40,9 +40,9 @@ from .contraction import (
 )
 from .errors import (ConstructionError, DomainError, NoSeparatorError, PreconditionError,
                      UndecidedError)
-from .fields import Kind, relative_tolerance
+from .fields import Kind, _over_common_denominator, relative_tolerance
 # dist_to_hyperplane is unused here; perfbench/test_oracle.py reads it as pingpong.pingpong's
-from .projective import ProjPoint, dist_to_hyperplane, hyperplane_distances  # noqa: F401
+from .projective import ProjPoint, _pairs, dist_to_hyperplane, hyperplane_distances  # noqa: F401
 from .sampling import probe_offset
 from .separation import _GROW_ROWS, SeparatingSet, letter_stack, word_layers
 
@@ -410,11 +410,19 @@ def _up(q: Fraction) -> float:
     return x if Fraction(x) >= q else math.nextafter(x, math.inf)
 
 
+@functools.lru_cache
+def _off_diagonal(n: int) -> tuple:
+    # (rows, cols) of the off-diagonal entries of an n x n matrix; cached, as
+    # projective._pairs is, since np.nonzero(~np.eye(n)) costs a layer's test
+    return np.nonzero(~np.eye(n, dtype=bool))
+
+
 def _scalar_words(stack: np.ndarray) -> np.ndarray:
     """Mask of the exactly scalar matrices of an object stack (N, n, n)."""
     n = stack.shape[1]
     diagonal = stack[:, range(n), range(n)]
-    return (~stack[:, ~np.eye(n, dtype=bool)].astype(bool).any(axis=1)
+    rows, cols = _off_diagonal(n)
+    return (~stack[:, rows, cols].astype(bool).any(axis=1)
             & (diagonal == diagonal[:, :1]).all(axis=1))
 
 
@@ -448,8 +456,8 @@ def _first_open(layer, c: float, eta: float):
     The layer is tested in blocks of _GROW_ROWS words, in order, up to the
     first block that holds an open word."""
     n = layer.products.shape[-1]
-    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
-    i, j = np.triu_indices(n, 1)
+    rows, cols = _off_diagonal(n)
+    i, j = _pairs(n)
     for start in range(0, len(layer.products), _GROW_ROWS):
         products = layer.products[start:start + _GROW_ROWS]
         with np.errstate(all="ignore"):
@@ -465,9 +473,29 @@ def _first_open(layer, c: float, eta: float):
 
 
 def _integral(x: np.ndarray) -> np.ndarray:
-    """x times the lcm of its denominators, as Python ints: a scalar
-    multiple of x, with the same projective action."""
-    return np.frompyfunc(int, 1, 1)(x * math.lcm(*(q.denominator for q in x.flat)))
+    """x of floats, ints, Fractions or PadicScalars times the lcm of its
+    denominators, as Python ints: a positive multiple of x."""
+    return np.array(_over_common_denominator(x.ravel().tolist())[0],
+                    dtype=object).reshape(x.shape)
+
+
+def _letters(gens) -> tuple:
+    """(exact, tested): the exact letters of gens, in letter_stack's order g,
+    adj g = det g g^-1 (a projective inverse), and the letters words are
+    tested on, over R and Q_p each exact letter times a positive int, which
+    keeps a word scalar or not.  A 2 x 2 letter over R or Q_p is read
+    straight into ints and is its own tested letter; _magnitudes reads the
+    unscaled letters of n >= 3."""
+    on_ints = gens[0].field.kind is not Kind.COMPLEX
+    straight = on_ints and gens[0].n == 2
+    exact = []
+    for i, g in enumerate(gens):
+        x = _integral(g.entries) if straight else exact_form(g.entries)
+        det, adj = det_adjugate(x)
+        if not det:
+            raise DomainError(f"generator {i} is exactly singular")
+        exact += [x, adj]
+    return exact, [_integral(x) for x in exact] if on_ints and not straight else exact
 
 
 def freeness_falsifier(gens, max_len: int):
@@ -479,38 +507,32 @@ def freeness_falsifier(gens, max_len: int):
     (0,+1) < (0,-1) < (1,+1) < ..., so the returned word is the first
     counterexample in length-then-lexicographic order.  The exact letters
     are the stored values of the generators, with exact adjugates as
-    inverses.  Over Q_p the words are products of these letters scaled to
-    ints, a scaling that keeps the projective action, and each layer is
-    tested exactly.  Over R and C a word is proven nontrivial when its
-    float product is off scalar by more than the componentwise error bound
-    of the product (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., sections 3.5-3.6); the first word of a layer that is not
-    proven is rechecked as the exact product of its letters.  If it is not
-    exactly scalar either, UndecidedError reports decided_len = L - 1, as
-    it does when the next layer would exceed the word budget.
+    inverses, as ints over R and Q_p (_letters).  Over Q_p the words are
+    products of the int letters, and each layer is tested exactly.  Over R
+    and C a word is proven nontrivial when its float product is off scalar
+    by more than the componentwise error bound of the product (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sections
+    3.5-3.6); the first word of a layer that is not proven is rechecked as
+    the exact product of its letters, ints over R and GaussianRationals
+    over C.  If it is not exactly scalar either, UndecidedError reports
+    decided_len = L - 1, as it does when the next layer would exceed the
+    word budget.
     """
     if max_len < 1:
         raise DomainError(f"need max_len >= 1, got {max_len}")
     gens = tuple(gens)
     if not gens:
         raise DomainError("need at least one generator")
-    fld = gens[0].field
-    exact = []  # in letter order, as letter_stack; adj = det a^-1 inverts projectively
-    for i, g in enumerate(gens):
-        x = exact_form(g.entries)
-        det, inverse = gauss_jordan(x)
-        if inverse is None:
-            raise DomainError(f"generator {i} is exactly singular")
-        exact += [x, det * inverse]
+    fld, n = gens[0].field, gens[0].n
+    exact, tested = _letters(gens)
     if fld.is_padic:
-        for layer in word_layers(np.array([_integral(x) for x in exact]), max_len):
+        for layer in word_layers(np.array(tested), max_len):
             hits = np.flatnonzero(_scalar_words(layer.products))
             if hits.size:
                 return Word(layer.letters(int(hits[0])))
         return None
     letters = letter_stack(gens)
     mags, rho = _magnitudes(letters, exact)
-    n = gens[0].n
     width = n + 2 if fld.kind is Kind.COMPLEX else n  # Higham's complex inner products: gamma_(n+2)
     spread = max(1.0, float(mags.sum(axis=-1).max()))
     for layer in word_layers(letters, max_len, mags):
@@ -527,7 +549,7 @@ def freeness_falsifier(gens, max_len: int):
             continue
         word = Word(layer.letters(first))
         product = functools.reduce(operator.matmul,
-                                   [exact[2 * i + (1 - e) // 2] for i, e in word.letters])
+                                   [tested[2 * i + (1 - e) // 2] for i, e in word.letters])
         if _scalar_words(product[None])[0]:
             return word
         raise UndecidedError(

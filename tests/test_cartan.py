@@ -34,6 +34,7 @@ from pingpong.cartan import (
     bilip_constant,
     bilip_constants,
     cartan_decompose,
+    det_adjugate,
     determinant_failure,
     diagonal,
     exact_form,
@@ -181,13 +182,13 @@ def test_stacked_gates_are_the_gates_of_each_matrix(field, n):
 
 def test_the_exact_arm_runs_only_on_wide_gates(monkeypatch):
     seen = []
-    original = gauss_jordan
+    original = det_adjugate
 
-    def spy(a, inverse=True):
+    def spy(a):
         seen.append(a.shape)
-        return original(a, inverse)
+        return original(a)
 
-    monkeypatch.setattr("pingpong.cartan.gauss_jordan", spy)
+    monkeypatch.setattr("pingpong.cartan.det_adjugate", spy)
     narrow = [[1.0, 2.0], [0.0, 1.0]]
     wide = [[1e8, 1e8 + 1], [1e8 - 1, 1e8]]
     assert determinant_failure(REAL, np.array([narrow, wide, narrow, wide, narrow])) is None
@@ -280,6 +281,24 @@ def test_gauss_jordan_over_gaussian_rationals(rows):
     eye = np.array([[GaussianRational(int(i == j)) for j in range(n)] for i in range(n)],
                    dtype=object)
     assert (a @ inverse == eye).all()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.booleans(), st.booleans(),
+       st.lists(st.tuples(_SMALL_FRACTIONS, _SMALL_FRACTIONS), min_size=4, max_size=4))
+def test_the_2x2_closed_forms_are_gauss_jordans_det_and_adjugate(gaussian, rank_one, pairs):
+    x = [GaussianRational(*pair) if gaussian else pair[0] for pair in pairs]
+    # rank one, the outer product of (x0, x1) and (x2, x3), is exactly singular
+    rows = [[x[0] * x[2], x[0] * x[3]], [x[1] * x[2], x[1] * x[3]]] if rank_one else [x[:2], x[2:]]
+    a = np.array(rows, dtype=object)
+    det, adj = det_adjugate(a)
+    want, inverse = gauss_jordan(a)
+    assert det == want
+    if inverse is None:
+        assert not det
+        assert (a @ adj == np.zeros((2, 2), dtype=int)).all()
+    else:
+        assert (adj == det * inverse).all()
 
 
 def test_exact_form_of_a_complex_matrix_is_its_n_by_n_gaussian_rationals():

@@ -372,6 +372,17 @@ def test_the_stack_holds_what_decode_scalar_reads(field):
         assert not g.entries.flags.writeable
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX, padic(5)], ids=str)
+def test_each_decoded_matrix_is_a_view_of_one_read_only_stack(field):
+    rows = [[2, 3], [1, 2]]
+    got = io._decode_matrices(field, [rows] * 3, ["m[0]", "m[1]", "m[2]"])
+    stack = got[0].entries.base
+    assert stack is not None and all(g.entries.base is stack for g in got)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        got[1].entries[0, 0] = got[1].entries[0, 1]
+
+
 def test_one_determinant_call_per_list(tmp_path, monkeypatch):
     calls = []
     det = np.linalg.det

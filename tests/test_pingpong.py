@@ -1,7 +1,10 @@
 """Manufacturing steps, tuple construction, verification, falsifier."""
 
 import copy
+import functools
+import itertools
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -12,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (condition_distances, first_by_scalar_reference, random_sl_arch,
                      random_sl_padic, scalar_dist_to_hyperplane)
-from pingpong.cartan import SLMatrix, bilip_constant, bilip_constants, diagonal, identity
+from pingpong.cartan import (SLMatrix, bilip_constant, bilip_constants, diagonal, exact_form,
+                             gauss_jordan, identity)
 from pingpong.contraction import (
     ContractionCert,
     ProximalCert,
@@ -34,6 +38,8 @@ from pingpong.pingpong import (
     VeryContractingElement,
     Word,
     _first,
+    _letters,
+    _scalar_words,
     build_pingpong_tuple,
     certify_free_generators,
     freeness_falsifier,
@@ -657,6 +663,47 @@ def test_falsifier_never_calls_planted_pairs_free(pair):
             continue
         sums = [sum(e for i, e in word.letters if i == k) for k in (0, 1)]
         assert (sums[0] + 3 * sums[1] == 0) if pair == "power" else sums == [0, 0]
+
+
+def fraction_letters(gens):
+    """The falsifier's letters by the Fraction reference: each generator's
+    stored values, then det times its gauss_jordan inverse."""
+    letters = []
+    for g in gens:
+        x = exact_form(g.entries)
+        det, inverse = gauss_jordan(x)
+        letters += [x, det * inverse]
+    return letters
+
+
+def test_the_int_recheck_gives_the_fraction_verdict():
+    # the benchmark's planted families at scales s = 10 .. 1e6, the pi/4
+    # rotation, and an exactly commuting diagonal pair, whose commutator is scalar
+    rng = np.random.default_rng(9)
+    cases = [[rotation(math.pi / 4)], [diagonal(REAL, [2.0, 0.5]), diagonal(REAL, [3.0, 1 / 3])]]
+    for s in 10.0 ** np.linspace(1, 6, 6):
+        theta = rng.uniform(0, math.pi)
+        g = conjugated_diagonal(theta, s)
+        for h in (g @ g @ g, conjugated_diagonal(theta, 10.0 ** rng.uniform(1, 6))):
+            cases.append([SLMatrix(REAL, g), SLMatrix(REAL, h)])
+    verdicts = []
+    for gens in cases:
+        tested, reference = _letters(gens)[1], fraction_letters(gens)
+        for t, f in zip(tested, reference):
+            assert all(type(x) is int for x in t.flat)
+            k = np.flatnonzero(f)[0]
+            assert Fraction(t.flat[k]) / f.flat[k] > 0
+            assert (t * f.flat[k] == f * t.flat[k]).all()  # t is that multiple of f
+        for length in range(1, 6 if len(gens) == 1 else 5):
+            for word in itertools.product(range(len(tested)), repeat=length):
+                if any(a ^ 1 == b for a, b in zip(word, word[1:])):
+                    continue  # not reduced
+                got, want = (_scalar_words(functools.reduce(
+                    operator.matmul, [letters[k] for k in word])[None])[0]
+                    for letters in (tested, reference))
+                assert got == want
+                verdicts.append(got)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_falsifier_never_calls_overflowing_generators_free():
