@@ -219,7 +219,9 @@ class SLMatrix:
             return NotImplemented
         if self.field != other.field or self.n != other.n:
             raise DomainError("matrix product needs matching fields and sizes")
-        return SLMatrix(self.field, matmul(self.entries, other.entries), check=False)
+        product = matmul(self.entries, other.entries)
+        product.setflags(write=False)
+        return SLMatrix._view(self.field, product)
 
     def inverse(self) -> "SLMatrix":
         return self._inverse or inverses((self,))[0]
@@ -348,8 +350,9 @@ def inverses(matrices) -> list:
     missing = list(dict.fromkeys(g for g in matrices if g._inverse is None))
     if missing:
         adjugates = _adjugate(np.array([g.entries for g in missing]))
+        adjugates.setflags(write=False)
         for g, entries in zip(missing, adjugates):
-            g._inverse = SLMatrix(g.field, entries, check=False)
+            g._inverse = SLMatrix._view(g.field, entries)
             g._inverse._inverse = g
     return [g._inverse for g in matrices]
 
@@ -538,32 +541,36 @@ def bilip_constants(matrices) -> list:
     k and k' lie in GL_n(Z_p) and keep the sup norm, so the constant is
     p^(-2 (min v(g_ij) + min v((g^(-1))_ij))), read off g and its cached
     inverse: the Smith form's exponent 2 (v(a_n) - v(a_1)), so the same
-    float.  The decomposition's digit floor is checked element by element,
-    and one inverses call fills the inverses of the elements before the
-    first that fails, so the error raised is the one a loop over the
+    float.  One pass over the stack reads each element's digits, for the
+    decomposition's floor, and its valuations, and a second its inverse's.
+    One inverses call fills the inverses of the elements before the first
+    that fails the floor, so the error raised is the one a loop over the
     elements, floor then inverse, would raise first.
     """
     matrices = tuple(matrices)
-    if matrices and not matrices[0].field.is_padic:
+    if not matrices:
+        return []
+    if not matrices[0].field.is_padic:
         s = _svd(np.array([g.entries for g in matrices]))[1]
         return [(a / b) ** 2 for a, b in zip(s[:, 0].tolist(), s[:, -1].tolist())]
-    checked, failure = [], None
-    for g in matrices:
-        try:
-            _check_digits(g)
-        except PrecisionExhaustedError as exc:
-            failure = exc
-            break
-        checked.append(g)
-    inverses(checked)
-    if failure is not None:
-        raise failure
-    return [magnitude(g.field.prime, 2 * (_top(g) + _top(g._inverse))) for g in matrices]
+    fewest, tops = _digits_and_tops(matrices)
+    short = [i for i, d in enumerate(fewest) if d < matrices[0].n + 1]
+    inverses(matrices[:short[0]] if short else matrices)
+    if short:
+        _check_digits(matrices[short[0]])  # raises the floor's error
+    _, inverse_tops = _digits_and_tops([g._inverse for g in matrices])
+    p = matrices[0].field.prime
+    return [magnitude(p, 2 * (a + b)) for a, b in zip(tops, inverse_tops)]
 
 
-def _top(g: SLMatrix):
-    """The least valuation of an entry of the p-adic g."""
-    return min(c.valuation for row in g.entries for c in row)
+def _digits_and_tops(matrices) -> tuple:
+    """Per p-adic SLMatrix, the fewest digits and the least valuation of an
+    entry, as int lists, from one pass over the entries of the stack."""
+    scalars = [c for g in matrices for c in g.entries.flat]
+    digits = np.array([c.digits for c in scalars]).reshape(len(matrices), -1).min(1)
+    # a zero's valuation is inf, and a det-1 matrix has a nonzero entry
+    vals = np.array([c.valuation for c in scalars], dtype=float).reshape(len(matrices), -1)
+    return digits.tolist(), [int(v) for v in vals.min(1).tolist()]
 
 
 def operator_norm(g: SLMatrix) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 from .cartan import SLMatrix
 from .errors import ConstructionError, DomainError, NotContractingError
 from .fields import FieldSpec, magnitude, relative_tolerance
-from .projective import (ProjHyperplane, ProjPoint, dist_to_hyperplane, hyperplane_distances,
-                         point_distances)
+from .projective import (ProjHyperplane, ProjPoint, _kernel_form, dist_to_hyperplane,
+                         hyperplane_distances, point_distances)
 from .sampling import archimedean_unit_chunks, padic_point_chunks
 
 
@@ -111,6 +111,7 @@ def verify_contracting(cert: ContractionCert, g: SLMatrix,
     field = g.field
     chunks = padic_point_chunks if field.is_padic else archimedean_unit_chunks
     for points in chunks(field, g.n, samples, seed):
+        points = _kernel_form(field, points, 1)
         to_plane = hyperplane_distances(field, points, cert.repelling.form[None])[:, 0]
         to_point = point_distances(field, points, cert.attracting.rep, g.entries)
         if ((to_plane >= cert.epsilon) & (to_point > cert.epsilon)).any():

@@ -12,14 +12,18 @@ PadicScalar).  |x|_p is magnitude(p, v) = p^-v as a float, and DomainError
 where that is not a finite positive float.
 
 No other module reads how a p-adic number is stored.  The projective
-distance kernels run on the int-term form of p-adic arrays defined here,
-_padic_rows to _padic_abs, under the same digit rule and magnitude.  A term
-is (ints, valuations, digits, zero), the valuations and digits int64; an
-entry is one int times a scale, one power of p and one unit per row or per
-whole matrix (never per row of a matrix, which would move the pivot of
-g v).  The scale cancels in a canonical row and shifts every valuation of
-one sum alike, so it changes no digit count; it is kept as a p-power shift
-only to report absolute valuations.
+distance kernels and separation's configurations run on the int-term form
+of p-adic arrays defined here, _Terms to _padic_abs, under the same digit
+rule and magnitude.  A term is (ints, valuations, digits, zero), the
+valuations and digits int64; an entry is one int times a scale, one power
+of p and one unit per row or per whole matrix (never per row of a matrix,
+which would move the pivot of g v).  The scale cancels in a canonical row
+and shifts every valuation of one sum alike, so it changes no digit count;
+it is kept as a p-power shift only to report absolute valuations.
+_padic_read reads a PadicScalar array into a term in one pass over its
+entries, and an object array of Python ints as exact full-digit scalars:
+the Q_p sample streams are such ints, so sampled rows never become
+PadicScalars on the way to a distance.
 
 Matrices and projective rows keep scalars of every field in numpy arrays,
 p-adic ones in object arrays, so one numpy expression serves R, C and Q_p.
@@ -424,23 +428,78 @@ def _over_common_denominator(scalars: list) -> tuple:
     return [a * (den // d) for a, d in ratios], den
 
 
-def _padic_rows(field: FieldSpec, arr, axes: int) -> tuple:
-    """(term, shift) of a p-adic field array: the term of its entries scaled
-    to ints per block of the last `axes` axes (1: rows, 2: matrices), and per
-    block the valuation of the scale the ints are divided by."""
-    blocks = arr.reshape(-1, math.prod(arr.shape[arr.ndim - axes:]))
-    ints, vals, digits, shifts = [], [], [], []
-    for block in blocks.tolist():
-        block_ints, den = _over_common_denominator(block)
-        shift = -_valuation(den, 1, field.prime)
-        ints.append(block_ints)
-        vals.append([c.valuation - shift if c.num else 0 for c in block])
-        digits.append([c.digits for c in block])
-        shifts.append(shift)
-    ints = np.array(ints, dtype=object).reshape(arr.shape)
-    term = (ints, np.array(vals, dtype=np.int64).reshape(arr.shape),
-            np.array(digits, dtype=np.int64).reshape(arr.shape), ints == 0)
-    return term, np.array(shifts, dtype=np.int64).reshape(arr.shape[:arr.ndim - axes])
+class _Terms:
+    """A p-adic array in the int-term form of the distance kernels: ``term``
+    (ints, valuations, digits, zero), each of the array's shape, and
+    ``shift``, per block of the last one or two axes (a row or a matrix) the
+    valuation of the scale its ints are multiplied by.  Indexing takes the
+    leading (block) axes of both, so a stack of terms slices as the array."""
+
+    __slots__ = ("term", "shift")
+
+    def __init__(self, term: tuple, shift):
+        self.term = term
+        self.shift = shift
+
+    def __getitem__(self, index) -> "_Terms":
+        return _Terms(tuple(part[index] for part in self.term), self.shift[index])
+
+    def __len__(self) -> int:
+        return len(self.term[0])
+
+    @property
+    def shape(self) -> tuple:
+        return self.term[0].shape
+
+
+def _valuations(ints: np.ndarray, p: int) -> np.ndarray:
+    """The int64 valuation of each int of an object array, 0 for a zero:
+    numpy's % p first, so that _valuation runs only on the ints p divides."""
+    flat = ints.ravel()
+    vals = np.zeros(flat.shape, dtype=np.int64)
+    hits = (flat % p == 0).nonzero()[0]
+    if len(hits):
+        vals[hits] = [_valuation(x, 1, p) if x else 0 for x in flat[hits].tolist()]
+    return vals.reshape(ints.shape)
+
+
+def _padic_ints(field: FieldSpec, ints: np.ndarray) -> tuple:
+    """The term of an object array of Python ints, each read as
+    PadicScalar(field, x) reads it: exact, with full digits."""
+    return (ints, _valuations(ints, field.prime),
+            np.full(ints.shape, field.precision, dtype=np.int64), ints == 0)
+
+
+def _padic_read(field: FieldSpec, arr, axes: int) -> _Terms:
+    """The _Terms of a p-adic array, per block of the last `axes` axes (1:
+    rows, 2: matrices): a _Terms as it is; an object array of Python ints as
+    exact ints with full digits, shift 0; PadicScalars in one pass over the
+    entries when none has a denominator, and else each block's scaled to
+    ints over its common denominator, the shift the valuation of 1 over it."""
+    if isinstance(arr, _Terms):
+        return arr
+    shape, blocks = arr.shape, arr.shape[:arr.ndim - axes]
+    if arr.size and type(arr.flat[0]) is int:
+        return _Terms(_padic_ints(field, arr), np.zeros(blocks, dtype=np.int64))
+    scalars = arr.ravel().tolist()
+    if max([c.den for c in scalars], default=1) == 1:
+        nums = [c.num for c in scalars]
+        vals = [c.valuation if c.num else 0 for c in scalars]
+        shifts = [0] * math.prod(blocks)
+    else:
+        width = math.prod(shape[arr.ndim - axes:])
+        nums, vals, shifts = [], [], []
+        for start in range(0, len(scalars), width):
+            block = scalars[start:start + width]
+            ints, den = _over_common_denominator(block)
+            shift = -_valuation(den, 1, field.prime)
+            nums += ints
+            vals += [c.valuation - shift if c.num else 0 for c in block]
+            shifts.append(shift)
+    ints = np.array(nums, dtype=object).reshape(shape)
+    return _Terms((ints, np.array(vals, dtype=np.int64).reshape(shape),
+                   np.array([c.digits for c in scalars], dtype=np.int64).reshape(shape), ints == 0),
+                  np.array(shifts, dtype=np.int64).reshape(blocks))
 
 
 def _padic_product(a: tuple, b: tuple, at_a, at_b) -> tuple:
@@ -456,25 +515,32 @@ def _padic_sum(field: FieldSpec, terms: list, shift) -> tuple:
     """The term of the left-to-right sums of the terms under the digit rule
     of PadicScalar.__add__: absolute precision is the min of the operands',
     an exact zero has full digits, digits are capped at the precision, and a
-    nonzero sum known to less than one digit raises its error.  shift
+    nonzero sum known to less than one digit raises its error.  The error is
+    that of the first sum in C order to fall short, at its first short step,
+    as numpy's object sums, one sum after another, raise it.  shift
     broadcasts to the sums: the valuation of their scale, for the message."""
     p = field.prime
     total, vals, digits, zero = terms[0]
     known = np.where(zero, _INF, vals + digits)
+    fallen, first = np.zeros((), dtype=bool), None
     for ints, vals_k, digits_k, zero_k in terms[1:]:
         precision = np.minimum(known, np.where(zero_k, _INF, vals_k + digits_k))
         total = total + ints
         zero = total == 0
-        # a loop: numpy's object-array int operations cost more per call
-        vals = np.array([_valuation(x, 1, p) if x and not x % p else 0
-                         for x in total.ravel().tolist()], dtype=np.int64).reshape(total.shape)
+        vals = _valuations(total, p)
         digits = precision - vals
         short = ~zero & (digits < 1)
         if short.any():
-            at = np.argmax(short)
-            moved = np.broadcast_to(shift, short.shape).flat[at]
-            raise _cancellation(p, vals.flat[at] + moved, precision.flat[at] + moved)
+            short &= ~fallen  # the sums short here for the first time
+            at = int(np.argmax(short))
+            if short.flat[at] and (first is None or at < first[0]):
+                first = at, vals.flat[at], precision.flat[at]
+            fallen = fallen | short
         known = np.where(zero, _INF, vals + np.minimum(digits, field.precision))
+    if first is not None:
+        at, v, abs_prec = first
+        moved = np.broadcast_to(shift, fallen.shape).flat[at]
+        raise _cancellation(p, v + moved, abs_prec + moved)
     return total, vals, known - vals, zero
 
 
@@ -492,6 +558,25 @@ def _padic_canonical(term: tuple) -> tuple:
     rows = digits.reshape(len(pivot), digits.shape[-1])
     pivot_digits = rows[np.arange(len(pivot)), pivot].reshape(least.shape + (1,))
     return (ints, vals, np.minimum(digits, pivot_digits), zero), least
+
+
+def _padic_canonical_terms(term: tuple) -> _Terms:
+    """The _Terms of canonical rows (_padic_canonical): the ints as they are,
+    each row's scale 1 over its pivot int."""
+    term, least = _padic_canonical(term)
+    return _Terms(term, -least)
+
+
+def _padic_scalars(field: FieldSpec, term: tuple) -> np.ndarray:
+    """The PadicScalar array of a canonical term's rows: each int over its
+    row's pivot int, the first of least valuation, with the term's digits,
+    the values and digits canonical_rows gives the same rows as PadicScalars."""
+    ints, vals, digits, zero = term
+    pivot = np.where(zero, _INF, vals).argmin(-1)[..., None]
+    pivots = np.broadcast_to(np.take_along_axis(ints, pivot, -1), ints.shape)
+    scalars = [PadicScalar(field, Fraction(x, y), d) for x, y, d in
+               zip(ints.ravel().tolist(), pivots.ravel().tolist(), digits.ravel().tolist())]
+    return np.array(scalars, dtype=object).reshape(ints.shape)
 
 
 def _padic_abs(field: FieldSpec, vals, zero) -> np.ndarray:

@@ -15,10 +15,13 @@ g of the images g v as well, so a caller never forms g v itself.  They split
 by field once.  Over R and C they are one numpy expression.  Over Q_p they
 form g v, take its pivot and sum f(g v) with the int-term primitives of
 fields, under PadicScalar's digit rule and magnitude, so every distance and
-every error is the one PadicScalar products would give.  The ints are for
-speed: one separation._margins call on tests/data/sep_f_q5.json (m = 2, 2
-trials) takes 0.83 ms through them and 6.8 ms by the PadicScalar route of
-tests/helpers.padic_margins (best of 7, Python 3.11, 2-core x86-64 host).
+every error is the one PadicScalar products would give.  They take
+PadicScalar arrays, arrays of Python ints and the terms themselves, which
+separation reads once and hands on.  The ints are for speed: one
+separation._margins call on tests/data/sep_f_q5.json (m = 2, 2 trials, the
+letters and the configurations given as terms) takes 0.63-0.70 ms, and
+6.8-7.3 ms by the PadicScalar route of tests/helpers.padic_margins (best of
+7 in each of 3 processes, Python 3.11, 2-core x86-64 host).
 """
 
 import functools
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import (_INF, FieldSpec, Kind, PadicScalar, _canonical_padic_rows, _padic_abs,
-                     _padic_canonical, _padic_product, _padic_rows, _padic_sum,
+                     _padic_canonical, _padic_product, _padic_read, _padic_sum,
                      relative_tolerance)
 
 # coordinates this much below the largest one are treated as zero when
@@ -64,6 +67,13 @@ def as_field_array(field: FieldSpec, values, ndim: int) -> np.ndarray:
             arr = arr.astype(np.float64)
     arr.setflags(write=False)
     return arr
+
+
+def _kernel_form(field: FieldSpec, arr, axes: int):
+    """arr as the distance kernels read it, for a caller that passes it to
+    several kernel calls: itself over R and C, over Q_p its int terms
+    (fields._padic_read, per block of the last `axes` axes)."""
+    return _padic_read(field, arr, axes) if field.is_padic else arr
 
 
 def _norms(field: FieldSpec, rows) -> np.ndarray:
@@ -212,13 +222,16 @@ def hyperplane_distances(field: FieldSpec, points, forms, matrices=None) -> np.n
     Over Q_p every distance is fields.magnitude of v, the exact valuation
     of f(g v) for canonical g v and f, and every digit count is that of
     PadicScalar arithmetic: a sum that keeps less than one known digit raises
-    the error the same products of PadicScalars would.
+    the error the same products of PadicScalars would.  There points, forms
+    and matrices may also be object arrays of Python ints, exact with full
+    digits, or the kernel's own int terms (fields._padic_read), which
+    internal callers read once and pass on.
     """
     if field.is_padic:
         images, image_pivots = _padic_images(field, points, matrices)
-        rows, row_pivots = _padic_canonical(_padic_rows(field, forms, 1)[0])
+        rows, row_pivots = _padic_canonical(_padic_read(field, forms, 1).term)
         terms = [_padic_product(images, rows, np.s_[..., :, None, k], np.s_[..., None, :, k])
-                 for k in range(forms.shape[-1])]
+                 for k in range(rows[0].shape[-1])]
         # f(g v) / (pivot of g v * pivot of f) is the value of the canonical rows
         shift = -(image_pivots[..., :, None] + row_pivots[..., None, :])
         _, vals, _, zero = _padic_sum(field, terms, shift)
@@ -235,8 +248,8 @@ def point_distances(field: FieldSpec, points, w, matrices=None) -> np.ndarray:
     Over Q_p exact as in hyperplane_distances."""
     if field.is_padic:
         images, image_pivots = _padic_images(field, points, matrices)
-        row, row_pivot = _padic_canonical(_padic_rows(field, w, 1)[0])
-        i, j = _pairs(len(w))
+        row, row_pivot = _padic_canonical(_padic_read(field, w, 1).term)
+        i, j = _pairs(row[0].shape[-1])
         # v_i w_j - v_j w_i, summed as v_i w_j + (-(v_j w_i))
         minus = _padic_product(images, row, np.s_[..., j], i)
         terms = [_padic_product(images, row, np.s_[..., i], j), (-minus[0],) + minus[1:]]
@@ -255,10 +268,11 @@ def point_distances(field: FieldSpec, points, w, matrices=None) -> np.ndarray:
 def _padic_images(field: FieldSpec, points, matrices) -> tuple:
     """(term, pivot valuations) of the canonical rows g v, g v = v when
     matrices is None; g v is summed as the object product v @ g^T."""
-    term, shift = _padic_rows(field, points, 1)
+    points = _padic_read(field, points, 1)
+    term = points.term
     if matrices is not None:
-        g, g_shift = _padic_rows(field, matrices, 2)
-        terms = [_padic_product(term, g, np.s_[..., :, None, k], np.s_[..., None, :, k])
-                 for k in range(points.shape[-1])]
-        term = _padic_sum(field, terms, shift[..., :, None] + g_shift[..., None, None])
+        g = _padic_read(field, matrices, 2)
+        terms = [_padic_product(term, g.term, np.s_[..., :, None, k], np.s_[..., None, :, k])
+                 for k in range(term[0].shape[-1])]
+        term = _padic_sum(field, terms, points.shift[..., :, None] + g.shift[..., None, None])
     return _padic_canonical(term)

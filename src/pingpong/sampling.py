@@ -11,7 +11,9 @@ SeedSequence(s), bit for bit.  One reused Generator draws every stream: the
 PCG64 states of all seeds of a call come from one stacked SeedSequence hash
 (_pcg64_states), and each state is set on the generator before its draws.
 So two threads must not draw streams at the same time.  Over Q_p the stream
-of seed s is random.Random(s).
+of seed s is random.Random(s), and its rows are the drawn Python ints
+themselves: exact, with full digits, what the p-adic distance kernels and
+separation's configurations work on.
 """
 
 import functools
@@ -135,13 +137,14 @@ def _pcg64_states(seeds) -> list:
 def _blocks(field: FieldSpec, n: int, seeds: list, counts):
     """Per Python int seed s and count c, the (c, n) rows of stream s: over R
     and C its normal draws, real parts, then over C the imaginary parts; over
-    Q_p c padic_unit_coords draws of random.Random(s), as a field array.  Every
-    seed is checked, and over R and C hashed, at the first block; a negative
-    one raises ValueError."""
+    Q_p c padic_unit_coords draws of random.Random(s), as an object array of
+    those Python ints, exact and with full digits.  Every seed is checked,
+    and over R and C hashed, at the first block; a negative one raises
+    ValueError."""
     if field.is_padic:
         for rng, count in zip(map(random.Random, _nonnegative(seeds)), counts):
             coords = [padic_unit_coords(rng, field, n) for _ in range(count)]
-            yield as_field_array(field, coords, 2)
+            yield np.array(coords, dtype=object).reshape(count, n)
         return
     generator = _generator()
     for (state, inc), count in zip(_pcg64_states(seeds), counts):
@@ -173,7 +176,9 @@ def archimedean_unit_chunks(field: FieldSpec, n: int, count: int, seed: int):
 
 
 def padic_point_chunks(field: FieldSpec, n: int, count: int, seed: int):
-    """Yield (m, n) field arrays of coordinates with at least one unit entry.
+    """Yield (m, n) object arrays of Python int coordinates with at least
+    one unit entry, which the distance kernels read as exact full-digit
+    p-adic scalars (as_field_array makes PadicScalars of them).
 
     Coordinates are uniform over Z/p^precision, the digit-uniform measure on
     Z_p to working precision, conditioned on the tuple being a valid

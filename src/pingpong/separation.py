@@ -16,16 +16,18 @@ distances stays within _TABLE_BUDGET entries, at most sampling.CHUNK_SIZE
 trials: per chunk one stack of configurations (T, 2m, n), one
 canonical_rows call for its points, its adversarial images and its forms,
 one deflation of the adversarial forms, and one kernel call that forms
-and scores g v for every trial, element and inverse.  sample_configuration
-and best_separator are the same code on a batch of one, and every trial
+and scores g v for every trial, element and inverse.  Over Q_p the same
+steps run on the int terms of fields, from the sampled ints to the table
+of distances: the letter stack is read into terms once per estimate, and
+no sampled row becomes a PadicScalar.  sample_configuration and
+best_separator are the same code on a batch of one, and every trial
 rounds as it would alone, for R, C and Q_p.  The global infimum r exists
 by compactness but is never computed; downstream constructions only ever
-query concrete configurations.  word_layers is the one reduced-word enumerator: a BFS that
-builds each word length as one (N, n, n) stack of products, filled in
-blocks of words, keeping per length only the parent index and last letter
-of each word.  The falsifier
-reads its stacks; reduced_words, for the greedy candidate pool, is a
-per-word view of it.
+query concrete configurations.  word_layers is the one reduced-word
+enumerator: a BFS that builds each word length as one (N, n, n) stack of
+products, filled in blocks of words, keeping per length only the parent
+index and last letter of each word.  The falsifier reads its stacks;
+reduced_words, for the greedy candidate pool, is a per-word view of it.
 """
 
 import math
@@ -36,8 +38,9 @@ import numpy as np
 
 from .cartan import SLMatrix, bilip_constants, inverses
 from .errors import ConstructionError, DomainError, UndecidedError
-from .fields import matmul
-from .projective import _norms, canonical_rows, hyperplane_distances
+from .fields import (_INF, _Terms, _padic_canonical_terms, _padic_product, _padic_read,
+                     _padic_scalars, _padic_sum, matmul)
+from .projective import _kernel_form, _norms, _padic_images, canonical_rows, hyperplane_distances
 from .sampling import CHUNK_SIZE, stream_rows
 
 __all__ = [
@@ -101,7 +104,8 @@ class SeparatingSet:
 class Configuration:
     """Points and hyperplanes of P^(n-1) as field arrays: points (P, n) holds
     canonical representatives (projective.canonical_rows), forms (H, n) the
-    canonical forms whose kernels are the hyperplanes."""
+    canonical forms whose kernels are the hyperplanes.  The batches of
+    _configurations over Q_p hold the fields._Terms of those rows instead."""
 
     points: np.ndarray
     forms: np.ndarray
@@ -112,7 +116,7 @@ def _margins(field, pairs, batch: Configuration) -> np.ndarray:
     a batch, points and forms (T, P, n) and (T, H, n): the min over points v
     and forms f of d(g v, ker f) and d(g^-1 v, ker f), +inf for an empty
     configuration; pairs is the (E, 2, n, n) view of the elements'
-    letter_stack."""
+    letter_stack, over Q_p field arrays or their terms."""
     # g v for every trial and every g at once, rounded as for one alone
     distances = hyperplane_distances(field, batch.points[:, None, None],
                                      batch.forms[:, None, None], pairs)
@@ -173,13 +177,15 @@ def _configurations(field, entries, m: int, trials: np.ndarray, seed: int) -> Co
     (T, 2m, n); entries is the (E, n, n) stack of the candidates.
 
     Trial t draws its 4m rows, points first, from sampling stream seed + t,
-    so its configuration does not depend on the batch it is drawn in.
+    so its configuration does not depend on the batch it is drawn in.  Over
+    Q_p the rows are the stream's ints, and the configuration is built and
+    returned as int terms (_padic_configurations).
     """
     n = entries.shape[-1]
     rows = stream_rows(field, n, [seed + t for t in trials.tolist()], 4 * m)
     rows = rows.reshape(len(trials), 2, 2 * m, n)
-    # exact arithmetic over Q_p: only a zero form is degenerate
-    vanishing = 0.0 if field.is_padic else 1e-9
+    if field.is_padic:
+        return _padic_configurations(field, entries, rows, trials)
     points, forms = canonical_rows(field, rows[:, 0]), rows[:, 1].copy()
     odd = np.flatnonzero(trials % 2)
     if len(odd):
@@ -188,8 +194,62 @@ def _configurations(field, entries, m: int, trials: np.ndarray, seed: int) -> Co
         images = matmul(adversaries[:, None], points[odd][..., None])[..., 0]
         images = canonical_rows(field, images)
         forms[odd] = _deflate(field, images.reshape(-1, n), forms[odd].reshape(-1, n),
-                              vanishing).reshape(images.shape)
+                              1e-9).reshape(images.shape)
     return Configuration(points, canonical_rows(field, forms))
+
+
+def _padic_configurations(field, entries, rows: np.ndarray,
+                          trials: np.ndarray) -> Configuration:
+    """_configurations over Q_p on the int terms of fields: the sampled ints
+    rows (T, 2, 2m, n) and the candidates entries, PadicScalars or their
+    _Terms, to a Configuration of the canonical rows' _Terms.  Every value,
+    digit count and error is the one the same steps on PadicScalar rows
+    give: canonical points, images g v summed as the object product, the
+    deflation of _deflate and canonical forms."""
+    samples = _padic_read(field, rows, 1)
+    points, forms = _padic_canonical_terms(samples[:, 0].term), samples[:, 1].term
+    odd = np.flatnonzero(trials % 2)
+    if len(odd):
+        images = _padic_images(field, points[odd], entries[trials[odd] // 2 % len(entries)])
+        forms = [part.copy() for part in forms]
+        for part, deflated in zip(forms, _padic_deflate(field, *images, samples[odd, 1])):
+            part[odd] = deflated
+    return Configuration(points, _padic_canonical_terms(tuple(forms)))
+
+
+def _padic_deflate(field, images: tuple, least, forms: _Terms) -> tuple:
+    """The term of _deflate over Q_p, vanishing 0: each form w with w_k0 -
+    (w . u) / u_k0 at the pivot coordinate k0 of the canonical row u of
+    images, the same row of a term and its pivot valuations least, and
+    e_k1 - (u_k1 / u_k0) e_k0 where nothing is left.  Each row is kept in
+    ints times u's pivot int."""
+    shape = images[0].shape
+    n = shape[-1]
+    ints, vals, digits, zero = u = tuple(part.reshape(-1, n) for part in images)
+    least = least.reshape(-1)
+    rows = np.arange(len(ints))
+    k0 = np.where(zero, _INF, vals).argmin(-1)
+    pivot, pivot_digits = ints[rows, k0], digits[rows, k0]
+    w = tuple(part.reshape(-1, n) for part in forms.term)
+    shift = forms.shift.reshape(-1) - least
+    # w . u summed as the object product w @ u, then over u_k0 = 1
+    dot = _padic_sum(field, [_padic_product(w, u, np.s_[:, j], np.s_[:, j]) for j in range(n)],
+                     shift)
+    dot = -dot[0], dot[1], np.minimum(dot[2], pivot_digits), dot[3]
+    w = [w[0] * pivot[:, None], w[1] + least[:, None], w[2].copy(), w[3].copy()]
+    for part, value in zip(w, _padic_sum(field, [[part[rows, k0] for part in w], dot], shift)):
+        part[rows, k0] = value
+    flat = w[3].all(-1)
+    if flat.any():
+        # u_k0 e_k1 - u_k1 e_k0, its entry u_k0 known to the full precision
+        rows, k0 = rows[flat], k0[flat]
+        k1 = (k0 + 1) % n
+        for part, fill in zip(w, (0, 0, field.precision, True)):
+            part[rows] = fill
+        w[0][rows, k1], w[1][rows, k1], w[3][rows, k1] = pivot[flat], least[flat], False
+        for part, entries in zip(w, (-ints, vals, digits, zero)):
+            part[rows, k0] = entries[rows, k1]
+    return tuple(part.reshape(shape) for part in w)
 
 
 def sample_configuration(elements, m: int, trial: int, seed: int) -> Configuration:
@@ -204,8 +264,12 @@ def sample_configuration(elements, m: int, trial: int, seed: int) -> Configurati
     elements = tuple(elements)
     if not elements:
         raise DomainError("configuration sampling needs at least one candidate element")
-    batch = _configurations(elements[0].field, np.array([g.entries for g in elements]),
+    field = elements[0].field
+    batch = _configurations(field, np.array([g.entries for g in elements]),
                             m, np.array([trial]), seed)
+    if field.is_padic:
+        return Configuration(_padic_scalars(field, batch.points[0].term),
+                             _padic_scalars(field, batch.forms[0].term))
     return Configuration(batch.points[0], batch.forms[0])
 
 
@@ -242,7 +306,7 @@ def estimate_radius(elements, m: int, trials: int, seed: int) -> RadiusEstimate:
         raise DomainError(f"m must be positive, got {m}")
     fld, n = elements[0].field, elements[0].n
     zero_tol = 0.0 if fld.is_padic else _ZERO_MARGIN
-    pairs = letter_stack(elements).reshape(-1, 2, n, n)
+    pairs = _kernel_form(fld, letter_stack(elements).reshape(-1, 2, n, n), 2)
     worst = math.inf
     wins = np.zeros(len(elements), dtype=int)
     chunk = max(1, min(CHUNK_SIZE, _TABLE_BUDGET // (2 * len(elements) * (2 * m) ** 2)))

@@ -11,9 +11,10 @@ import numpy as np
 from pingpong.cartan import SLMatrix, _cartan_padic, apply_point
 from pingpong.errors import DomainError, PrecisionExhaustedError
 from pingpong.fields import FieldSpec, Kind, PadicScalar, matmul, valuation
-from pingpong.projective import _norms, canonical_rows
-from pingpong.sampling import padic_point_chunks
-from pingpong.separation import SeparatingSet, best_separator, sample_configuration
+from pingpong.projective import _norms, as_field_array, canonical_rows
+from pingpong.sampling import padic_point_chunks, stream_rows
+from pingpong.separation import (Configuration, SeparatingSet, _deflate, best_separator,
+                                 sample_configuration)
 
 
 def _vp(x, p: int):
@@ -285,10 +286,31 @@ def padic_margins(field, pairs, batch):
     return distances.min(axis=(2, 3, 4), initial=math.inf)
 
 
+def padic_configurations(field, entries, m, trials, seed):
+    """separation._configurations over Q_p by the PadicScalar route: the
+    sampled ints as PadicScalars, their canonical rows, the images g v as
+    the object product, their deflation by separation._deflate with
+    vanishing 0, and the canonical forms, as a Configuration of PadicScalar
+    arrays."""
+    n = entries.shape[-1]
+    rows = stream_rows(field, n, [seed + t for t in trials.tolist()], 4 * m)
+    rows = as_field_array(field, rows.reshape(-1, n), 2).reshape(len(trials), 2, 2 * m, n)
+    points, forms = canonical_rows(field, rows[:, 0]), rows[:, 1].copy()
+    odd = np.flatnonzero(trials % 2)
+    if len(odd):
+        adversaries = entries[trials[odd] // 2 % len(entries)]
+        images = canonical_rows(field, matmul(adversaries[:, None], points[odd][..., None])[..., 0])
+        forms[odd] = _deflate(field, images.reshape(-1, n), forms[odd].reshape(-1, n),
+                              0.0).reshape(images.shape)
+    return Configuration(points, canonical_rows(field, forms))
+
+
 def padic_verify_contracting(cert, g, samples, seed):
-    """contraction.verify_contracting over Q_p by the PadicScalar route."""
+    """contraction.verify_contracting over Q_p by the PadicScalar route, on
+    the sampled ints read as PadicScalars with as_field_array."""
     field = g.field
     for points in padic_point_chunks(field, g.n, samples, seed):
+        points = as_field_array(field, points, 2)
         to_plane = padic_hyperplane_distances(field, points, cert.repelling.form[None])[:, 0]
         to_point = padic_point_distances(field, points, cert.attracting.rep, g.entries)
         if ((to_plane >= cert.epsilon) & (to_point > cert.epsilon)).any():

@@ -46,7 +46,8 @@ from pingpong.cartan import (
     wedge_operator_norm,
 )
 from pingpong.errors import DecompositionError, DomainError, PrecisionExhaustedError
-from pingpong.fields import COMPLEX, REAL, PadicScalar, padic, relative_tolerance, valuation
+from pingpong.fields import (COMPLEX, REAL, PadicScalar, matmul, padic, relative_tolerance,
+                             valuation)
 from pingpong.projective import ProjHyperplane, ProjPoint, as_field_array, proj_dist
 
 Q5 = padic(5)
@@ -238,6 +239,35 @@ def test_a_padic_ndarray_input_is_copied_once(monkeypatch):
     foreign = np.array([[padic(7).scalar(x) for x in row] for row in ([1, 0], [0, 1])])
     with pytest.raises(DomainError, match="scalar belongs to Q_7"):
         SLMatrix(Q5, foreign)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX, Q5], ids=["R", "C", "Q5"])
+def test_products_and_inverses_keep_private_read_only_entries(field):
+    # SLMatrix._view takes the fresh product and the adjugate stack as they
+    # are: each result must still be read-only, in the field's array form,
+    # and share no memory with its operands
+    if field is Q5:
+        prng = random.Random(11)
+        g, h = (random_sl_padic(prng, Q5, 3) for _ in range(2))
+    else:
+        rng = np.random.default_rng(11)
+        g, h = (random_sl_arch(rng, field, 3) for _ in range(2))
+    product = g @ h
+    g_inverse, h_inverse = inverses((g, h))
+    for x in (product, g_inverse, h_inverse):
+        assert not x.entries.flags.writeable
+        assert x.entries.dtype == g.entries.dtype and x.entries.shape == (3, 3)
+        assert not any(np.shares_memory(x.entries, y.entries) for y in (g, h))
+    assert not np.shares_memory(g_inverse.entries, h_inverse.entries)
+    for x in (product, g_inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            x.entries[0, 0] = x.entries[0, 1]
+    assert g_inverse.inverse() is g and g.inverse() is g_inverse
+    if field is Q5:
+        assert product.entries.tolist() == matmul(g.entries, h.entries).tolist()
+        assert all(isinstance(x, PadicScalar) for x in product.entries.flat)
+    else:
+        assert product.entries.tobytes() == (g.entries @ h.entries).tobytes()
 
 
 def test_a_real_matrix_refuses_complex_ndarray_entries():

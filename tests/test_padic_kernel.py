@@ -1,10 +1,13 @@
-"""The integer p-adic arm of the distance kernels against the PadicScalar route.
+"""The integer p-adic arm of the distance kernels and of the sampled
+configurations against the PadicScalar route.
 
-helpers.padic_hyperplane_distances, padic_point_distances, padic_margins and
-padic_verify_contracting compute the same quantities with PadicScalar
-arithmetic, the route the kernels replaced.  On every case of the corpus
-the floats must be equal, and PrecisionExhaustedError (or DomainError for a
-zero row) must be raised by both or by neither.  The corpus is random sets
+helpers.padic_hyperplane_distances, padic_point_distances, padic_margins,
+padic_configurations and padic_verify_contracting compute the same
+quantities with PadicScalar arithmetic, the route the int terms replaced.
+On every case of the corpus the floats must be equal, and
+PrecisionExhaustedError (or DomainError for a zero row) must be raised by
+both or by neither; a configuration must have the same values and digits,
+or raise the same first error with the same message.  The corpus is random sets
 over Q_3, Q_5 and Q_7 with p in the denominators, n = 2..4, at precision 40
 and at precision 3..8, plus rows built to cancel, entries carrying more
 digits than the precision, and distances p^-k down a ladder of k.
@@ -16,13 +19,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (adjugate_oracle, padic_hyperplane_distances, padic_margins,
-                     padic_point_distances, padic_verify_contracting, random_sl_padic)
+from helpers import (adjugate_oracle, deflate_row, padic_configurations,
+                     padic_hyperplane_distances, padic_margins, padic_point_distances,
+                     padic_verify_contracting, random_sl_padic)
 from pingpong.contraction import cartan_cert, contraction_coefficient, verify_contracting
 from pingpong.errors import DomainError, PrecisionExhaustedError
-from pingpong.fields import PadicScalar, padic
-from pingpong.projective import as_field_array, hyperplane_distances, point_distances
-from pingpong.separation import _configurations, _margins
+from pingpong.fields import (PadicScalar, _padic_canonical, _padic_read, _padic_scalars,
+                             padic)
+from pingpong.projective import (as_field_array, canonical_rows, hyperplane_distances,
+                                 point_distances)
+from pingpong.separation import _configurations, _margins, _padic_deflate
 
 PRIMES = (3, 5, 7)
 PRECISIONS = (40, 3, 4, 5, 6, 7, 8)
@@ -85,17 +91,73 @@ def test_margins_match_the_padic_scalar_route(field):
         elements = [random_sl_padic(rng, field, n, val_range=3)
                     for _ in range(rng.randint(2, 4))]
         pairs = _inverse_pairs(field, elements)
+        m = rng.randint(1, 2)
         try:
-            batch = _configurations(field, pairs[:, 0], rng.randint(1, 2), np.arange(4), attempt)
+            batch = _configurations(field, pairs[:, 0], m, np.arange(4), attempt)
+            scalars = padic_configurations(field, pairs[:, 0], m, np.arange(4), attempt)
         except PrecisionExhaustedError:
-            continue  # sampling is the same PadicScalar work on both sides
+            continue  # test_configurations_match_the_padic_scalar_route compares sampling
         kernel = _outcome(_margins, field, pairs, batch)
-        assert kernel == _outcome(padic_margins, field, pairs, batch)
+        assert kernel == _outcome(padic_margins, field, pairs, scalars)
         compared += 1
         raised += isinstance(kernel, str)
     assert compared == 12
     if field.precision == 40:
         assert raised == 0
+
+
+def _configuration(fn, *args):
+    """The (value, digits) of every entry of the points and of the forms of
+    a configuration, PadicScalar or term-built, or its error and message."""
+    try:
+        cfg = fn(*args)
+    except (PrecisionExhaustedError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    rows = [getattr(cfg, side) for side in ("points", "forms")]
+    field = args[0]
+    return [[(x.value, x.digits)
+             for x in (r if isinstance(r, np.ndarray) else _padic_scalars(field, r.term)).ravel()]
+            for r in rows]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=_name)
+def test_configurations_match_the_padic_scalar_route(field):
+    # _configurations builds on the sampled ints as terms; the PadicScalar
+    # route it replaced must give the same canonical values and digits, or
+    # the same first error with the same message, from the images g v or the
+    # deflation
+    rng = random.Random(field.prime * 10 + field.precision)
+    raised = 0
+    for attempt in range(30):
+        n = 2 + attempt % 3
+        elements = [random_sl_padic(rng, field, n, val_range=3)
+                    for _ in range(rng.randint(2, 4))]
+        entries, m = np.array([g.entries for g in elements]), rng.randint(1, 2)
+        args = field, entries, m, np.arange(6), attempt
+        want = _configuration(padic_configurations, *args)
+        assert _configuration(_configurations, *args) == want
+        raised += isinstance(want, tuple)
+    if field.precision == 40:
+        assert raised == 0
+    elif field.precision == 3:
+        assert raised >= 10
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_term_deflation_matches_the_rows_with_the_fallback(prime):
+    # the rows of test_deflate_batch_matches_rows_with_the_vanishing_fallback:
+    # rows 1 and 3 are forms c e_k0, whose correction leaves nothing
+    field = padic(prime)
+    u = canonical_rows(field, as_field_array(field, [[3, 1, 2], [1, 4, 2], [2, 2, 1],
+                                                     [prime, 1, 5]], 2))
+    coords = [[1, 2, 3], [0, 0, 0], [5, 1, 1], [0, 0, 0]]
+    for k, c in ((1, 7), (3, 2)):
+        coords[k][int(np.argmax(np.abs(u[k])))] = c
+    w = as_field_array(field, coords, 2)
+    images = _padic_canonical(_padic_read(field, u, 1).term)
+    got = _padic_scalars(field, _padic_deflate(field, *images, _padic_read(field, w, 1)))
+    want = canonical_rows(field, np.array([deflate_row(field, a, b, 0.0) for a, b in zip(u, w)]))
+    assert [(x.value, x.digits) for x in got.ravel()] == [(x.value, x.digits) for x in want.ravel()]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=_name)

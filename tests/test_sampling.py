@@ -12,7 +12,7 @@ from pingpong import sampling
 from pingpong.cartan import SLMatrix
 from pingpong.contraction import contraction_data, verify_contracting
 from pingpong.errors import DomainError
-from pingpong.fields import COMPLEX, REAL, padic
+from pingpong.fields import COMPLEX, REAL, _padic_read, padic
 from pingpong.sampling import (CHUNK_SIZE, archimedean_unit_chunks, padic_point_chunks,
                                padic_unit_coords, probe_offset, stream_rows)
 
@@ -28,10 +28,14 @@ def test_stream_rows_are_the_direct_draws(field, n, count):
     assert rows.shape == (len(SEEDS), count, n)
     for s, block in zip(SEEDS, rows):
         if field is Q5:
+            # the int draws of random.Random(s) themselves, which the kernels
+            # read as exact scalars with full digits
             rng = random.Random(s)
             want = [padic_unit_coords(rng, field, n) for _ in range(count)]
-            assert [[x.value for x in row] for row in block] == [list(c) for c in want]
-            assert all(x.field == field for x in block.ravel())
+            assert block.dtype == object
+            assert block.tolist() == [list(c) for c in want]
+            assert all(type(x) is int for x in block.ravel())
+            assert (_padic_read(field, block, 1).term[2] == field.precision).all()
             continue
         rng = np.random.default_rng(s)
         want = rng.normal(size=(count, n))
@@ -99,10 +103,11 @@ def test_padic_chunks_are_the_per_chunk_streams():
     for k, chunk in enumerate(chunks):
         want = stream_rows(Q5, n, [seed + k], len(chunk))[0]
         assert chunk.shape == want.shape == (len(chunk), n)
-        assert ([[(x.value, x.digits) for x in row] for row in chunk]
-                == [[(x.value, x.digits) for x in row] for row in want])
+        assert chunk.dtype == want.dtype == object
+        assert chunk.tolist() == want.tolist()
+        assert all(type(x) is int for x in chunk.ravel())
         rng = random.Random(seed + k)
-        assert [[x.value for x in row] for row in chunk] == [
+        assert chunk.tolist() == [
             list(padic_unit_coords(rng, Q5, n)) for _ in range(len(chunk))]
 
 
