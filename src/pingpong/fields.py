@@ -422,10 +422,12 @@ def _over_common_denominator(scalars: list) -> tuple:
     """(ints, D) of a nonempty list of exact scalars of one kind, PadicScalars
     or ints, Fractions and floats, a float read as the dyadic rational it
     holds: D the lcm of their denominators, ints their values times D."""
-    ratios = ([(c.num, c.den) for c in scalars] if type(scalars[0]) is PadicScalar
-              else [x.as_integer_ratio() for x in scalars])
-    den = math.lcm(*[d for _, d in ratios])
-    return [a * (den // d) for a, d in ratios], den
+    if type(scalars[0]) is PadicScalar:
+        nums, dens = [c.num for c in scalars], [c.den for c in scalars]
+    else:
+        nums, dens = zip(*[x.as_integer_ratio() for x in scalars])
+    den = math.lcm(*set(dens))
+    return [a * (den // d) for a, d in zip(nums, dens)] if den > 1 else list(nums), den
 
 
 class _Terms:
@@ -473,33 +475,21 @@ def _padic_ints(field: FieldSpec, ints: np.ndarray) -> tuple:
 def _padic_read(field: FieldSpec, arr, axes: int) -> _Terms:
     """The _Terms of a p-adic array, per block of the last `axes` axes (1:
     rows, 2: matrices): a _Terms as it is; an object array of Python ints as
-    exact ints with full digits, shift 0; PadicScalars in one pass over the
-    entries when none has a denominator, and else each block's scaled to
-    ints over its common denominator, the shift the valuation of 1 over it."""
+    exact ints with full digits, shift 0; PadicScalars scaled to ints over
+    the whole array's common denominator D, the shift of every block -v(D)."""
     if isinstance(arr, _Terms):
         return arr
     shape, blocks = arr.shape, arr.shape[:arr.ndim - axes]
     if arr.size and type(arr.flat[0]) is int:
         return _Terms(_padic_ints(field, arr), np.zeros(blocks, dtype=np.int64))
     scalars = arr.ravel().tolist()
-    if max([c.den for c in scalars], default=1) == 1:
-        nums = [c.num for c in scalars]
-        vals = [c.valuation if c.num else 0 for c in scalars]
-        shifts = [0] * math.prod(blocks)
-    else:
-        width = math.prod(shape[arr.ndim - axes:])
-        nums, vals, shifts = [], [], []
-        for start in range(0, len(scalars), width):
-            block = scalars[start:start + width]
-            ints, den = _over_common_denominator(block)
-            shift = -_valuation(den, 1, field.prime)
-            nums += ints
-            vals += [c.valuation - shift if c.num else 0 for c in block]
-            shifts.append(shift)
+    nums, den = _over_common_denominator(scalars) if scalars else ([], 1)
+    shift = -_valuation(den, 1, field.prime)
     ints = np.array(nums, dtype=object).reshape(shape)
+    vals = [c.valuation - shift if c.num else 0 for c in scalars]
     return _Terms((ints, np.array(vals, dtype=np.int64).reshape(shape),
                    np.array([c.digits for c in scalars], dtype=np.int64).reshape(shape), ints == 0),
-                  np.array(shifts, dtype=np.int64).reshape(blocks))
+                  np.full(blocks, shift, dtype=np.int64))
 
 
 def _padic_product(a: tuple, b: tuple, at_a, at_b) -> tuple:

@@ -15,9 +15,9 @@ g of the images g v as well, so a caller never forms g v itself.  They split
 by field once.  Over R and C they are one numpy expression.  Over Q_p they
 form g v, take its pivot and sum f(g v) with the int-term primitives of
 fields, under PadicScalar's digit rule and magnitude, so every distance and
-every error is the one PadicScalar products would give.  They take
-PadicScalar arrays, arrays of Python ints and the terms themselves, which
-separation reads once and hands on.  The ints are for speed: one
+every error is the one PadicScalar products would give.  separation and
+contraction read an array they score more than once into those terms
+(_kernel_form) and hand the terms on.  The ints are for speed: one
 separation._margins call on tests/data/sep_f_q5.json (m = 2, 2 trials, the
 letters and the configurations given as terms) takes 0.63-0.70 ms, and
 6.8-7.3 ms by the PadicScalar route of tests/helpers.padic_margins (best of
@@ -222,10 +222,7 @@ def hyperplane_distances(field: FieldSpec, points, forms, matrices=None) -> np.n
     Over Q_p every distance is fields.magnitude of v, the exact valuation
     of f(g v) for canonical g v and f, and every digit count is that of
     PadicScalar arithmetic: a sum that keeps less than one known digit raises
-    the error the same products of PadicScalars would.  There points, forms
-    and matrices may also be object arrays of Python ints, exact with full
-    digits, or the kernel's own int terms (fields._padic_read), which
-    internal callers read once and pass on.
+    the error the same products of PadicScalars would.
     """
     if field.is_padic:
         images, image_pivots = _padic_images(field, points, matrices)

@@ -104,22 +104,20 @@ class SeparatingSet:
 class Configuration:
     """Points and hyperplanes of P^(n-1) as field arrays: points (P, n) holds
     canonical representatives (projective.canonical_rows), forms (H, n) the
-    canonical forms whose kernels are the hyperplanes.  The batches of
-    _configurations over Q_p hold the fields._Terms of those rows instead."""
+    canonical forms whose kernels are the hyperplanes."""
 
     points: np.ndarray
     forms: np.ndarray
 
 
-def _margins(field, pairs, batch: Configuration) -> np.ndarray:
+def _margins(field, pairs, points, forms) -> np.ndarray:
     """(T, E) margins of each element of the stack on each configuration of
     a batch, points and forms (T, P, n) and (T, H, n): the min over points v
     and forms f of d(g v, ker f) and d(g^-1 v, ker f), +inf for an empty
     configuration; pairs is the (E, 2, n, n) view of the elements'
-    letter_stack, over Q_p field arrays or their terms."""
+    letter_stack.  Over Q_p all three may be fields._Terms."""
     # g v for every trial and every g at once, rounded as for one alone
-    distances = hyperplane_distances(field, batch.points[:, None, None],
-                                     batch.forms[:, None, None], pairs)
+    distances = hyperplane_distances(field, points[:, None, None], forms[:, None, None], pairs)
     return distances.min(axis=(2, 3, 4), initial=math.inf)
 
 
@@ -138,7 +136,7 @@ def best_separator(F: SeparatingSet, cfg: Configuration):
             f"{len(cfg.points)} points, {len(cfg.forms)} hyperplanes")
     g = F.elements[0]
     margins = _margins(g.field, letter_stack(F.elements).reshape(-1, 2, g.n, g.n),
-                       Configuration(cfg.points[None], cfg.forms[None]))[0]
+                       cfg.points[None], cfg.forms[None])[0]
     best = int(np.argmax(margins))
     return F.elements[best], float(margins[best])
 
@@ -152,17 +150,18 @@ def verify_separating_for(F: SeparatingSet, cfg: Configuration) -> bool:
     return margin > F.r
 
 
-def _deflate(field, u, w, vanishing: float):
-    """Each form of w (k, n) with its pivot coordinate corrected so that it
-    vanishes exactly on the same row of u; where at most `vanishing` of the
-    form's norm is left, the form e_k1 - (u_k1 / u_k0) e_k0 instead."""
+def _deflate(field, u, w):
+    """Each form of w (k, n) over R or C with its pivot coordinate corrected
+    so that it vanishes exactly on the same row of u; where at most 1e-9 of
+    the form's norm is left, roundoff of a form through u's pivot alone, the
+    form e_k1 - (u_k1 / u_k0) e_k0 instead.  _padic_deflate is the Q_p one."""
     rows = np.arange(len(u))
     k0 = np.abs(u).argmax(-1)
     pivots = u[rows, k0]
     f = w.copy()
     # row-wise dots, rounded as w @ u of one row
     f[rows, k0] -= matmul(w[:, None, :], u[:, :, None])[:, 0, 0] / pivots
-    flat = _norms(field, f) <= vanishing * _norms(field, w)
+    flat = _norms(field, f) <= 1e-9 * _norms(field, w)
     if flat.any():
         rows, k0 = rows[flat], k0[flat]
         k1 = (k0 + 1) % u.shape[-1]
@@ -172,13 +171,13 @@ def _deflate(field, u, w, vanishing: float):
     return f
 
 
-def _configurations(field, entries, m: int, trials: np.ndarray, seed: int) -> Configuration:
-    """The configurations of the given trials, stacked as points and forms
-    (T, 2m, n); entries is the (E, n, n) stack of the candidates.
+def _configurations(field, entries, m: int, trials: np.ndarray, seed: int) -> tuple:
+    """(points, forms) of the configurations of the given trials, each
+    stacked (T, 2m, n); entries is the (E, n, n) stack of the candidates.
 
     Trial t draws its 4m rows, points first, from sampling stream seed + t,
     so its configuration does not depend on the batch it is drawn in.  Over
-    Q_p the rows are the stream's ints, and the configuration is built and
+    Q_p the rows are the stream's ints, and the configurations are built and
     returned as int terms (_padic_configurations).
     """
     n = entries.shape[-1]
@@ -193,19 +192,18 @@ def _configurations(field, entries, m: int, trials: np.ndarray, seed: int) -> Co
         # stacked matrix-vector products: the bits of apply_point
         images = matmul(adversaries[:, None], points[odd][..., None])[..., 0]
         images = canonical_rows(field, images)
-        forms[odd] = _deflate(field, images.reshape(-1, n), forms[odd].reshape(-1, n),
-                              1e-9).reshape(images.shape)
-    return Configuration(points, canonical_rows(field, forms))
+        forms[odd] = _deflate(field, images.reshape(-1, n),
+                              forms[odd].reshape(-1, n)).reshape(images.shape)
+    return points, canonical_rows(field, forms)
 
 
-def _padic_configurations(field, entries, rows: np.ndarray,
-                          trials: np.ndarray) -> Configuration:
+def _padic_configurations(field, entries, rows: np.ndarray, trials: np.ndarray) -> tuple:
     """_configurations over Q_p on the int terms of fields: the sampled ints
     rows (T, 2, 2m, n) and the candidates entries, PadicScalars or their
-    _Terms, to a Configuration of the canonical rows' _Terms.  Every value,
+    _Terms, to the _Terms of the canonical points and forms.  Every value,
     digit count and error is the one the same steps on PadicScalar rows
-    give: canonical points, images g v summed as the object product, the
-    deflation of _deflate and canonical forms."""
+    give: canonical points, images g v summed as the object product, their
+    deflation (_padic_deflate) and canonical forms."""
     samples = _padic_read(field, rows, 1)
     points, forms = _padic_canonical_terms(samples[:, 0].term), samples[:, 1].term
     odd = np.flatnonzero(trials % 2)
@@ -214,15 +212,15 @@ def _padic_configurations(field, entries, rows: np.ndarray,
         forms = [part.copy() for part in forms]
         for part, deflated in zip(forms, _padic_deflate(field, *images, samples[odd, 1])):
             part[odd] = deflated
-    return Configuration(points, _padic_canonical_terms(tuple(forms)))
+    return points, _padic_canonical_terms(tuple(forms))
 
 
 def _padic_deflate(field, images: tuple, least, forms: _Terms) -> tuple:
-    """The term of _deflate over Q_p, vanishing 0: each form w with w_k0 -
-    (w . u) / u_k0 at the pivot coordinate k0 of the canonical row u of
-    images, the same row of a term and its pivot valuations least, and
-    e_k1 - (u_k1 / u_k0) e_k0 where nothing is left.  Each row is kept in
-    ints times u's pivot int."""
+    """_deflate over Q_p on terms: each form w with w_k0 - (w . u) / u_k0 at
+    the pivot coordinate k0 of the canonical row u of images, the same row
+    of a term and its pivot valuations least, and e_k1 - (u_k1 / u_k0) e_k0
+    where exactly nothing is left.  Each row is kept in ints times u's
+    pivot int."""
     shape = images[0].shape
     n = shape[-1]
     ints, vals, digits, zero = u = tuple(part.reshape(-1, n) for part in images)
@@ -265,12 +263,12 @@ def sample_configuration(elements, m: int, trial: int, seed: int) -> Configurati
     if not elements:
         raise DomainError("configuration sampling needs at least one candidate element")
     field = elements[0].field
-    batch = _configurations(field, np.array([g.entries for g in elements]),
-                            m, np.array([trial]), seed)
+    points, forms = _configurations(field, np.array([g.entries for g in elements]),
+                                    m, np.array([trial]), seed)
     if field.is_padic:
-        return Configuration(_padic_scalars(field, batch.points[0].term),
-                             _padic_scalars(field, batch.forms[0].term))
-    return Configuration(batch.points[0], batch.forms[0])
+        return Configuration(_padic_scalars(field, points[0].term),
+                             _padic_scalars(field, forms[0].term))
+    return Configuration(points[0], forms[0])
 
 
 @dataclass(frozen=True)
@@ -311,9 +309,8 @@ def estimate_radius(elements, m: int, trials: int, seed: int) -> RadiusEstimate:
     wins = np.zeros(len(elements), dtype=int)
     chunk = max(1, min(CHUNK_SIZE, _TABLE_BUDGET // (2 * len(elements) * (2 * m) ** 2)))
     for start in range(0, trials, chunk):
-        batch = _configurations(fld, pairs[:, 0], m,
-                                np.arange(start, min(start + chunk, trials)), seed)
-        margins = _margins(fld, pairs, batch)
+        margins = _margins(fld, pairs, *_configurations(
+            fld, pairs[:, 0], m, np.arange(start, min(start + chunk, trials)), seed))
         wins += np.bincount(margins.argmax(axis=1), minlength=len(elements))
         # fmin passes over nan, as a running min() over the trials does
         worst = min(worst, float(np.fmin.reduce(margins.max(axis=1))))

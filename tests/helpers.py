@@ -13,8 +13,7 @@ from pingpong.errors import DomainError, PrecisionExhaustedError
 from pingpong.fields import FieldSpec, Kind, PadicScalar, matmul, valuation
 from pingpong.projective import _norms, as_field_array, canonical_rows
 from pingpong.sampling import padic_point_chunks, stream_rows
-from pingpong.separation import (Configuration, SeparatingSet, _deflate, best_separator,
-                                 sample_configuration)
+from pingpong.separation import SeparatingSet, best_separator, sample_configuration
 
 
 def _vp(x, p: int):
@@ -279,19 +278,21 @@ def padic_point_distances(field, points, w, matrices=None):
     return np.abs(v[..., i] * w[j] - v[..., j] * w[i]).astype(float).max(axis=-1, initial=0.0)
 
 
-def padic_margins(field, pairs, batch):
+def padic_margins(field, pairs, points, forms):
     """separation._margins by the PadicScalar route."""
-    distances = padic_hyperplane_distances(field, batch.points[:, None, None],
-                                           batch.forms[:, None, None], pairs)
+    distances = padic_hyperplane_distances(field, points[:, None, None],
+                                           forms[:, None, None], pairs)
     return distances.min(axis=(2, 3, 4), initial=math.inf)
 
 
 def padic_configurations(field, entries, m, trials, seed):
     """separation._configurations over Q_p by the PadicScalar route: the
     sampled ints as PadicScalars, their canonical rows, the images g v as
-    the object product, their deflation by separation._deflate with
-    vanishing 0, and the canonical forms, as a Configuration of PadicScalar
-    arrays."""
+    the object product, their deflation and the canonical forms: (points,
+    forms), PadicScalar arrays.  The deflation is that of deflate_row at
+    vanishing 0, but batched as the kernel batches it: every dot w . u
+    first, then every correction, so a precision error is the one the
+    kernel raises first."""
     n = entries.shape[-1]
     rows = stream_rows(field, n, [seed + t for t in trials.tolist()], 4 * m)
     rows = as_field_array(field, rows.reshape(-1, n), 2).reshape(len(trials), 2, 2 * m, n)
@@ -300,9 +301,19 @@ def padic_configurations(field, entries, m, trials, seed):
     if len(odd):
         adversaries = entries[trials[odd] // 2 % len(entries)]
         images = canonical_rows(field, matmul(adversaries[:, None], points[odd][..., None])[..., 0])
-        forms[odd] = _deflate(field, images.reshape(-1, n), forms[odd].reshape(-1, n),
-                              0.0).reshape(images.shape)
-    return Configuration(points, canonical_rows(field, forms))
+        u, f = images.reshape(-1, n), forms[odd].reshape(-1, n)
+        rows = np.arange(len(u))
+        k0 = np.abs(u).argmax(-1)
+        f[rows, k0] -= matmul(f[:, None, :], u[:, :, None])[:, 0, 0] / u[rows, k0]
+        flat = _norms(field, f) == 0
+        if flat.any():
+            rows, k0 = rows[flat], k0[flat]
+            k1 = (k0 + 1) % n
+            f[rows] = field.zero()
+            f[rows, k1] = field.one()
+            f[rows, k0] = -u[rows, k1] / u[rows, k0]
+        forms[odd] = f.reshape(images.shape)
+    return points, canonical_rows(field, forms)
 
 
 def padic_verify_contracting(cert, g, samples, seed):
@@ -386,7 +397,8 @@ def radius_by_trials(elements, m, trials, seed):
 
 
 def deflate_row(field, u, w, vanishing):
-    """One row of separation._deflate, as the per-row loop computed it."""
+    """One row of separation._deflate at vanishing 1e-9, or of
+    _padic_deflate at 0, as the per-row loop computed it."""
     k0 = int(np.argmax(np.abs(u)))
     f = w.copy()
     f[k0] -= (w @ u) / u[k0]

@@ -19,16 +19,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (adjugate_oracle, deflate_row, padic_configurations,
+from helpers import (adjugate_oracle, padic_configurations,
                      padic_hyperplane_distances, padic_margins, padic_point_distances,
                      padic_verify_contracting, random_sl_padic)
 from pingpong.contraction import cartan_cert, contraction_coefficient, verify_contracting
 from pingpong.errors import DomainError, PrecisionExhaustedError
-from pingpong.fields import (PadicScalar, _padic_canonical, _padic_read, _padic_scalars,
-                             padic)
-from pingpong.projective import (as_field_array, canonical_rows, hyperplane_distances,
-                                 point_distances)
-from pingpong.separation import _configurations, _margins, _padic_deflate
+from pingpong.fields import PadicScalar, _padic_scalars, padic
+from pingpong.projective import as_field_array, hyperplane_distances, point_distances
+from pingpong.separation import _configurations, _margins
 
 PRIMES = (3, 5, 7)
 PRECISIONS = (40, 3, 4, 5, 6, 7, 8)
@@ -97,8 +95,8 @@ def test_margins_match_the_padic_scalar_route(field):
             scalars = padic_configurations(field, pairs[:, 0], m, np.arange(4), attempt)
         except PrecisionExhaustedError:
             continue  # test_configurations_match_the_padic_scalar_route compares sampling
-        kernel = _outcome(_margins, field, pairs, batch)
-        assert kernel == _outcome(padic_margins, field, pairs, scalars)
+        kernel = _outcome(_margins, field, pairs, *batch)
+        assert kernel == _outcome(padic_margins, field, pairs, *scalars)
         compared += 1
         raised += isinstance(kernel, str)
     assert compared == 12
@@ -110,10 +108,9 @@ def _configuration(fn, *args):
     """The (value, digits) of every entry of the points and of the forms of
     a configuration, PadicScalar or term-built, or its error and message."""
     try:
-        cfg = fn(*args)
+        rows = fn(*args)
     except (PrecisionExhaustedError, DomainError) as exc:
         return type(exc).__name__, str(exc)
-    rows = [getattr(cfg, side) for side in ("points", "forms")]
     field = args[0]
     return [[(x.value, x.digits)
              for x in (r if isinstance(r, np.ndarray) else _padic_scalars(field, r.term)).ravel()]
@@ -141,23 +138,6 @@ def test_configurations_match_the_padic_scalar_route(field):
         assert raised == 0
     elif field.precision == 3:
         assert raised >= 10
-
-
-@pytest.mark.parametrize("prime", PRIMES)
-def test_term_deflation_matches_the_rows_with_the_fallback(prime):
-    # the rows of test_deflate_batch_matches_rows_with_the_vanishing_fallback:
-    # rows 1 and 3 are forms c e_k0, whose correction leaves nothing
-    field = padic(prime)
-    u = canonical_rows(field, as_field_array(field, [[3, 1, 2], [1, 4, 2], [2, 2, 1],
-                                                     [prime, 1, 5]], 2))
-    coords = [[1, 2, 3], [0, 0, 0], [5, 1, 1], [0, 0, 0]]
-    for k, c in ((1, 7), (3, 2)):
-        coords[k][int(np.argmax(np.abs(u[k])))] = c
-    w = as_field_array(field, coords, 2)
-    images = _padic_canonical(_padic_read(field, u, 1).term)
-    got = _padic_scalars(field, _padic_deflate(field, *images, _padic_read(field, w, 1)))
-    want = canonical_rows(field, np.array([deflate_row(field, a, b, 0.0) for a, b in zip(u, w)]))
-    assert [(x.value, x.digits) for x in got.ravel()] == [(x.value, x.digits) for x in want.ravel()]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=_name)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from pingpong.cartan import SLMatrix, apply_point, diagonal, identity
 from pingpong.errors import ConstructionError, DomainError
-from pingpong.fields import COMPLEX, REAL, padic
+from pingpong.fields import COMPLEX, REAL, PadicScalar, _padic_canonical, _padic_read, padic
 from pingpong import separation
 from pingpong.sampling import CHUNK_SIZE
 from pingpong.projective import (
@@ -286,6 +286,18 @@ def test_chunks_are_sized_by_the_table_budget(monkeypatch):
     assert (estimate.r, estimate.wins) == expected
 
 
+def _padic_deflated(field, u, w):
+    """separation._padic_deflate on the terms of canonical rows u and forms
+    w of ints, as PadicScalar rows: each row's ints over the pivot int of
+    its u, with the term's digits."""
+    images = _padic_canonical(_padic_read(field, u, 1).term)
+    ints, _, digits, _ = separation._padic_deflate(field, *images, _padic_read(field, w, 1))
+    pivots = images[0][0][np.arange(len(u)), np.abs(u).argmax(-1)]
+    return np.array([[PadicScalar(field, Fraction(x, y), d) for x, d in zip(row, row_digits)]
+                     for row, row_digits, y in zip(ints.tolist(), digits.tolist(),
+                                                   pivots.tolist())], dtype=object)
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX, Q5], ids=str)
 def test_deflate_batch_matches_rows_with_the_vanishing_fallback(field):
     # rows 0 and 2 deflate normally; rows 1 and 3 are forms c e_k0 through
@@ -296,7 +308,8 @@ def test_deflate_batch_matches_rows_with_the_vanishing_fallback(field):
         coords[k][int(np.argmax(np.abs(u[k])))] = c
     w = as_field_array(field, coords, 2)
     vanishing = 0.0 if field.is_padic else 1e-9
-    batch = separation._deflate(field, u, w, vanishing)
+    batch = (_padic_deflated(field, u, w) if field.is_padic
+             else separation._deflate(field, u, w))
     rows = [deflate_row(field, a, b, vanishing) for a, b in zip(u, w)]
     for got, want in zip(batch, rows):
         if field.is_padic:
