@@ -266,14 +266,32 @@ def determinant_failure(field: FieldSpec, stack: np.ndarray):
             return index, f"determinant is {det:.12g}, not 1"
         if gate >= 1:
             # a gate this wide admits det = 0 and det = 2: the stored entries decide
-            a = exact_form(stack[index])
-            det, adj = det_adjugate(a)
-            if not det:
-                return index, "determinant is exactly 0, not 1"
-            reach = Fraction(relative_tolerance()) * (abs(a) * abs(adj).T).sum()
-            if abs(det - 1) > reach:
-                return index, (f"determinant of the stored entries is "
-                               f"{field.scalar(det):.12g}, not 1")
+            failure = _stored_det_failure(field, stack[index])
+            if failure is not None:
+                return index, failure
+    return None
+
+
+def _stored_det_failure(field: FieldSpec, entries: np.ndarray):
+    """determinant_failure's exact arm: why the exact det d of the entries A
+    fails, d = 0 or |d - 1| > tol sum_ij |a_ij| |adj(A)_ji|, or None.  A 2x2
+    real A decides on ints over its entries' common denominator D, as
+    _padic_det does: d D^2 = ad - bc against D^2, the reach times D^2 is
+    2 tol (|ad| + |bc|), and d is a Fraction only in the message."""
+    tol, tol_den = relative_tolerance().as_integer_ratio()
+    if field.kind is Kind.REAL and len(entries) == 2:
+        (a, b, c, d), den = _over_common_denominator(entries.ravel().tolist())
+        one = den * den  # 1 over the denominator of d
+        det, reach = a * d - b * c, 2 * (abs(a * d) + abs(b * c))
+    else:
+        a = exact_form(entries)
+        det, adj = det_adjugate(a)
+        one, reach = 1, (abs(a) * abs(adj).T).sum()
+    if not det:
+        return "determinant is exactly 0, not 1"
+    if abs(det - one) * tol_den > tol * reach:
+        value = Fraction(det, one) if one != 1 else det
+        return f"determinant of the stored entries is {field.scalar(value):.12g}, not 1"
     return None
 
 

@@ -400,18 +400,17 @@ def valuation(x, field: FieldSpec):
     return field.scalar(x).valuation
 
 
-def _canonical_padic_rows(flat: np.ndarray) -> np.ndarray:
-    """Each row of a (k, n) PadicScalar array over its first entry of least valuation."""
-    pivots = np.array([min(row, key=lambda c: c.valuation) for row in flat], dtype=object)
-    if not all(pivots):
+def _canonical_padic_row(row: list) -> list:
+    """A list of PadicScalars over its first entry of least valuation; a
+    zero row raises DomainError."""
+    pivot = min(row, key=lambda c: c.valuation)
+    if not pivot:
         raise DomainError("projective representative must be nonzero")
     # dividing a row by a pivot of exactly 1 known to at least each
     # nonzero entry's digits would change no value and no digit count
-    todo = np.array([not (pivot == 1 and all(not c or c.digits <= pivot.digits for c in row))
-                     for row, pivot in zip(flat, pivots)], dtype=bool)
-    out = flat.copy()
-    out[todo] = flat[todo] / pivots[todo, None]
-    return out
+    if pivot == 1 and all(not c or c.digits <= pivot.digits for c in row):
+        return row
+    return [c / pivot for c in row]
 
 
 # the valuation and absolute precision of an exact zero

@@ -352,7 +352,11 @@ def certify_free_generators(a, F: SeparatingSet, gamma0: SLMatrix,
 def _first(F: SeparatingSet, conditions) -> tuple:
     """The first f in F meeting every condition at r = F.r, or None, and per
     condition the number of rejected candidates that failed it first.  The scan stops
-    at the first success: over Q_p, scoring all of F at once is slower."""
+    at the first success, and over Q_p its small calls take the PadicScalar
+    route of projective: the 40 _first calls of certify-free --build on the Q_5
+    fixture sep_q5.json (seeds 0-9) take 5.9-10.0 ms, and 15.8-29.3 ms scoring
+    all of F in one stacked call per condition (timeit, best of 5 in each of
+    4 processes)."""
     rows = [(side, np.stack([P.rep for P in points]), np.stack([H.form for H in hyperplanes]))
             for _, side, points, hyperplanes in conditions]
     failures = [0] * len(conditions)

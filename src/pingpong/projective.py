@@ -9,33 +9,55 @@ ProjHyperplane are a field and one such row, read-only (P.rep, H.form),
 and callers read the row itself.
 
 hyperplane_distances and point_distances, the array form of the metric, are
-its only implementation; proj_dist, dist_to_hyperplane and the equality of
-points and hyperplanes call them on a batch of one.  They take the matrices
-g of the images g v as well, so a caller never forms g v itself.  They split
-by field once.  Over R and C they are one numpy expression.  Over Q_p they
-form g v, take its pivot and sum f(g v) with the int-term primitives of
-fields, under PadicScalar's digit rule and magnitude, so every distance and
-every error is the one PadicScalar products would give.  separation and
-contraction read an array they score more than once into those terms
-(_kernel_form) and hand the terms on.  The ints are for speed: one
-separation._margins call on tests/data/sep_f_q5.json (m = 2, 2 trials, the
-letters and the configurations given as terms) takes 0.63-0.70 ms, and
-6.8-7.3 ms by the PadicScalar route of tests/helpers.padic_margins (best of
-7 in each of 3 processes, Python 3.11, 2-core x86-64 host).
+its implementation; proj_dist, dist_to_hyperplane and the equality of points
+and hyperplanes call them on a batch of one.  They take the matrices g of
+the images g v as well, so a caller never forms g v itself.  They split by
+field once.  Over R and C they are one numpy expression.  Over Q_p every
+distance, digit count and first error is the one PadicScalar arithmetic
+gives (tests/helpers holds that route as the oracle), by one of two routes:
+- A call on one block of PadicScalar rows (no leading axes) that makes fewer
+  than _SCALAR_PRODUCTS scalar products runs on the PadicScalar operators
+  over Python lists: every g v summed left to right in C order, each row
+  made canonical by fields._canonical_padic_row, then f(g v) or the wedge
+  coordinates summed left to right and abs taken.  The flag distances and
+  the candidate scans of the certificate pipeline make such calls.
+- Larger calls, int arrays and int terms run on the int-term primitives of
+  fields: they form g v, take its pivot and sum f(g v) under PadicScalar's
+  digit rule and magnitude.  separation and contraction read an array they
+  score more than once into those terms (_kernel_form) and hand them on.
+The bound is the measured crossover.  The kernel pays about 100 us of numpy
+calls whatever the size, the operators a few us per product: on canonical
+Q_5 rows of 40 digits, 1-6 points, 1-8 forms, n = 2-4, with and without g,
+the operators took 0.16-0.50 of the kernel's time under 16 products,
+0.33-0.77 at 16-31, 0.49-1.03 at 32-47, and from 48 on 1.02-1.67 without g
+and 0.63-1.61 with it (timeit, best of 7, Python 3.11, 2-core x86-64 host).
+On many rows the ints win by far: one separation._margins call on
+tests/data/sep_f_q5.json (m = 2, 2 trials, given as terms) takes
+0.63-0.70 ms, and 6.8-7.3 ms by the PadicScalar route of
+tests/helpers.padic_margins (best of 7 in each of 3 processes).
 """
 
 import functools
+import itertools
+import operator
 
 import numpy as np
 
 from .errors import DomainError
-from .fields import (_INF, FieldSpec, Kind, PadicScalar, _canonical_padic_rows, _padic_abs,
-                     _padic_canonical, _padic_product, _padic_read, _padic_sum,
+from .fields import (_INF, FieldSpec, Kind, PadicScalar, _canonical_padic_row, _padic_abs,
+                     _padic_canonical, _padic_product, _padic_read, _padic_sum, magnitude,
                      relative_tolerance)
 
 # coordinates this much below the largest one are treated as zero when
 # picking the archimedean phase pivot
 _PIVOT_CUTOFF = 1e-12
+
+# a Q_p distance call on one block of PadicScalar rows making fewer scalar
+# products than this runs on the PadicScalar operators: the crossover with
+# the int-term kernel, measured as the module docstring says
+_SCALAR_PRODUCTS = 48
+
+_valuation = operator.attrgetter("valuation")
 
 
 def as_field_array(field: FieldSpec, values, ndim: int) -> np.ndarray:
@@ -107,7 +129,8 @@ def canonical_rows(field: FieldSpec, rows) -> np.ndarray:
     """
     flat = rows.reshape(-1, rows.shape[-1])
     if field.is_padic:
-        return _canonical_padic_rows(flat).reshape(rows.shape)
+        canonical = [_canonical_padic_row(row) for row in flat.tolist()]
+        return np.array(canonical, dtype=object).reshape(rows.shape)
     mags = np.abs(flat)
     biggest = mags.max(-1, keepdims=True)
     if not biggest.all():
@@ -126,10 +149,17 @@ def canonical_rows(field: FieldSpec, rows) -> np.ndarray:
 
 
 def _canonical_row(field: FieldSpec, coords) -> np.ndarray:
-    row = as_field_array(field, coords, 1)
-    if row.ndim != 1 or not len(row):
-        raise DomainError("projective coordinates must be one nonempty row")
-    row = canonical_rows(field, row)
+    if field.is_padic:
+        # the per-row rule on a list, without canonical_rows' array round trip
+        row = [field.scalar(x) for x in coords]
+        if not row:
+            raise DomainError("projective coordinates must be one nonempty row")
+        row = np.array(_canonical_padic_row(row), dtype=object)
+    else:
+        row = as_field_array(field, coords, 1)
+        if row.ndim != 1 or not len(row):
+            raise DomainError("projective coordinates must be one nonempty row")
+        row = canonical_rows(field, row)
     row.setflags(write=False)
     return row
 
@@ -225,6 +255,14 @@ def hyperplane_distances(field: FieldSpec, points, forms, matrices=None) -> np.n
     the error the same products of PadicScalars would.
     """
     if field.is_padic:
+        n = points.shape[-1]
+        # n products for each coordinate of an image g v and for each f(g v)
+        products = len(points) * n * (len(forms) + (0 if matrices is None else n))
+        if _by_scalars(products, points, forms, matrices):
+            images = _scalar_images(points, matrices)
+            forms = [_canonical_padic_row(f) for f in forms.tolist()]
+            values = [_scalar_dot(u, f) for u in images for f in forms]
+            return np.array(_magnitudes(field, values)).reshape(len(images), len(forms))
         images, image_pivots = _padic_images(field, points, matrices)
         rows, row_pivots = _padic_canonical(_padic_read(field, forms, 1).term)
         terms = [_padic_product(images, rows, np.s_[..., :, None, k], np.s_[..., None, :, k])
@@ -244,6 +282,16 @@ def point_distances(field: FieldSpec, points, w, matrices=None) -> np.ndarray:
     (...); g is the matrix of matrices (..., n, n) or the identity when None.
     Over Q_p exact as in hyperplane_distances."""
     if field.is_padic:
+        n = points.shape[-1]
+        # n products for each coordinate of an image g v, two for each wedge coordinate
+        products = len(points) * n * (n - 1 + (0 if matrices is None else n))
+        if _by_scalars(products, points, w[None], matrices):
+            images, w = _scalar_images(points, matrices), _canonical_padic_row(w.tolist())
+            wedges = [[v[i] * w[j] - v[j] * w[i] for i, j in itertools.combinations(range(n), 2)]
+                      for v in images]
+            # the sup norm: the wedge coordinate of least valuation (none for n = 1)
+            return np.array(_magnitudes(field, [min(wedge, key=_valuation, default=None)
+                                                for wedge in wedges]))
         images, image_pivots = _padic_images(field, points, matrices)
         row, row_pivot = _padic_canonical(_padic_read(field, w, 1).term)
         i, j = _pairs(row[0].shape[-1])
@@ -273,3 +321,36 @@ def _padic_images(field: FieldSpec, points, matrices) -> tuple:
                  for k in range(term[0].shape[-1])]
         term = _padic_sum(field, terms, points.shift[..., :, None] + g.shift[..., None, None])
     return _padic_canonical(term)
+
+
+def _by_scalars(products: int, *arrays) -> bool:
+    """Whether a Q_p distance call of this many scalar products takes the
+    PadicScalar route: fewer than _SCALAR_PRODUCTS, on 2-D PadicScalar
+    arrays (one block, no leading axes) or None for the matrices."""
+    return products < _SCALAR_PRODUCTS and all(
+        a is None or (type(a) is np.ndarray and a.ndim == 2 and a.size
+                      and type(a.flat[0]) is PadicScalar) for a in arrays)
+
+
+def _scalar_dot(x, y):
+    # sum x_k y_k left to right from the first product, as numpy's object sums add
+    return functools.reduce(operator.add, map(operator.mul, x, y))
+
+
+def _scalar_images(points, matrices) -> list:
+    """The canonical rows g v of a (P, n) PadicScalar array as lists, g v = v
+    when matrices is None; every image is summed, in C order, before any
+    row is made canonical, as the kernel and the object product do it."""
+    rows = points.tolist()
+    if matrices is not None:
+        g = matrices.tolist()
+        rows = [[_scalar_dot(v, row) for row in g] for v in rows]
+    return [_canonical_padic_row(v) for v in rows]
+
+
+def _magnitudes(field: FieldSpec, scalars: list) -> list:
+    """The abs of each PadicScalar of a list, 0.0 for a zero or None; a
+    valuation with no float magnitude raises first at the largest, as
+    fields._padic_abs raises."""
+    magnitude(field.prime, max([0] + [x.valuation for x in scalars if x]))
+    return [x.abs() if x else 0.0 for x in scalars]

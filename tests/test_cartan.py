@@ -29,6 +29,7 @@ from pingpong.cartan import (
     _check_digits,
     _dets,
     _float_gates,
+    _stored_det_failure,
     apply_hyperplane,
     apply_point,
     bilip_constant,
@@ -126,6 +127,44 @@ def test_wide_determinant_gate_reach_is_the_relative_tolerance(field, side, fits
             SLMatrix(field, [[x, 0.0], [0.0, w]])
 
 
+def _gate_by_fractions(field, entries):
+    """The exact arm of the wide gate on the Fractions of the stored entries."""
+    a = exact_form(entries)
+    det, adj = det_adjugate(a)
+    if not det:
+        return "determinant is exactly 0, not 1"
+    if abs(det - 1) > Fraction(relative_tolerance()) * (abs(a) * abs(adj).T).sum():
+        return f"determinant of the stored entries is {field.scalar(det):.12g}, not 1"
+    return None
+
+
+def test_the_real_2x2_exact_arm_on_ints_matches_fractions():
+    # the ints over the power-of-two denominator decide and word every case as
+    # the Fractions do: near the reach's edge, singular, integral, and g^3
+    rng = random.Random(17)
+    outcomes = collections.Counter()
+    for _ in range(600):
+        x = 2.0 ** rng.randint(20, 60) * rng.uniform(1, 2)
+        kind = rng.randrange(4)
+        if kind == 0:
+            off = rng.choice([0.5, 1.0, 1.9, 2.0, 2.1, 3.0, -2.1, 50.0]) * relative_tolerance()
+            m = np.array([[x, rng.choice([0.0, 1.0, -3.0])], [0.0, (1 + off) / x]])
+        elif kind == 1:
+            m = np.array([[x, x], [x * (1 + rng.choice([0.0, 2.0 ** -40])), x]])
+        elif kind == 2:
+            m = np.array([[float(rng.randint(-2 ** 40, 2 ** 40)) for _ in range(2)]
+                          for _ in range(2)])
+        else:
+            theta, s = rng.uniform(0, math.pi), 10 ** rng.uniform(2, 5)
+            q = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+            g = q @ np.diag([s, 1 / s]) @ q.T
+            m = g @ g @ g
+        want = _gate_by_fractions(REAL, m)
+        assert _stored_det_failure(REAL, m) == want
+        outcomes[want if want is None else want.split(" is ")[0]] += 1
+    assert len(outcomes) == 3 and min(outcomes.values()) >= 50
+
+
 @pytest.mark.parametrize("digits", [3, 6])
 def test_padic_determinant_slack_is_the_fewest_digits_held(digits):
     # an entry known to `digits` digits cannot tell 1 + 5^digits from 1, but it
@@ -183,13 +222,13 @@ def test_stacked_gates_are_the_gates_of_each_matrix(field, n):
 
 def test_the_exact_arm_runs_only_on_wide_gates(monkeypatch):
     seen = []
-    original = det_adjugate
+    original = _stored_det_failure
 
-    def spy(a):
+    def spy(field, a):
         seen.append(a.shape)
-        return original(a)
+        return original(field, a)
 
-    monkeypatch.setattr("pingpong.cartan.det_adjugate", spy)
+    monkeypatch.setattr("pingpong.cartan._stored_det_failure", spy)
     narrow = [[1.0, 2.0], [0.0, 1.0]]
     wide = [[1e8, 1e8 + 1], [1e8 - 1, 1e8]]
     assert determinant_failure(REAL, np.array([narrow, wide, narrow, wide, narrow])) is None

@@ -13,6 +13,7 @@ and at precision 3..8, plus rows built to cancel, entries carrying more
 digits than the precision, and distances p^-k down a ladder of k.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from helpers import (adjugate_oracle, padic_configurations,
                      padic_verify_contracting, random_sl_padic)
 from pingpong.contraction import cartan_cert, contraction_coefficient, verify_contracting
 from pingpong.errors import DomainError, PrecisionExhaustedError
+from pingpong import projective
 from pingpong.fields import PadicScalar, _padic_scalars, padic
 from pingpong.projective import as_field_array, hyperplane_distances, point_distances
 from pingpong.separation import _configurations, _margins
@@ -157,6 +159,110 @@ def test_kernels_match_the_padic_scalar_route(field):
         g = random_sl_padic(rng, field, n, val_range=3).entries
         assert (_outcome(hyperplane_distances, field, points, forms, g)
                 == _outcome(padic_hyperplane_distances, field, points, forms, g))
+
+
+def _result(fn, *args):
+    """The floats fn returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args).tolist()
+    except (PrecisionExhaustedError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _by_each_route(monkeypatch, fn, *args) -> list:
+    """fn's _result with every call sent down the PadicScalar route, then
+    down the int-term kernel, by moving projective._SCALAR_PRODUCTS."""
+    results = []
+    for bound in (math.inf, 0):
+        monkeypatch.setattr(projective, "_SCALAR_PRODUCTS", bound)
+        results.append(_result(fn, *args))
+    monkeypatch.undo()
+    return results
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=_name)
+def test_the_scalar_route_matches_the_kernel(field, monkeypatch):
+    # a one-block call under _SCALAR_PRODUCTS runs on the PadicScalar
+    # operators, a larger one on the int terms; forced either way, the two
+    # give the same floats or the same first error and message, and the call
+    # as routed gives what the PadicScalar oracle of helpers gives
+    rng = random.Random(field.prime * 10000 + field.precision)
+    routed = []
+    choose = projective._by_scalars
+    for attempt in range(10):
+        n = rng.randint(2, 4)
+        P, H = (rng.randint(1, 2), rng.randint(1, 3)) if attempt % 2 else (rng.randint(4, 6),
+                                                                           rng.randint(4, 8))
+        points, forms = _rows(rng, field, (P, n)), _rows(rng, field, (H, n))
+        w, matrices = _rows(rng, field, (n,)), _rows(rng, field, (n, n))
+        for g in (None, matrices):
+            for fn, oracle, rows in ((hyperplane_distances, padic_hyperplane_distances, forms),
+                                     (point_distances, padic_point_distances, w)):
+                scalars, kernel = _by_each_route(monkeypatch, fn, field, points, rows, g)
+                assert scalars == kernel
+                monkeypatch.setattr(projective, "_by_scalars",
+                                    lambda *args: routed.append(choose(*args)) or routed[-1])
+                assert _result(fn, field, points, rows, g) == scalars
+                monkeypatch.undo()
+                assert _outcome(fn, field, points, rows, g) == _outcome(oracle, field, points,
+                                                                        rows, g)
+    assert set(routed) == {True, False}
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_both_routes_raise_the_first_error(prime, monkeypatch):
+    # at precision 3 a coordinate 1 + (p^k - 1) = p^k, k > 3, is known modulo
+    # p^3 only: the first such sum raises, an image g v before any f(g v)
+    field = padic(prime, 3)
+
+    def rows(*values):
+        return as_field_array(field, values, 2)
+
+    def short(k):
+        return ("PrecisionExhaustedError",
+                f"cancellation left a result of valuation {k} known only modulo {prime}^3")
+
+    zero = ("DomainError", "projective representative must be nonzero")
+    v, f, u = rows([1, 1]), rows([1, -1], [1, 1]), rows([1, prime ** 4 - 1])
+    shear = rows([1, prime ** 5 - 1], [0, 1])  # (g v)_0 = p^5, and f(g v) would fall short too
+    cases = [
+        (hyperplane_distances, v, f, shear, short(5)),
+        (hyperplane_distances, u, f, None, short(4)),  # f(u) is 2 - p^4, then p^4
+        (hyperplane_distances, u, f, rows([1, 0], [0, 1]), short(4)),
+        (point_distances, rows([1, prime ** 4 + 1]), rows([1, 1])[0], None, short(4)),
+        (point_distances, v, rows([1, 2])[0], shear, short(5)),
+        (hyperplane_distances, rows([1, 1], [0, 0]), f, None, zero),
+        (hyperplane_distances, v, rows([1, 1], [0, 0]), None, zero),
+        (hyperplane_distances, rows([1, -1]), f, rows([1, 1], [1, 1]), zero),  # g v = 0
+        # every image is summed before any row is made canonical
+        (hyperplane_distances, rows([1, -1], [1, prime ** 5 - 1]), f, rows([1, 1], [1, 1]),
+         short(5)),
+        (hyperplane_distances, v, rows([1, 1], [0, 0]), shear, short(5)),
+        (point_distances, v, rows([0, 0])[0], None, zero),
+        # a distance p^-k with no float raises at the largest such k, as _padic_abs does
+        (hyperplane_distances, rows([1, 0]), rows([prime ** 1000, 1], [prime ** 1100, 1]), None,
+         ("DomainError", f"p-adic absolute value {prime}^-1100 is outside the float range")),
+    ]
+    for fn, points, others, g, want in cases:
+        assert _by_each_route(monkeypatch, fn, field, points, others, g) == [want, want]
+        assert _outcome(fn, field, points, others, g) == want[0]
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_a_sum_starts_from_its_first_product(prime, monkeypatch):
+    # products known to 6 digits at precision 3: 1 + (p^5 - 1) = p^5 keeps
+    # 6 - 5 = 1 digit, in g v and in f(u), where a sum from 0 would cap the
+    # first product at 3 digits and raise, as numpy's object sums do not
+    field = padic(prime, 3)
+
+    def rows(*values):
+        return np.array([[PadicScalar(field, x, 6) for x in row] for row in values])
+
+    want = [[float(prime) ** -5]]
+    for u, f, g in ((rows([1, prime ** 5 - 1]), rows([1, 1]), None),
+                    (rows([1, prime ** 5 - 1]), rows([1, 0]), rows([1, 1], [0, 1]))):
+        assert _by_each_route(monkeypatch, hyperplane_distances, field, u, f, g) == [want, want]
+        assert padic_hyperplane_distances(field, u, f, g).tolist() == want
 
 
 @pytest.mark.parametrize("prime", PRIMES)
