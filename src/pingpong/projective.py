@@ -12,9 +12,18 @@ hyperplane_distances and point_distances, the array form of the metric, are
 its implementation; proj_dist, dist_to_hyperplane and the equality of points
 and hyperplanes call them on a batch of one.  They take the matrices g of
 the images g v as well, so a caller never forms g v itself.  They split by
-field once.  Over R and C they are one numpy expression.  Over Q_p every
-distance, digit count and first error is the one PadicScalar arithmetic
-gives (tests/helpers holds that route as the oracle), by one of two routes:
+field once.  Over R and C, hyperplane_distances makes its products with
+_by_matrix: the images g v by one matmul per matrix g over every point that
+meets it, and the values f(g v) by one per stack of forms over every image
+that meets it.  separation's (T, E, 2) tables so take one matmul per letter
+and one per trial, not two per (trial, letter) pair.  Each matmul has the B
+operand of the broadcast product's matmul for one pair and only more rows,
+so every distance has that product's bits (tests/helpers holds it as the
+oracle).  Other forms of the same products can round otherwise: over C,
+one matmul over all letters at once (more columns) does at n = 2, 3 and 5.
+point_distances is one numpy expression.  Over Q_p every distance, digit
+count and first error is the one PadicScalar arithmetic gives
+(tests/helpers holds that route as the oracle), by one of two routes:
 - A call on one block of PadicScalar rows (no leading axes) that makes fewer
   than _SCALAR_PRODUCTS scalar products runs on the PadicScalar operators
   over Python lists: every g v summed left to right in C order, each row
@@ -39,6 +48,7 @@ tests/helpers.padic_margins (best of 7 in each of 3 processes).
 
 import functools
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -272,9 +282,39 @@ def hyperplane_distances(field: FieldSpec, points, forms, matrices=None) -> np.n
         _, vals, _, zero = _padic_sum(field, terms, shift)
         return _padic_abs(field, vals + shift, zero)
     if matrices is not None:
-        points = points @ matrices.swapaxes(-1, -2)
-    values = np.abs(points @ forms.swapaxes(-1, -2))
-    return values / (_norms(field, points)[..., None] * _norms(field, forms)[..., None, :])
+        points = _by_matrix(points, matrices)
+    values = np.abs(_by_matrix(points, forms))
+    norms, form_norms = _norms(field, points), _norms(field, forms)
+    # ||g v|| ||f|| a form at a time, over runs of points rather than of forms
+    scale = np.empty(values.shape)
+    for k in range(values.shape[-1]):
+        np.multiply(norms, form_norms[..., k, None], out=scale[..., k])
+    return np.divide(values, scale, out=values)
+
+
+def _by_matrix(x, y) -> np.ndarray:
+    """x @ y^T for stacks x (..., R, n) and y (..., C, n) whose leading axes
+    broadcast, C-contiguous, by one matmul per matrix of y over every row of
+    x that meets it.  Each has the B operand y^T of the broadcast product's
+    matmul for one pair and only more rows, so every entry keeps its bits.
+    A single row makes that matmul a matrix-vector product, whose bits more
+    rows would change, so R = 1 takes the broadcast product."""
+    if x.shape[-2] <= 1:
+        return x @ y.swapaxes(-1, -2)
+    k = max(x.ndim, y.ndim) - 2
+    x = x.reshape((1,) * (k + 2 - x.ndim) + x.shape)
+    y = y.reshape((1,) * (k + 2 - y.ndim) + y.shape)
+    # the axes along which y's matrices differ go first
+    own = [axis for axis in range(k) if y.shape[axis] > 1]
+    order = own + [axis for axis in range(k + 2) if axis not in own]
+    x, y = x.transpose(order), y.transpose(order)
+    heads, rows = y.shape[:len(own)], x.shape[len(own):-1]
+    if any(size > 1 for size in x.shape[:len(own)]):  # rows of x of their own per matrix
+        x = np.broadcast_to(x, heads + x.shape[len(own):])
+    out = np.matmul(x.reshape(math.prod(x.shape[:len(own)]), math.prod(rows), x.shape[-1]),
+                    y.reshape(math.prod(heads), *y.shape[-2:]).swapaxes(-1, -2))
+    out = out.reshape(heads + rows + y.shape[-2:-1])
+    return np.ascontiguousarray(out.transpose([order.index(axis) for axis in range(k + 2)]))
 
 
 def point_distances(field: FieldSpec, points, w, matrices=None) -> np.ndarray:

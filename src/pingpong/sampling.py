@@ -9,7 +9,8 @@ step's probe noise over R and C).
 Over R and C the stream of seed s is numpy's PCG64 seeded through
 SeedSequence(s), bit for bit.  One reused Generator draws every stream: the
 PCG64 states of all seeds of a call come from one stacked SeedSequence hash
-(_pcg64_states), and each state is set on the generator before its draws.
+(_pcg64_states; a lone seed from numpy's own SeedSequence, through the same
+srandom step), and each state is set on the generator before its draws.
 So two threads must not draw streams at the same time.  Over Q_p the stream
 of seed s is random.Random(s), and its rows are the drawn Python ints
 themselves: exact, with full digits, what the p-adic distance kernels and
@@ -100,10 +101,13 @@ def _nonnegative(seeds) -> list:
 
 def _pcg64_states(seeds) -> list:
     """(state, inc) of np.random.PCG64(np.random.SeedSequence(s)) for each
-    nonnegative int s, all from one stacked hash over the seeds' uint32 words."""
+    nonnegative int s, all from one stacked hash over the seeds' uint32 words.
+    A single seed takes numpy's own SeedSequence words instead: the stacked
+    hash's fixed numpy calls cost more than one seed's whole hash."""
     seeds = _nonnegative(seeds)
-    if not seeds:
-        return []
+    if len(seeds) < 2:
+        return [_srandom(*np.random.SeedSequence(s).generate_state(4, np.uint64).tolist())
+                for s in seeds]
     width = max(_POOL, -(-max(seeds).bit_length() // 32))
     words = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds),
                           dtype="<u4").reshape(len(seeds), width).T
@@ -125,13 +129,16 @@ def _pcg64_states(seeds) -> list:
     # generate_state(4, uint64): 8 words cycling over the pool, paired little-endian
     xor, mult = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
     out = _hashmix(np.tile(pool, (2, 1)), xor, mult)
-    states = []
-    for w0, w1, w2, w3 in np.ascontiguousarray(out.T, dtype="<u4").view("<u8").tolist():
-        # srandom: state 0 stepped once is inc; add initstate and step again
-        inc = (w2 << 64 | w3) << 1 | 1
-        states.append((((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128,
-                       inc & _MASK128))
-    return states
+    return [_srandom(*words)
+            for words in np.ascontiguousarray(out.T, dtype="<u4").view("<u8").tolist()]
+
+
+def _srandom(w0: int, w1: int, w2: int, w3: int) -> tuple:
+    """(state, inc) of PCG64 seeded with the words of generate_state(4,
+    uint64): initstate w0 w1 and sequence w2 w3, high word first.  srandom
+    steps state 0 once, which gives inc, adds initstate and steps again."""
+    inc = (w2 << 64 | w3) << 1 | 1
+    return ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128, inc & _MASK128
 
 
 def _blocks(field: FieldSpec, n: int, seeds: list, counts):

@@ -16,18 +16,21 @@ distances stays within _TABLE_BUDGET entries, at most sampling.CHUNK_SIZE
 trials: per chunk one stack of configurations (T, 2m, n), one
 canonical_rows call for its points, its adversarial images and its forms,
 one deflation of the adversarial forms, and one kernel call that forms
-and scores g v for every trial, element and inverse.  Over Q_p the same
-steps run on the int terms of fields, from the sampled ints to the table
-of distances: the letter stack is read into terms once per estimate, and
-no sampled row becomes a PadicScalar.  sample_configuration and
-best_separator are the same code on a batch of one, and every trial
-rounds as it would alone, for R, C and Q_p.  The global infimum r exists
-by compactness but is never computed; downstream constructions only ever
-query concrete configurations.  word_layers is the one reduced-word
-enumerator: a BFS that builds each word length as one (N, n, n) stack of
-products, filled in blocks of words, keeping per length only the parent
-index and last letter of each word.  The falsifier reads its stacks;
-reduced_words, for the greedy candidate pool, is a per-word view of it.
+and scores g v for every trial, element and inverse.  Over R and C that
+call makes one matmul per letter for the images g v and one per trial for
+the values f(g v), and each rounds every entry as the trial alone would.
+Over Q_p the same steps run on the int terms of fields, from the sampled
+ints to the table of distances: the letter stack is read into terms once
+per estimate, and no sampled row becomes a PadicScalar.
+sample_configuration and best_separator are the same code on a batch of
+one, and every trial rounds as it would alone, for R, C and Q_p.  The
+global infimum r exists by compactness but is never computed; downstream
+constructions only ever query concrete configurations.  word_layers is
+the one reduced-word enumerator: a BFS that builds each word length as one
+(N, n, n) stack of products, filled in blocks of words, keeping per length
+only the parent index and last letter of each word.  The falsifier reads
+its stacks; reduced_words, for the greedy candidate pool, is a per-word
+view of it.
 """
 
 import math

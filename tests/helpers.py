@@ -255,6 +255,17 @@ def scalar_dist_to_hyperplane(P, H):
             / (scalar_norm(P.field, v) * scalar_norm(P.field, f)))
 
 
+def arch_hyperplane_distances(field, points, forms, matrices=None):
+    """hyperplane_distances over R and C as one broadcast numpy expression,
+    an oracle for the per-matrix products of pingpong.projective: numpy
+    makes one small matmul per (trial, element, direction) for g v and one
+    for f(g v)."""
+    if matrices is not None:
+        points = points @ matrices.swapaxes(-1, -2)
+    values = np.abs(points @ forms.swapaxes(-1, -2))
+    return values / (_norms(field, points)[..., None] * _norms(field, forms)[..., None, :])
+
+
 # The PadicScalar route of the p-adic kernels, an oracle for the integer arm
 # of pingpong.projective: the same distances by PadicScalar arithmetic, with
 # the products of fields.matmul.

@@ -86,6 +86,13 @@ def test_stacked_hash_mixes_words_past_the_pool_per_seed():
     assert sampling._pcg64_states([]) == []
 
 
+def test_a_lone_seed_gives_numpys_pcg64_state(monkeypatch):
+    # one seed takes numpy's own SeedSequence words, not the stacked hash
+    seeds = [0, 1, 77, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 1, 2**300 + 5]
+    monkeypatch.setattr(sampling, "_hash_constants", None)
+    assert [sampling._pcg64_states([s]) for s in seeds] == [[_numpy_state(s)] for s in seeds]
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX], ids=["R", "C"])
 def test_unit_chunks_are_the_per_chunk_streams(field):
     count, seed = 2 * CHUNK_SIZE + 37, 40

@@ -1,7 +1,9 @@
 """Separating-set oracle, Monte-Carlo radius estimation, greedy builder."""
 
+import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import random
 import warnings
@@ -14,6 +16,7 @@ from pingpong.cartan import SLMatrix, apply_point, diagonal, identity
 from pingpong.errors import ConstructionError, DomainError
 from pingpong.fields import COMPLEX, REAL, PadicScalar, _padic_canonical, _padic_read, padic
 from pingpong import separation
+from pingpong.io import load_separating_set
 from pingpong.sampling import CHUNK_SIZE
 from pingpong.projective import (
     ProjHyperplane,
@@ -21,9 +24,10 @@ from pingpong.projective import (
     as_field_array,
     canonical_rows,
     dist_to_hyperplane,
+    hyperplane_distances,
 )
-from helpers import (deflate_row, grown_by_gather, radius_by_trials, random_sl_arch,
-                     random_sl_padic, scalar_dist_to_hyperplane)
+from helpers import (arch_hyperplane_distances, deflate_row, grown_by_gather, radius_by_trials,
+                     random_sl_arch, random_sl_padic, scalar_dist_to_hyperplane)
 from pingpong.separation import (
     Configuration,
     NotSeparatingWarning,
@@ -39,6 +43,7 @@ from pingpong.separation import (
 )
 
 Q5 = padic(5)
+INPUTS = Path(__file__).parent / "data" / "reports" / "inputs"
 
 
 def rotation(theta):
@@ -284,6 +289,82 @@ def test_chunks_are_sized_by_the_table_budget(monkeypatch):
         expected = radius_by_trials(elements, 2, 200, 9)
     assert sizes == [85, 85, 30]
     assert (estimate.r, estimate.wins) == expected
+
+
+def _draw(rng, field, *shape):
+    rows = rng.normal(size=shape)
+    if field is COMPLEX:  # genuinely complex: no zero imaginary parts
+        rows = rows + 1j * rng.normal(size=shape)
+    return rows
+
+
+def _assert_margins_are_the_oracle(field, pairs, points, forms):
+    """_margins' one distance call, and its margins, byte for byte those
+    of the broadcast expression of tests/helpers."""
+    args = (field, points[:, None, None], forms[:, None, None], pairs)
+    table, want = hyperplane_distances(*args), arch_hyperplane_distances(*args)
+    assert table.shape == want.shape and table.tobytes() == want.tobytes()
+    margins = separation._margins(field, pairs, points, forms)
+    assert margins.tobytes() == want.min(axis=(2, 3, 4), initial=math.inf).tobytes()
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_margin_tables_are_the_broadcast_product_bit_for_bit(field, n):
+    # one matmul per letter and one per trial round every distance as the
+    # per-(trial, letter) products do, one-point configurations and full
+    # chunks included
+    rng = np.random.default_rng(n)
+    for E in (1, 3, 24):
+        pairs = _draw(rng, field, E, 2, n, n)
+        for P, H in itertools.product((1, 2, 4, 6), repeat=2):
+            full = min(CHUNK_SIZE, separation._TABLE_BUDGET // (2 * E * P * H))
+            for T in (1, 2, 40, full):
+                points = canonical_rows(field, _draw(rng, field, T, P, n))
+                forms = canonical_rows(field, _draw(rng, field, T, H, n))
+                _assert_margins_are_the_oracle(field, pairs, points, forms)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=str)
+def test_empty_configurations_score_as_the_oracle(field):
+    rng = np.random.default_rng(0)
+    pairs = _draw(rng, field, 3, 2, 3, 3)
+    for P, H in ((0, 2), (2, 0), (0, 0)):
+        for T in (1, 40):
+            points = _draw(rng, field, T, P, 3)
+            forms = _draw(rng, field, T, H, 3)
+            _assert_margins_are_the_oracle(field, pairs, points, forms)
+            assert (separation._margins(field, pairs, points, forms) == math.inf).all()
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX], ids=str)
+def test_one_point_configurations_separate_as_the_oracle(field):
+    rng = np.random.default_rng(5)
+    for n in (2, 3):
+        elements = tuple(random_sl_arch(rng, field, n) for _ in range(3))
+        pairs = letter_stack(elements).reshape(-1, 2, n, n)
+        F = SeparatingSet(elements, 2, 0.01)
+        for H in (1, 2, 4):
+            cfg = Configuration(canonical_rows(field, _draw(rng, field, 1, n)),
+                                canonical_rows(field, _draw(rng, field, H, n)))
+            margins = arch_hyperplane_distances(
+                field, cfg.points[None, None, None], cfg.forms[None, None, None], pairs
+            ).min(axis=(2, 3, 4), initial=math.inf)[0]
+            g, margin = best_separator(F, cfg)
+            assert g is elements[int(np.argmax(margins))]
+            assert margin == margins.max()
+
+
+def test_a_genuinely_complex_set_scores_as_the_oracle():
+    # sep_complex3.json's entries have nonzero imaginary parts, unlike the
+    # complex rotations, so a complex product that rounds otherwise shows
+    F = load_separating_set(INPUTS / "sep_complex3.json")
+    field, n = F.elements[0].field, F.elements[0].n
+    pairs = letter_stack(F.elements).reshape(-1, 2, n, n)
+    assert np.abs(pairs.imag).max() > 0
+    for seed in (3, 11):
+        points, forms = separation._configurations(field, pairs[:, 0], F.m, np.arange(200), seed)
+        _assert_margins_are_the_oracle(field, pairs, points, forms)
 
 
 def _padic_deflated(field, u, w):
