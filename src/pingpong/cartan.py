@@ -10,19 +10,19 @@ stacked SVD gives them for a whole set, over Q_p the entries of each g and
 of its inverse, every inverse of the set from one inverses call.  inverses
 fills the inverse of a whole set from one stacked _adjugate.
 determinant_failure is the one determinant gate: it checks a whole stack,
-over R and C with one stacked np.linalg.det, over Q_p matrix by matrix, a
-2 x 2 one on the ints of its entries (ad - bc against D^2, D their common
-denominator), and SLMatrix._check_det runs it on a stack of one.
+over R and C with one stacked np.linalg.det, over Q_p matrix by matrix, and
+SLMatrix._check_det runs it on a stack of one.
 
-Exact det and adjugate are det_adjugate: the closed forms for n = 2, on
-ints as well, one gauss_jordan for n >= 3.  They serve the gate's exact arm
-over R and C, on the stored dyadic entries when the float gate is too wide
-to decide det = 1, and the falsifier's letters.  gauss_jordan also serves,
-over Q_p, the n >= 3 gate and _dets: the n >= 3 cofactors of the inverse,
-which is the adjugate for every field, and the minors of exterior_power.
-Where only a determinant is wanted it runs forward only.  The exact values
-are exact_form's: Fractions over R and Q_p, and over C GaussianRationals,
-so the complex gate sees the phase of a determinant as well as its modulus.
+Exact det and adjugate have one core, bareiss, on ints: integral_form reads
+a matrix's stored values over their common denominator D, as Python ints
+over R and Q_p and as GaussianInts over C, and bareiss gives det D^n and
+adj D^(n-1), by the closed forms for n = 2 and by fraction-free elimination
+for n >= 3.  It serves the Q_p gate, the gate's exact arm over R and C, on
+the stored dyadic entries when the float gate is too wide to decide det = 1
+(over C the phase of the det as well as its modulus), and the falsifier's
+letters.  The p-adic n >= 3 cofactors of the inverse, which is the adjugate
+for every field, and the minors of exterior_power come from _dets, a
+forward elimination on PadicScalars that keeps their digit counts.
 The Smith form keeps its own loop: it pivots on the whole remaining block
 rather than one column and records the row and column operations as k and k'.
 """
@@ -30,7 +30,6 @@ rather than one column and records the row and column operations as k and k'.
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,54 +42,55 @@ from .projective import ProjHyperplane, ProjPoint, as_field_array
 
 
 def _operand(op):
-    """op with an int or Fraction operand read as a GaussianRational, and
-    NotImplemented for any other, a numpy array say."""
+    """op with an int operand read as a GaussianInt, and NotImplemented for
+    any other, a numpy array say."""
     @functools.wraps(op)
     def wrapped(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        elif not isinstance(other, GaussianRational):
+        if isinstance(other, int):
+            other = GaussianInt(other)
+        elif not isinstance(other, GaussianInt):
             return NotImplemented
         return op(self, other)
     return wrapped
 
 
-class GaussianRational:
-    """a + bi with rational a and b, the exact value of a complex float entry.
+class GaussianInt:
+    """a + bi with int a and b: over C, a stored entry times the common
+    denominator of the real and imaginary parts of its matrix.
 
-    It has the operators det_adjugate and the falsifier use, and complex()
-    for the determinant gate's message, and no more.
+    It has the operators bareiss and the falsifier's words use, // an exact
+    division, one whose quotient is a Gaussian integer, and no more.
     abs is |a| + |b|: an upper bound on the modulus, within a factor sqrt(2)
-    of it, and a Fraction, so that sums of abs values stay exact.
+    of it, and an int, so that sums of abs values stay exact.
     """
 
     __slots__ = ("real", "imag")
 
     def __init__(self, real, imag=0):
-        self.real = Fraction(real)
-        self.imag = Fraction(imag)
+        self.real = real
+        self.imag = imag
 
     @_operand
     def __add__(self, other):
-        return GaussianRational(self.real + other.real, self.imag + other.imag)
+        return GaussianInt(self.real + other.real, self.imag + other.imag)
 
     @_operand
     def __sub__(self, other):
-        return GaussianRational(self.real - other.real, self.imag - other.imag)
+        return GaussianInt(self.real - other.real, self.imag - other.imag)
 
     def __neg__(self):
-        return GaussianRational(-self.real, -self.imag)
+        return GaussianInt(-self.real, -self.imag)
 
     @_operand
     def __mul__(self, other):
-        return GaussianRational(self.real * other.real - self.imag * other.imag,
-                                self.real * other.imag + self.imag * other.real)
+        return GaussianInt(self.real * other.real - self.imag * other.imag,
+                           self.real * other.imag + self.imag * other.real)
 
     @_operand
-    def __truediv__(self, other):
+    def __floordiv__(self, other):
         norm = other.real ** 2 + other.imag ** 2
-        return GaussianRational((self.real * other.real + self.imag * other.imag) / norm,
-                                (self.imag * other.real - self.real * other.imag) / norm)
+        return GaussianInt((self.real * other.real + self.imag * other.imag) // norm,
+                           (self.imag * other.real - self.real * other.imag) // norm)
 
     @_operand
     def __eq__(self, other):
@@ -99,78 +99,57 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.real or self.imag)
 
-    def __abs__(self) -> Fraction:
+    def __abs__(self) -> int:
         return abs(self.real) + abs(self.imag)
 
-    def __complex__(self):
-        return complex(float(self.real), float(self.imag))
+
+def integral_form(entries: np.ndarray) -> tuple:
+    """(rows, D) of a square matrix: the stored values times D, the lcm of
+    their denominators, as lists of Python ints, over C of GaussianInts
+    whose real and imaginary parts share the one D.  A float is the dyadic
+    rational it holds, a PadicScalar its value."""
+    n = len(entries)
+    flat = entries.ravel().tolist()
+    if entries.dtype.kind == "c":
+        ints, den = _over_common_denominator([z.real for z in flat] + [z.imag for z in flat])
+        flat = [GaussianInt(x, y) for x, y in zip(ints, ints[n * n:])]
+    else:
+        flat, den = _over_common_denominator(flat)
+    return [flat[i:i + n] for i in range(0, n * n, n)], den
 
 
-def exact_form(entries: np.ndarray) -> np.ndarray:
-    """Object array of the exact values of a matrix: Fractions for the values
-    of p-adic entries and the dyadic rationals a float matrix holds,
-    GaussianRationals for a complex one."""
-    if entries.dtype == object:
-        return np.array([[x.value for x in row] for row in entries.tolist()], dtype=object)
-    if np.iscomplexobj(entries):
-        return np.array([[GaussianRational(x.real, x.imag) for x in row]
-                         for row in entries.tolist()], dtype=object)
-    return np.array([[Fraction(x) for x in row] for row in entries.tolist()], dtype=object)
+def bareiss(a: list) -> tuple:
+    """(det, adj) of a square matrix given as rows of ints or GaussianInts,
+    adj = det a^-1 as rows, adj None when det = 0 and n >= 3.
 
-
-def gauss_jordan(a: np.ndarray, inverse: bool = True) -> tuple:
-    """(det, inverse) of a square object array of exact scalars by one
-    Gauss-Jordan elimination; inverse is None when a is exactly singular.
-
-    Fractions and GaussianRationals pivot on the first nonzero entry of the
-    column, PadicScalars on its least valuation.  The det is the signed product of the pivots.
-    With inverse=False only the forward pass runs, and the inverse is None:
-    the same pivots, each eliminating the rows below it only, with no
-    identity block.  Those operations are a subset of the full pass's, so
-    det keeps its value and its digits, and no step can raise that the full
-    pass would not.
+    For n = 2 the closed forms ad - bc and [[d, -b], [-c, a]].  For n >= 3
+    Bareiss's fraction-free Gauss-Jordan elimination on [a | I] (E. H.
+    Bareiss, Math. Comp. 22, 1968): the k-th step pivots on the first nonzero
+    entry of column k from row k down, p_k, and sets every other row to
+    (p_k row - a_ik row_k) // p_(k-1), p_(-1) = 1.  Each entry is then a minor
+    of the row-swapped [a | I], so each division is exact, and at the end
+    p_(n-1) and the right block are det a and adj a times the swaps' sign.
     """
     n = len(a)
-    if isinstance(a[0, 0], PadicScalar):
-        zero, one = a[0, 0].field.zero(), a[0, 0].field.one()
-        size = operator.attrgetter("valuation")
-    else:
-        exact = GaussianRational if isinstance(a[0, 0], GaussianRational) else Fraction
-        zero, one = exact(0), exact(1)
-        size = operator.not_  # nonzero first
-    m = a.tolist()
-    if inverse:
-        m = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(m)]
-    det = one
-    for t in range(n):
-        pivot_row = min(range(t, n), key=lambda i: size(m[i][t]))
-        if not m[pivot_row][t]:
-            return zero, None
-        if pivot_row != t:
-            m[t], m[pivot_row] = m[pivot_row], m[t]
-            det = -det
-        det = det * m[t][t]
-        inv = one / m[t][t]
-        # a step on a zero entry would return the same value and digits: skip it
-        m[t] = [x * inv if x else x for x in m[t]]
-        for i in range(n) if inverse else range(t + 1, n):
-            if i != t and m[i][t]:
-                f = m[i][t]
-                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[t])]
-    if not inverse:
-        return det, None
-    return det, np.array([row[n:] for row in m], dtype=object)
-
-
-def det_adjugate(a: np.ndarray) -> tuple:
-    """(det, adj) of a square object array of exact scalars, adj = det a^-1:
-    for n = 2 ad - bc and [[d, -b], [-c, a]], on any scalars with + - *,
-    Python ints as well; for n >= 3 one gauss_jordan, adj None if det = 0."""
-    if len(a) == 2:
-        (p, q), (r, s) = a.tolist()
-        return p * s - q * r, _adjugate(a)
-    det, inverse = gauss_jordan(a)
-    return det, None if inverse is None else det * inverse
+    if n == 2:
+        (p, q), (r, s) = a
+        return p * s - q * r, [[s, -q], [-r, p]]
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign, prev = 1, 1
+    for k in range(n):
+        # m holds columns k.. of [a | I]; the left columns before k are
+        # p_(k-1) I and stay out of the loop
+        pivot_row = next((i for i in range(k, n) if m[i][0]), None)
+        if pivot_row is None:
+            return 0, None
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        pivot, top = m[k][0], m[k][1:]
+        m = [top if i == k else [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
+             for i, row in enumerate(m)]
+        prev = pivot
+    return prev * sign, [[x * sign for x in row] for row in m]
 
 
 class SLMatrix:
@@ -239,21 +218,24 @@ def determinant_failure(field: FieldSpec, stack: np.ndarray):
     """(index, message) of the first matrix of a (k, n, n) stack whose det is
     not 1 as far as its stored entries tell, or None when every one passes.
 
-    Over Q_p, matrix by matrix, det = 1 to the digits held, the det from
-    _padic_det.  Over R and C
+    Over Q_p, matrix by matrix, det = 1 to the digits held, the exact det of
+    the values from bareiss on integral_form's ints, det D^n against D^n.
+    Over R and C
     one stacked np.linalg.det gives the float det of each matrix, which must
     lie within _float_gates' width of 1; where that width reaches 1, the exact
     det d of the dyadic entries A decides: d must be nonzero with
     |d - 1| <= tol sum_ij |a_ij| |adj(A)_ji|, the first-order move of d when
     each entry is off by a relative tol = relative_tolerance() (over C,
-    |a + bi| is read as |a| + |b|, GaussianRational's abs).  One rounding per
+    |a + bi| is read as |a| + |b|, GaussianInt's abs).  One rounding per
     entry, u = 2^-53, would be too tight: the generators that
     build_pingpong_tuple multiplies out need up to about 2e3 u for tol.
     """
     if field.is_padic:
         for index, entries in enumerate(stack):
-            det = _padic_det(entries)
-            if det != 1:
+            a, den = integral_form(entries)
+            det, one = bareiss(a)[0], den ** len(a)
+            if det != one:
+                det = Fraction(det, one)
                 # digit-truncated input may miss 1 by something beyond its precision
                 slack = min(c.digits for row in entries for c in row)
                 if valuation(det - 1, field) < slack:
@@ -274,37 +256,21 @@ def determinant_failure(field: FieldSpec, stack: np.ndarray):
 
 def _stored_det_failure(field: FieldSpec, entries: np.ndarray):
     """determinant_failure's exact arm: why the exact det d of the entries A
-    fails, d = 0 or |d - 1| > tol sum_ij |a_ij| |adj(A)_ji|, or None.  A 2x2
-    real A decides on ints over its entries' common denominator D, as
-    _padic_det does: d D^2 = ad - bc against D^2, the reach times D^2 is
-    2 tol (|ad| + |bc|), and d is a Fraction only in the message."""
+    fails, d = 0 or |d - 1| > tol sum_ij |a_ij| |adj(A)_ji|, or None.  It
+    decides on integral_form's ints a = D A, as the Q_p gate does: d D^n is
+    bareiss's det against D^n, the reach times D^n is
+    tol sum_ij |a_ij| |adj(a)_ji|, and d is a Fraction only in the message."""
     tol, tol_den = relative_tolerance().as_integer_ratio()
-    if field.kind is Kind.REAL and len(entries) == 2:
-        (a, b, c, d), den = _over_common_denominator(entries.ravel().tolist())
-        one = den * den  # 1 over the denominator of d
-        det, reach = a * d - b * c, 2 * (abs(a * d) + abs(b * c))
-    else:
-        a = exact_form(entries)
-        det, adj = det_adjugate(a)
-        one, reach = 1, (abs(a) * abs(adj).T).sum()
+    a, den = integral_form(entries)
+    det, adj = bareiss(a)
     if not det:
         return "determinant is exactly 0, not 1"
+    one = den ** len(a)
+    reach = sum(abs(x) * abs(y) for row, col in zip(a, zip(*adj)) for x, y in zip(row, col))
     if abs(det - one) * tol_den > tol * reach:
-        value = Fraction(det, one) if one != 1 else det
+        value = complex(Fraction(det.real, one), Fraction(det.imag, one))
         return f"determinant of the stored entries is {field.scalar(value):.12g}, not 1"
     return None
-
-
-def _padic_det(entries: np.ndarray):
-    """The exact det of the values of a p-adic matrix, the rational that
-    gauss_jordan(exact_form(entries)) gives: for n = 2 on ints, over the
-    common denominator D of the entries, as det D^2 = ad - bc, and the int 1
-    when that is D^2; for n >= 3 one forward gauss_jordan."""
-    if len(entries) != 2:
-        return gauss_jordan(exact_form(entries), inverse=False)[0]
-    (a, b, c, d), den = _over_common_denominator(entries.ravel().tolist())
-    scaled = a * d - b * c
-    return 1 if scaled == den * den else Fraction(scaled, den * den)
 
 
 def _float_gates(stack: np.ndarray) -> list:
@@ -336,11 +302,37 @@ def _float_gates(stack: np.ndarray) -> list:
 
 def _dets(stack: np.ndarray) -> np.ndarray:
     """Determinant of each matrix of a (..., m, m) stack: numpy's for float
-    and complex arrays, a forward gauss_jordan pass on each for p-adic ones."""
+    and complex arrays, _eliminated_det of each p-adic one."""
     if stack.dtype != object:
         return np.linalg.det(stack)
-    dets = [gauss_jordan(m, inverse=False)[0] for m in stack.reshape(-1, *stack.shape[-2:])]
+    dets = [_eliminated_det(m.tolist()) for m in stack.reshape(-1, *stack.shape[-2:])]
     return np.array(dets, dtype=object).reshape(stack.shape[:-2])
+
+
+def _eliminated_det(m: list) -> PadicScalar:
+    """det of a square matrix given as rows of PadicScalars, with its digits:
+    the signed product of the pivots of one forward elimination that pivots
+    on the least valuation in each column, so that the fewest digits go.
+    The elimination runs on m's rows in place."""
+    n = len(m)
+    field = m[0][0].field
+    det = one = field.one()
+    for t in range(n):
+        pivot_row = min(range(t, n), key=lambda i: m[i][t].valuation)
+        if not m[pivot_row][t]:
+            return field.zero()
+        if pivot_row != t:
+            m[t], m[pivot_row] = m[pivot_row], m[t]
+            det = -det
+        det = det * m[t][t]
+        inv = one / m[t][t]
+        # a step on a zero entry would return the same value and digits: skip it
+        m[t] = [x * inv if x else x for x in m[t]]
+        for i in range(t + 1, n):
+            if m[i][t]:
+                f = m[i][t]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[t])]
+    return det
 
 
 def _adjugate(entries: np.ndarray) -> np.ndarray:

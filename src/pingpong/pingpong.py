@@ -11,13 +11,13 @@ d([f^side v], H) > r; _first scores it with one hyperplane_distances call.
 A valid certificate implies the x_i freely generate F_m; freeness_falsifier
 is the independent brute-force check of that conclusion.  It decides one
 word length at a time on the stacks of separation.word_layers, for the
-stored matrices: _letters gives each letter's exact value, as Python ints
-over R and Q_p.  Over Q_p the int letters build the words, which are
-tested exactly, so no digit count can stop the search.  Over R and C the
-float words are decided by a rigorous componentwise bound on the rounding
-of each product, with an exact recheck of the first word the bound leaves
-open.  When that word is not exactly scalar, UndecidedError says how far
-the search was decided.
+stored matrices: _letters gives each letter's exact value, bareiss's ints
+over the common denominator of the entries, GaussianInts over C.  Over Q_p
+the int letters build the words, which are tested exactly, so no digit
+count can stop the search.  Over R and C the float words are decided by a
+rigorous componentwise bound on the rounding of each product, with an exact
+recheck of the first word the bound leaves open.  When that word is not
+exactly scalar, UndecidedError says how far the search was decided.
 """
 
 import functools
@@ -29,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cartan import (SLMatrix, apply_hyperplane, apply_point, bilip_constant, bilip_constants,
-                     det_adjugate, exact_form)
+from .cartan import (SLMatrix, apply_hyperplane, apply_point, bareiss, bilip_constant,
+                     bilip_constants, integral_form)
 from .contraction import (
     ContractionCert,
     ProximalCert,
@@ -40,7 +40,7 @@ from .contraction import (
 )
 from .errors import (ConstructionError, DomainError, NoSeparatorError, PreconditionError,
                      UndecidedError)
-from .fields import Kind, _over_common_denominator, relative_tolerance
+from .fields import Kind, relative_tolerance
 # dist_to_hyperplane is unused here; perfbench/test_oracle.py reads it as pingpong.pingpong's
 from .projective import ProjPoint, _pairs, dist_to_hyperplane, hyperplane_distances  # noqa: F401
 from .sampling import probe_offset
@@ -430,25 +430,29 @@ def _scalar_words(stack: np.ndarray) -> np.ndarray:
             & (diagonal == diagonal[:, :1]).all(axis=1))
 
 
-def _magnitudes(letters: np.ndarray, exact: list) -> tuple:
-    """(M, rho) for the float letters X^ and the exact letters X: within a
-    factor 1/(1 - 2u) from the complex modulus, |X^| <= M, |X| <= M and
-    |X^ - X| <= rho M.  Only an inverse letter for n >= 3 has rho > 0: the
-    float adjugate of n = 2 only moves entries."""
+def _magnitudes(letters: np.ndarray, exact: list, dens: list) -> tuple:
+    """(M, rho) for the float letters X^ and the exact letters X, the int
+    letters of _letters over their scales: within a factor 1/(1 - 2u) from
+    the complex modulus, |X^| <= M, |X| <= M and |X^ - X| <= rho M.  Only an
+    inverse letter for n >= 3 has rho > 0: the float adjugate of n = 2 only
+    moves entries.  The inverse letter of generator g is adj(D g) over
+    D^(n - 1), D its denominator in dens."""
     mags = np.abs(letters)
     n = letters.shape[-1]
     if n == 2:
         return mags, 0.0
     rho = Fraction(0)
     for k in range(1, len(letters), 2):
-        # abs of a GaussianRational is |a| + |b|, at least the modulus
-        error = abs(exact_form(letters[k]) - exact[k])
-        for i in range(n):
-            for j in range(n):
-                bound = _up(Fraction(float(mags[k, i, j])) + error[i, j])
+        scale = dens[k // 2] ** (n - 1)
+        for i, (row, ints) in enumerate(zip(letters[k].tolist(), exact[k].tolist())):
+            for j, (z, x) in enumerate(zip(row, ints)):
+                # |re| + |im| of the gap, at least its modulus; a real one has im 0
+                error = (abs(Fraction(z.real) - Fraction(x.real, scale))
+                         + abs(Fraction(z.imag) - Fraction(x.imag, scale)))
+                bound = _up(Fraction(float(mags[k, i, j])) + error)
                 mags[k, i, j] = bound
-                if error[i, j]:
-                    rho = max(rho, error[i, j] / Fraction(bound))
+                if error:
+                    rho = max(rho, error / Fraction(bound))
     return mags, _up(rho)
 
 
@@ -476,30 +480,20 @@ def _first_open(layer, c: float, eta: float):
     return None
 
 
-def _integral(x: np.ndarray) -> np.ndarray:
-    """x of floats, ints, Fractions or PadicScalars times the lcm of its
-    denominators, as Python ints: a positive multiple of x."""
-    return np.array(_over_common_denominator(x.ravel().tolist())[0],
-                    dtype=object).reshape(x.shape)
-
-
 def _letters(gens) -> tuple:
-    """(exact, tested): the exact letters of gens, in letter_stack's order g,
-    adj g = det g g^-1 (a projective inverse), and the letters words are
-    tested on, over R and Q_p each exact letter times a positive int, which
-    keeps a word scalar or not.  A 2 x 2 letter over R or Q_p is read
-    straight into ints and is its own tested letter; _magnitudes reads the
-    unscaled letters of n >= 3."""
-    on_ints = gens[0].field.kind is not Kind.COMPLEX
-    straight = on_ints and gens[0].n == 2
-    exact = []
+    """(letters, dens): the exact letters of gens, in letter_stack's order
+    D g and adj(D g) = det(D g) (D g)^-1 (a projective inverse), as object
+    arrays of integral_form's ints, GaussianInts over C, and each
+    generator's D.  A positive multiple keeps a word scalar or not."""
+    letters, dens = [], []
     for i, g in enumerate(gens):
-        x = _integral(g.entries) if straight else exact_form(g.entries)
-        det, adj = det_adjugate(x)
+        x, den = integral_form(g.entries)
+        det, adj = bareiss(x)
         if not det:
             raise DomainError(f"generator {i} is exactly singular")
-        exact += [x, adj]
-    return exact, [_integral(x) for x in exact] if on_ints and not straight else exact
+        letters += [np.array(x, dtype=object), np.array(adj, dtype=object)]
+        dens.append(den)
+    return letters, dens
 
 
 def freeness_falsifier(gens, max_len: int):
@@ -511,16 +505,15 @@ def freeness_falsifier(gens, max_len: int):
     (0,+1) < (0,-1) < (1,+1) < ..., so the returned word is the first
     counterexample in length-then-lexicographic order.  The exact letters
     are the stored values of the generators, with exact adjugates as
-    inverses, as ints over R and Q_p (_letters).  Over Q_p the words are
-    products of the int letters, and each layer is tested exactly.  Over R
-    and C a word is proven nontrivial when its float product is off scalar
-    by more than the componentwise error bound of the product (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., sections
-    3.5-3.6); the first word of a layer that is not proven is rechecked as
-    the exact product of its letters, ints over R and GaussianRationals
-    over C.  If it is not exactly scalar either, UndecidedError reports
-    decided_len = L - 1, as it does when the next layer would exceed the
-    word budget.
+    inverses, as ints over their common denominator (_letters), GaussianInts
+    over C.  Over Q_p the words are products of the int letters, and each
+    layer is tested exactly.  Over R and C a word is proven nontrivial when
+    its float product is off scalar by more than the componentwise error
+    bound of the product (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sections 3.5-3.6); the first word of a layer that
+    is not proven is rechecked as the exact product of its int letters.  If
+    it is not exactly scalar either, UndecidedError reports decided_len =
+    L - 1, as it does when the next layer would exceed the word budget.
     """
     if max_len < 1:
         raise DomainError(f"need max_len >= 1, got {max_len}")
@@ -528,7 +521,7 @@ def freeness_falsifier(gens, max_len: int):
     if not gens:
         raise DomainError("need at least one generator")
     fld, n = gens[0].field, gens[0].n
-    exact, tested = _letters(gens)
+    tested, dens = _letters(gens)
     if fld.is_padic:
         for layer in word_layers(np.array(tested), max_len):
             hits = np.flatnonzero(_scalar_words(layer.products))
@@ -536,7 +529,7 @@ def freeness_falsifier(gens, max_len: int):
                 return Word(layer.letters(int(hits[0])))
         return None
     letters = letter_stack(gens)
-    mags, rho = _magnitudes(letters, exact)
+    mags, rho = _magnitudes(letters, tested, dens)
     width = n + 2 if fld.kind is Kind.COMPLEX else n  # Higham's complex inner products: gamma_(n+2)
     spread = max(1.0, float(mags.sum(axis=-1).max()))
     for layer in word_layers(letters, max_len, mags):

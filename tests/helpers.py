@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from pingpong.cartan import SLMatrix, _cartan_padic, apply_point
+from pingpong.cartan import GaussianInt, SLMatrix, _cartan_padic, apply_point
 from pingpong.errors import DomainError, PrecisionExhaustedError
 from pingpong.fields import FieldSpec, Kind, PadicScalar, matmul, valuation
 from pingpong.projective import _norms, as_field_array, canonical_rows
@@ -104,13 +104,140 @@ def leibniz_det(rows):
     return functools.reduce(operator.add, terms)
 
 
-def adjugate_oracle(rows):
+def adjugate_oracle(rows, det=fraction_det):
     """Exact adjugate by cofactors: entry (i, j) is (-1)^(i+j) times the
-    determinant of rows without row j and column i."""
+    determinant of rows without row j and column i, by fraction_det, or by
+    leibniz_det for scalars that do not add to a Fraction."""
     n = len(rows)
-    return [[(-1) ** (i + j) * fraction_det([[rows[r][c] for c in range(n) if c != i]
-                                              for r in range(n) if r != j])
-             for j in range(n)] for i in range(n)]
+    return [[det([[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
+             * (-1) ** (i + j) for j in range(n)] for i in range(n)]
+
+
+def _operand(op):
+    """op with an int or Fraction operand read as a GaussianRational, and
+    NotImplemented for any other, a numpy array say."""
+    @functools.wraps(op)
+    def wrapped(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = GaussianRational(other)
+        elif not isinstance(other, GaussianRational):
+            return NotImplemented
+        return op(self, other)
+    return wrapped
+
+
+class GaussianRational:
+    """a + bi with Fraction a and b, the exact value of a complex entry, for
+    the oracle below: +, -, *, /, ==, complex(), and abs |a| + |b|, the
+    upper bound on the modulus that the determinant gate reads."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag=0):
+        self.real = Fraction(real)
+        self.imag = Fraction(imag)
+
+    @_operand
+    def __add__(self, other):
+        return GaussianRational(self.real + other.real, self.imag + other.imag)
+
+    @_operand
+    def __sub__(self, other):
+        return GaussianRational(self.real - other.real, self.imag - other.imag)
+
+    def __neg__(self):
+        return GaussianRational(-self.real, -self.imag)
+
+    @_operand
+    def __mul__(self, other):
+        return GaussianRational(self.real * other.real - self.imag * other.imag,
+                                self.real * other.imag + self.imag * other.real)
+
+    @_operand
+    def __truediv__(self, other):
+        norm = other.real ** 2 + other.imag ** 2
+        return GaussianRational((self.real * other.real + self.imag * other.imag) / norm,
+                                (self.imag * other.real - self.real * other.imag) / norm)
+
+    @_operand
+    def __eq__(self, other):
+        return self.real == other.real and self.imag == other.imag
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+    def __abs__(self) -> Fraction:
+        return abs(self.real) + abs(self.imag)
+
+    def __complex__(self):
+        return complex(float(self.real), float(self.imag))
+
+
+def exact_form(entries):
+    """Object array of the exact values of a matrix: Fractions for the values
+    of p-adic entries and the dyadic rationals a float matrix holds,
+    GaussianRationals for a complex one."""
+    if entries.dtype == object:
+        return np.array([[x.value for x in row] for row in entries.tolist()], dtype=object)
+    if np.iscomplexobj(entries):
+        return np.array([[GaussianRational(x.real, x.imag) for x in row]
+                         for row in entries.tolist()], dtype=object)
+    return np.array([[Fraction(x) for x in row] for row in entries.tolist()], dtype=object)
+
+
+def gauss_jordan(a):
+    """(det, inverse) of a square object array of Fractions,
+    GaussianRationals or PadicScalars by one Gauss-Jordan elimination on
+    [a | I]; inverse is None when a is exactly singular.  Fractions and
+    GaussianRationals pivot on the first nonzero entry of the column,
+    PadicScalars on its least valuation; det is the signed product of the
+    pivots.  The exact oracle of cartan.bareiss and of the p-adic digits."""
+    n = len(a)
+    if isinstance(a[0, 0], PadicScalar):
+        zero, one = a[0, 0].field.zero(), a[0, 0].field.one()
+        size = operator.attrgetter("valuation")
+    else:
+        exact = GaussianRational if isinstance(a[0, 0], GaussianRational) else Fraction
+        zero, one = exact(0), exact(1)
+        size = operator.not_  # nonzero first
+    m = [row + [one if i == j else zero for j in range(n)] for i, row in enumerate(a.tolist())]
+    det = one
+    for t in range(n):
+        pivot_row = min(range(t, n), key=lambda i: size(m[i][t]))
+        if not m[pivot_row][t]:
+            return zero, None
+        if pivot_row != t:
+            m[t], m[pivot_row] = m[pivot_row], m[t]
+            det = -det
+        det = det * m[t][t]
+        inv = one / m[t][t]
+        # a step on a zero entry would return the same value and digits: skip it
+        m[t] = [x * inv if x else x for x in m[t]]
+        for i in range(n):
+            if i != t and m[i][t]:
+                f = m[i][t]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[t])]
+    return det, np.array([row[n:] for row in m], dtype=object)
+
+
+def over_denominator(a):
+    """(rows, D) of a square object array of Fractions or GaussianRationals:
+    its values times D, the lcm of the denominators of every part, as rows
+    of ints or GaussianInts, the input of cartan.bareiss."""
+    parts = [(x.real, x.imag) for x in a.flat]
+    den = math.lcm(*[Fraction(y).denominator for pair in parts for y in pair])
+    gaussian = isinstance(a.flat[0], GaussianRational)
+    flat = [GaussianInt(int(x * den), int(y * den)) if gaussian else int(x * den)
+            for x, y in parts]
+    n = len(a)
+    return [flat[i:i + n] for i in range(0, n * n, n)], den
+
+
+def over(x, den):
+    """x / den for an int or a GaussianInt x: a Fraction or a GaussianRational."""
+    if isinstance(x, GaussianInt):
+        return GaussianRational(Fraction(x.real, den), Fraction(x.imag, den))
+    return Fraction(x, den)
 
 
 def smith_valuations_oracle(g):

@@ -9,13 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    GaussianRational,
     adjugate_loop,
     adjugate_oracle,
     batch_proj_dist,
     bilip_constant_by_smith,
+    exact_form,
+    gauss_jordan,
     wedge_coordinates,
     fraction_det,
     leibniz_det,
+    over,
+    over_denominator,
     power_iteration_norm,
     random_sl_arch,
     random_sl_padic,
@@ -23,25 +28,25 @@ from helpers import (
 )
 from pingpong import io
 from pingpong.cartan import (
-    GaussianRational,
+    GaussianInt,
     SLMatrix,
     _adjugate,
     _check_digits,
     _dets,
+    _eliminated_det,
     _float_gates,
     _stored_det_failure,
     apply_hyperplane,
     apply_point,
+    bareiss,
     bilip_constant,
     bilip_constants,
     cartan_decompose,
-    det_adjugate,
     determinant_failure,
     diagonal,
-    exact_form,
     exterior_power,
-    gauss_jordan,
     identity,
+    integral_form,
     inverses,
     operator_norm,
     wedge_operator_norm,
@@ -128,19 +133,51 @@ def test_wide_determinant_gate_reach_is_the_relative_tolerance(field, side, fits
 
 
 def _gate_by_fractions(field, entries):
-    """The exact arm of the wide gate on the Fractions of the stored entries."""
+    """The exact arm of the wide gate on the Fractions of the stored entries,
+    GaussianRationals over C, by the oracle's det and inverse."""
     a = exact_form(entries)
-    det, adj = det_adjugate(a)
+    det, inverse = gauss_jordan(a)
     if not det:
         return "determinant is exactly 0, not 1"
+    adj = det * inverse
     if abs(det - 1) > Fraction(relative_tolerance()) * (abs(a) * abs(adj).T).sum():
         return f"determinant of the stored entries is {field.scalar(det):.12g}, not 1"
     return None
 
 
+def _exact_arm_case(rng, field, n):
+    """An n x n matrix for the exact arm, over C with imaginary entries: near
+    the reach's edge, with its zero-led last row moved to the top; singular
+    or nearly; integral; or g^3 for a float-computed SL_n element g."""
+    kind = rng.randrange(4)
+    i = 1j if field is COMPLEX else 1
+    m = np.eye(n, dtype=complex if field is COMPLEX else float)
+    x = 2.0 ** rng.randint(20, 60) * rng.uniform(1, 2)
+    if kind == 0:
+        off = rng.choice([0.5, 1.0, 1.9, 2.0, 2.1, 3.0, -2.1, 50.0]) * relative_tolerance()
+        m[0, 0], m[-1, -1] = x * i, (1 + off) / x * i.conjugate()
+        for r, c in zip(*np.triu_indices(n, 1)):
+            m[r, c] = rng.choice([0.0, 1.0, -3.0]) * rng.choice([1, i])
+        m = np.roll(m, 1, axis=0)  # a cycle of the rows, of sign (-1)^(n - 1)
+        if n % 2 == 0:
+            m[0] = -m[0]
+    elif kind == 1:
+        m[:2, :2] = [[x * i, x * i], [x * (1 + rng.choice([0.0, 2.0 ** -40])), x]]
+    elif kind == 2:
+        for r, c in np.ndindex(n, n):
+            m[r, c] = rng.randint(-2 ** 40, 2 ** 40) * rng.choice([1, i])
+    else:
+        g = _scaled_sl(np.random.default_rng(rng.randrange(2 ** 32)), field, n,
+                       10 ** rng.uniform(2, 5))
+        m = g @ g @ g
+    return m
+
+
 def test_the_real_2x2_exact_arm_on_ints_matches_fractions():
     # the ints over the power-of-two denominator decide and word every case as
-    # the Fractions do: near the reach's edge, singular, integral, and g^3
+    # the Fractions do: near the reach's edge, singular, integral, and g^3;
+    # for R 2 x 2 as first recorded, then for R and C with n = 2 .. 4, where
+    # the one arm serves every field and size
     rng = random.Random(17)
     outcomes = collections.Counter()
     for _ in range(600):
@@ -163,6 +200,14 @@ def test_the_real_2x2_exact_arm_on_ints_matches_fractions():
         assert _stored_det_failure(REAL, m) == want
         outcomes[want if want is None else want.split(" is ")[0]] += 1
     assert len(outcomes) == 3 and min(outcomes.values()) >= 50
+    for field, n in [(COMPLEX, 2), (REAL, 3), (COMPLEX, 3), (REAL, 4), (COMPLEX, 4)]:
+        outcomes = collections.Counter()
+        for _ in range(200):
+            m = _exact_arm_case(rng, field, n)
+            want = _gate_by_fractions(field, m)
+            assert _stored_det_failure(field, m) == want
+            outcomes[want if want is None else want.split(" is ")[0]] += 1
+        assert len(outcomes) == 3 and min(outcomes.values()) >= 10, (field, n, outcomes)
 
 
 @pytest.mark.parametrize("digits", [3, 6])
@@ -360,14 +405,69 @@ def test_the_2x2_closed_forms_are_gauss_jordans_det_and_adjugate(gaussian, rank_
     # rank one, the outer product of (x0, x1) and (x2, x3), is exactly singular
     rows = [[x[0] * x[2], x[0] * x[3]], [x[1] * x[2], x[1] * x[3]]] if rank_one else [x[:2], x[2:]]
     a = np.array(rows, dtype=object)
-    det, adj = det_adjugate(a)
+    # bareiss on the ints over D gives det D^2 and adj D
+    ints, den = over_denominator(a)
+    det, adj = bareiss(ints)
     want, inverse = gauss_jordan(a)
-    assert det == want
+    assert over(det, den ** 2) == want
     if inverse is None:
         assert not det
-        assert (a @ adj == np.zeros((2, 2), dtype=int)).all()
+        assert (np.array(ints, dtype=object) @ np.array(adj, dtype=object) == 0).all()
     else:
-        assert (adj == det * inverse).all()
+        assert (np.array([[over(y, den) for y in row] for row in adj], dtype=object)
+                == want * inverse).all()
+
+
+_SMALL = st.integers(-9, 9)
+_CORE_ENTRIES = {
+    "int": _SMALL,
+    "gaussian": st.builds(GaussianInt, _SMALL, _SMALL),
+    # the value of a Q_5 entry, with 5 in some denominators
+    "padic": st.builds(lambda a, k: Fraction(a) * Fraction(5) ** k, _SMALL, st.integers(-2, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CORE_ENTRIES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 5), shape=st.sampled_from(["any", "singular", "zero-led"]))
+def test_bareiss_is_the_exact_oracle(kind, data, n, shape):
+    # ints, Gaussian ints and p-adic values read over their D, against the
+    # cofactor, Leibniz and Gauss-Jordan oracles; a zero leading entry forces
+    # a row swap, a repeated row makes the matrix singular
+    rows = data.draw(st.lists(st.lists(_CORE_ENTRIES[kind], min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    if shape == "singular":
+        rows[-1] = list(rows[0])
+    elif shape == "zero-led":
+        rows[0][0] = rows[0][0] * 0
+    if kind == "padic":
+        entries = as_field_array(Q5, rows, 2)
+        ints, den = integral_form(entries)
+        assert [[over(x, den) for x in row] for row in ints] == rows
+        oracle = exact_form(entries)
+    elif kind == "gaussian":
+        ints, den = rows, 1
+        oracle = np.array([[GaussianRational(x.real, x.imag) for x in row] for row in rows],
+                          dtype=object)
+    else:
+        ints, den = integral_form(np.array(rows, dtype=float))
+        assert (ints, den) == (rows, 1)
+        oracle = np.array(rows, dtype=object) * Fraction(1)
+    det, adj = bareiss(ints)
+    want, inverse = gauss_jordan(oracle)
+    value = over(det, den ** n)
+    assert value == want
+    assert det == leibniz_det(ints)
+    if kind != "gaussian":
+        assert value == fraction_det(oracle.tolist())
+    cofactors = adjugate_oracle(ints, leibniz_det if kind == "gaussian" else fraction_det)
+    if det or n == 2:
+        assert adj == cofactors
+    else:
+        assert adj is None
+    if det:
+        assert ([[over(x, den ** (n - 1)) for x in row] for row in adj]
+                == (want * inverse).tolist())
 
 
 def test_exact_form_of_a_complex_matrix_is_its_n_by_n_gaussian_rationals():
@@ -465,7 +565,7 @@ def test_determinant_pass_keeps_every_digit_and_raises_no_more():
             except PrecisionExhaustedError:
                 full = None
             try:
-                det = gauss_jordan(a, inverse=False)[0]
+                det = _eliminated_det(a.tolist())
             except PrecisionExhaustedError:
                 assert full is None
                 continue
@@ -480,8 +580,8 @@ def test_determinant_pass_keeps_every_digit_and_raises_no_more():
                                [Fraction(6, 125), 75, Fraction(12763, 25)]], 2)
     with pytest.raises(PrecisionExhaustedError):
         gauss_jordan(a)
-    det, inverse = gauss_jordan(a, inverse=False)
-    assert (det, det.digits, inverse) == (1, 3, None)
+    det = _eliminated_det(a.tolist())
+    assert (det, det.digits) == (1, 3)
 
 
 def test_gauss_jordan_finds_exact_singularity():
@@ -937,13 +1037,13 @@ def test_padic_cartan_refuses_worn_entries():
         cartan_decompose(g)
 
 
-# The Q_p determinant gate: n = 2 on ints, n >= 3 one forward gauss_jordan each
+# The Q_p determinant gate: one bareiss call on the ints of each matrix
 
 def _padic_gate_by_gauss_jordan(field, stack):
     """The gate matrix by matrix as it stood on gauss_jordan alone: the exact
     det of the values, with slack the fewest digits an entry holds."""
     for index, entries in enumerate(stack):
-        det, _ = gauss_jordan(exact_form(entries), inverse=False)
+        det, _ = gauss_jordan(exact_form(entries))
         if det != 1:
             slack = min(c.digits for row in entries for c in row)
             if valuation(det - 1, field) < slack:
@@ -1016,22 +1116,25 @@ def test_the_padic_gate_slack_on_truncated_entries(digits):
             got = determinant_failure(Q5, m)
             assert got == _padic_gate_by_gauss_jordan(Q5, m)
             assert (got is None) is fits
-            assert gauss_jordan(exact_form(m[0]), inverse=False)[0] != 1
+            assert gauss_jordan(exact_form(m[0]))[0] != 1
 
 
 def test_a_passing_2x2_padic_stack_makes_no_elimination(monkeypatch):
-    seen = []
-    original = gauss_jordan
-    monkeypatch.setattr("pingpong.cartan.gauss_jordan",
-                        lambda a, inverse=True: seen.append(a.shape) or original(a, inverse))
+    # the gate makes one bareiss call per matrix, the closed forms for n = 2,
+    # and no PadicScalar elimination for any n
+    seen, eliminated = [], []
+    core = bareiss
+    monkeypatch.setattr("pingpong.cartan.bareiss", lambda a: seen.append(len(a)) or core(a))
+    monkeypatch.setattr("pingpong.cartan._eliminated_det", lambda m: eliminated.append(m))
     rng = random.Random(23)
     stack = np.array([random_sl_padic(rng, Q5, 2).entries for _ in range(12)])
     stack3 = np.array([random_sl_padic(rng, Q5, 3).entries for _ in range(2)])
     seen.clear()
     assert determinant_failure(Q5, stack) is None
-    assert seen == []
+    assert seen == [2] * 12
     assert determinant_failure(Q5, stack3) is None
-    assert seen == [(3, 3), (3, 3)]
+    assert seen == [2] * 12 + [3, 3]
+    assert eliminated == []
 
 
 def _bilip_by_element(matrices):

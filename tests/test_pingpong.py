@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (condition_distances, first_by_scalar_reference, random_sl_arch,
-                     random_sl_padic, scalar_dist_to_hyperplane)
-from pingpong.cartan import (SLMatrix, bilip_constant, bilip_constants, diagonal, exact_form,
-                             gauss_jordan, identity)
+from helpers import (condition_distances, exact_form, first_by_scalar_reference, gauss_jordan,
+                     random_sl_arch, random_sl_padic, scalar_dist_to_hyperplane)
+from pingpong.cartan import SLMatrix, bilip_constant, bilip_constants, diagonal, identity
 from pingpong.contraction import (
     ContractionCert,
     ProximalCert,
@@ -688,7 +687,7 @@ def test_the_int_recheck_gives_the_fraction_verdict():
             cases.append([SLMatrix(REAL, g), SLMatrix(REAL, h)])
     verdicts = []
     for gens in cases:
-        tested, reference = _letters(gens)[1], fraction_letters(gens)
+        tested, reference = _letters(gens)[0], fraction_letters(gens)
         for t, f in zip(tested, reference):
             assert all(type(x) is int for x in t.flat)
             k = np.flatnonzero(f)[0]
